@@ -17,7 +17,7 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
 
@@ -214,19 +214,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[Trace]:
     problem = build_problem(cfg)
 
     def one(index: int) -> Trace:
-        solver = SolverConfig(
-            method=cfg.solver.method,
-            eta_x=cfg.solver.eta_x,
-            eta_y=cfg.solver.eta_y,
-            alpha=cfg.solver.alpha,
-            beta=cfg.solver.beta,
-            v0_x=cfg.solver.v0_x,
-            v0_y=cfg.solver.v0_y,
-            max_iters=cfg.solver.max_iters,
-            grad_tol=cfg.solver.grad_tol,
-            batch_size=cfg.solver.batch_size,
-            seed=_repeat_seed(cfg.solver.seed, index),
-        )
+        solver = replace(cfg.solver, seed=_repeat_seed(cfg.solver.seed, index))
         return run(problem, solver, eval_stride=cfg.eval_stride)
 
     if cfg.jobs == 1 or cfg.repeats == 1:
@@ -295,16 +283,7 @@ def write_summary(path: Path, cfg: ExperimentConfig, traces: list[Trace]) -> Non
 
 
 def cli_run(args: argparse.Namespace) -> int:
-    fields = dict(_DEFAULTS)
-    if args.preset:
-        fields.update(load_preset(args.preset))
-    fields.update(_explicit_flags(args))
-    if "RM_SEED" in os.environ:
-        try:
-            fields["seed"] = int(os.environ["RM_SEED"])
-        except ValueError:
-            raise ConfigError(f"RM_SEED must be an integer, got {os.environ['RM_SEED']!r}")
-    cfg = ExperimentConfig.from_fields(fields)
+    cfg = ExperimentConfig.from_fields(_collect_fields(args))
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -330,15 +309,23 @@ def cli_run(args: argparse.Namespace) -> int:
     return 3 if failed else 0
 
 
-def _explicit_flags(args: argparse.Namespace) -> dict[str, object]:
-    """Flags the user actually passed (argparse defaults are None)."""
-    out: dict[str, object] = {}
+def _collect_fields(args: argparse.Namespace) -> dict[str, object]:
+    """Defaults, then the preset (``run`` only), the flags actually passed
+    (argparse defaults are None), and RM_SEED for the seed."""
+    fields = dict(_DEFAULTS)
+    if getattr(args, "preset", None):
+        fields.update(load_preset(args.preset))
     for key in _FIELD_TYPES:
-        attr = key.replace("-", "_")
-        value = getattr(args, attr, None)
+        value = getattr(args, key.replace("-", "_"), None)
         if value is not None:
-            out[key] = value
-    return out
+            fields[key] = value
+    env_seed = os.environ.get("RM_SEED")
+    if env_seed is not None:
+        try:
+            fields["seed"] = int(env_seed)
+        except ValueError:
+            raise ConfigError(f"RM_SEED must be an integer, got {env_seed!r}") from None
+    return fields
 
 
 # -- verify suites -----------------------------------------------------------
@@ -397,15 +384,9 @@ def _geometry_suite(rng: np.random.Generator) -> list[tuple[str, bool, str]]:
 
 
 def _gradients_suite(fields: dict[str, object], rng: np.random.Generator) -> list[tuple[str, bool, str]]:
+    # Exact oracles only, so the instance's noise level plays no part.
     problem_name = str(fields["problem"])
-    if problem_name == "robust-mle":
-        problem = generate_gaussian_instance(
-            int(fields["d"]), int(fields["n"]), float(fields["c"]), int(fields["data-seed"])
-        )
-    else:
-        problem = generate_quadratic_instance(
-            int(fields["k"]), int(fields["m"]), float(fields["mu"]), int(fields["data-seed"]), 0.0
-        )
+    problem = build_problem(ExperimentConfig.from_fields(fields))
     worst_x = worst_y = 0.0
     for _ in range(20):
         x = problem.mx.random_point(rng)
@@ -471,10 +452,7 @@ def _adaptive_sum_suite(rng: np.random.Generator) -> list[tuple[str, bool, str]]
 
 
 def cli_verify(args: argparse.Namespace) -> int:
-    fields = dict(_DEFAULTS)
-    fields.update(_explicit_flags(args))
-    if "RM_SEED" in os.environ:
-        fields["seed"] = int(os.environ["RM_SEED"])
+    fields = _collect_fields(args)
     rng = np.random.default_rng(int(fields["seed"]))
     suites = ("geometry", "gradients", "rates", "adaptive-sum") if args.suite == "all" else (args.suite,)
     rows: list[tuple[str, bool, str]] = []

@@ -3,8 +3,12 @@
 Points and tangents are immutable wrappers around flat float64 arrays; each
 manifold interprets that storage and owns the metric, retraction, exponential
 and logarithm maps, transport, distance, and random sampling. All operations
-are pure: they validate their inputs, never mutate them, and return fresh
-values.
+are pure: they never mutate their inputs and return fresh values.
+
+The Point and Tangent constructors validate shape, finiteness and the manifold
+invariants of the arrays they are given. Values derived from validated ones
+(retraction and exp results, scaled tangents, product factor slices) are built
+by ``_trusted``, which checks finiteness only.
 """
 from __future__ import annotations
 
@@ -114,10 +118,26 @@ class Tangent:
         return self.base.manifold
 
     def scaled(self, s: float) -> "Tangent":
-        return Tangent(self.base, s * self.data)
+        return _trusted(Tangent, self.base, s * self.data)
 
     def __repr__(self) -> str:
         return f"Tangent(base={self.base!r})"
+
+
+def _trusted(cls: type, owner, data: np.ndarray):
+    """A Point (owner: manifold) or Tangent (owner: base) from derived data.
+
+    Membership holds by construction, so only finiteness is checked. The array
+    is frozen in place, not copied: pass fresh arrays or read-only views.
+    """
+    arr = np.asarray(data, dtype=np.float64).reshape(-1)
+    if not np.isfinite(arr).all():
+        raise InvalidGeometry(f"{cls.__name__.lower()} on {owner!r} contains non-finite entries")
+    arr.setflags(write=False)
+    obj = object.__new__(cls)
+    object.__setattr__(obj, "manifold" if cls is Point else "base", owner)
+    object.__setattr__(obj, "data", arr)
+    return obj
 
 
 class Manifold:
@@ -151,22 +171,18 @@ class Manifold:
     # -- validation -------------------------------------------------------
 
     def check_point(self, data: np.ndarray) -> None:
-        if data.shape != (self.ambient_size,):
-            raise InvalidGeometry(
-                f"{self.kind} point needs {self.ambient_size} entries, got {data.shape}"
-            )
-        if not np.all(np.isfinite(data)):
-            raise InvalidGeometry(f"{self.kind} point contains non-finite entries")
+        self._check_array(data, "point")
         self._check_point(data)
 
     def check_tangent(self, base: np.ndarray, data: np.ndarray) -> None:
-        if data.shape != (self.ambient_size,):
-            raise InvalidGeometry(
-                f"{self.kind} tangent needs {self.ambient_size} entries, got {data.shape}"
-            )
-        if not np.all(np.isfinite(data)):
-            raise InvalidGeometry(f"{self.kind} tangent contains non-finite entries")
+        self._check_array(data, "tangent")
         self._check_tangent(base, data)
+
+    def _check_array(self, data: np.ndarray, what: str) -> None:
+        if data.shape != (self.ambient_size,):
+            raise InvalidGeometry(f"{self.kind} {what} needs {self.ambient_size} entries, got {data.shape}")
+        if not np.all(np.isfinite(data)):
+            raise InvalidGeometry(f"{self.kind} {what} contains non-finite entries")
 
     def _check_point(self, data: np.ndarray) -> None:
         raise NotImplementedError
@@ -174,19 +190,18 @@ class Manifold:
     def _check_tangent(self, base: np.ndarray, data: np.ndarray) -> None:
         raise NotImplementedError
 
-    def _require_point(self, x: Point) -> None:
-        if x.manifold.spec_key() != self.spec_key():
-            raise InvalidGeometry(f"point lives on {x.manifold!r}, expected {self!r}")
+    def _require_point(self, *points: Point) -> None:
+        for x in points:
+            if x.manifold.spec_key() != self.spec_key():
+                raise InvalidGeometry(f"point lives on {x.manifold!r}, expected {self!r}")
 
     def _require_rooted(self, x: Point, u: Tangent) -> None:
-        self._require_point(x)
-        self._require_point(u.base)
+        self._require_point(x, u.base)
         if np.max(np.abs(u.base.data - x.data), initial=0.0) > self.tol.base_match:
             raise BaseMismatch("tangent is rooted at a different point")
 
     def _require_same_base(self, u: Tangent, v: Tangent) -> None:
-        self._require_point(u.base)
-        self._require_point(v.base)
+        self._require_point(u.base, v.base)
         if np.max(np.abs(u.base.data - v.base.data), initial=0.0) > self.tol.base_match:
             raise BaseMismatch("tangents are rooted at different points")
 
@@ -286,13 +301,12 @@ class Euclidean(Manifold):
         self._require_rooted(x, u)
         if not u.data.any():
             return x
-        return Point(self, x.data + u.data)
+        return _trusted(Point, self, x.data + u.data)
 
     exp = retract
 
     def log(self, x: Point, y: Point) -> Tangent:
-        self._require_point(x)
-        self._require_point(y)
+        self._require_point(x, y)
         return Tangent(x, y.data - x.data)
 
     def transport(self, src: Point, dst: Point, u: Tangent) -> Tangent:
@@ -301,8 +315,7 @@ class Euclidean(Manifold):
         return Tangent(dst, u.data)
 
     def dist(self, x: Point, y: Point) -> float:
-        self._require_point(x)
-        self._require_point(y)
+        self._require_point(x, y)
         return float(np.linalg.norm(y.data - x.data))
 
     def project_tangent(self, x: Point, ambient: np.ndarray) -> Tangent:
@@ -324,8 +337,8 @@ class Sphere(Manifold):
     def __init__(self, dim: int, radius: float = 1.0, tol: ToleranceProfile = DEFAULT_TOLERANCES) -> None:
         if dim < 2:
             raise InvalidGeometry("sphere needs ambient dimension >= 2")
-        if not radius > 0:
-            raise InvalidGeometry("sphere radius must be positive")
+        if not 0 < radius < np.inf:
+            raise InvalidGeometry("sphere radius must be positive and finite")
         super().__init__(tol)
         self.dim = int(dim)
         self.radius = float(radius)
@@ -358,9 +371,10 @@ class Sphere(Manifold):
             return x
         s = x.data + u.data
         ns = float(np.linalg.norm(s))
-        if ns < self.tol.degenerate_norm:
-            raise DegenerateRetraction("x + u collapsed to the origin")
-        return Point(self, (self.radius / ns) * s)
+        # An overflowed norm would scale x + u to the zero vector.
+        if not self.tol.degenerate_norm <= ns < np.inf:
+            raise DegenerateRetraction(f"||x + u|| = {ns:.3g}: collapsed to the origin or overflowed")
+        return _trusted(Point, self, (self.radius / ns) * s)
 
     def exp(self, x: Point, u: Tangent) -> Point:
         self._require_rooted(x, u)
@@ -368,14 +382,13 @@ class Sphere(Manifold):
         if nu == 0.0:
             return x
         t = nu / self.radius
-        return Point(self, np.cos(t) * x.data + (self.radius * np.sin(t) / nu) * u.data)
+        return _trusted(Point, self, np.cos(t) * x.data + (self.radius * np.sin(t) / nu) * u.data)
 
     def _cos_angle(self, x: np.ndarray, y: np.ndarray) -> float:
         return float(np.dot(x, y)) / self.radius**2
 
     def log(self, x: Point, y: Point) -> Tangent:
-        self._require_point(x)
-        self._require_point(y)
+        self._require_point(x, y)
         c = self._cos_angle(x.data, y.data)
         if c <= -1.0 + self.tol.antipodal_margin:
             raise AntipodalPoints("logarithm is undefined for antipodal points")
@@ -407,8 +420,7 @@ class Sphere(Manifold):
         return Tangent(dst, u.data + along * (rotated - e))
 
     def dist(self, x: Point, y: Point) -> float:
-        self._require_point(x)
-        self._require_point(y)
+        self._require_point(x, y)
         c = np.clip(self._cos_angle(x.data, y.data), -1.0, 1.0)
         return self.radius * float(np.arccos(c))
 
@@ -495,7 +507,7 @@ class Stiefel(Manifold):
         if np.any(np.abs(diag) < floor):
             raise DegenerateRetraction("x + u is numerically rank deficient")
         Q = Q * np.sign(diag)
-        return Point(self, Q.reshape(-1))
+        return _trusted(Point, self, Q.reshape(-1))
 
     def exp(self, x: Point, u: Tangent) -> Point:
         raise UnsupportedOperation("Stiefel exponential map is not provided")
@@ -511,8 +523,7 @@ class Stiefel(Manifold):
 
     def dist(self, x: Point, y: Point) -> float:
         """Frobenius distance between representatives; reporting only."""
-        self._require_point(x)
-        self._require_point(y)
+        self._require_point(x, y)
         return float(np.linalg.norm(y.data - x.data))
 
     def project_tangent(self, x: Point, ambient: np.ndarray) -> Tangent:
@@ -604,6 +615,13 @@ class SPD(Manifold):
         V = Q.T @ self._mat(v) @ Q
         return float(np.sum(U * V / np.outer(w, w)))
 
+    def _whitened(self, x: Point, m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(rt, irt, S) with X^1/2 = rt @ Q.T, X^-1/2 = irt @ Q.T, S = X^-1/2 M X^-1/2."""
+        w, Q = self.spectrum(self._mat(x.data))
+        rt = Q * np.sqrt(w)
+        irt = Q / np.sqrt(w)
+        return rt, irt, _sym(irt.T @ self._mat(m) @ irt)
+
     def retract(self, x: Point, u: Tangent) -> Point:
         return self.exp(x, u)
 
@@ -612,25 +630,21 @@ class SPD(Manifold):
         self._require_rooted(x, u)
         if not u.data.any():
             return x
-        w, Q = self.spectrum(self._mat(x.data))
-        rt = Q * np.sqrt(w)          # X^1/2 = rt @ Q.T
-        irt = Q / np.sqrt(w)         # X^-1/2 = irt @ Q.T
-        S = _sym(irt.T @ self._mat(u.data) @ irt)
+        rt, _, S = self._whitened(x, u.data)
         ws, Qs = np.linalg.eigh(S)
         if not np.all(np.isfinite(ws)):
             raise InvalidGeometry("exp map inner matrix is not finite")
-        E = (Qs * np.exp(ws)) @ Qs.T
+        ew = np.exp(ws)
+        if not ew[0] > 0.0:
+            raise DegenerateRetraction("exp map underflowed to a singular matrix")
+        E = (Qs * ew) @ Qs.T
         out = _sym(rt @ E @ rt.T)
-        return Point(self, out.reshape(-1))
+        return _trusted(Point, self, out.reshape(-1))
 
     def log(self, x: Point, y: Point) -> Tangent:
         """X^1/2 logm(X^-1/2 Y X^-1/2) X^1/2."""
-        self._require_point(x)
-        self._require_point(y)
-        w, Q = self.spectrum(self._mat(x.data))
-        rt = Q * np.sqrt(w)
-        irt = Q / np.sqrt(w)
-        S = _sym(irt.T @ self._mat(y.data) @ irt)
+        self._require_point(x, y)
+        rt, _, S = self._whitened(x, y.data)
         ws, Qs = self.spectrum(S)
         L = (Qs * np.log(ws)) @ Qs.T
         out = _sym(rt @ L @ rt.T)
@@ -642,10 +656,7 @@ class SPD(Manifold):
         self._require_point(dst)
         if np.array_equal(src.data, dst.data):
             return Tangent(dst, u.data)
-        w, Q = self.spectrum(self._mat(src.data))
-        rt = Q * np.sqrt(w)
-        irt = Q / np.sqrt(w)
-        S = _sym(irt.T @ self._mat(dst.data) @ irt)
+        rt, irt, S = self._whitened(src, dst.data)
         ws, Qs = self.spectrum(S)
         halfS = (Qs * np.sqrt(ws)) @ Qs.T
         E = rt @ halfS @ irt.T
@@ -654,12 +665,8 @@ class SPD(Manifold):
 
     def dist(self, x: Point, y: Point) -> float:
         """Affine-invariant distance ||logm(X^-1/2 Y X^-1/2)||_F."""
-        self._require_point(x)
-        self._require_point(y)
-        w, Q = self.spectrum(self._mat(x.data))
-        irt = Q / np.sqrt(w)
-        S = _sym(irt.T @ self._mat(y.data) @ irt)
-        ws, _ = self.spectrum(S)
+        self._require_point(x, y)
+        ws, _ = self.spectrum(self._whitened(x, y.data)[2])
         return float(np.linalg.norm(np.log(ws)))
 
     def project_tangent(self, x: Point, ambient: np.ndarray) -> Tangent:
@@ -722,32 +729,30 @@ class ProductManifold(Manifold):
             for f, b, uu, vv in zip(self.factors, self._slices(base), self._slices(u), self._slices(v))
         )
 
+    def _pieces(self, p: Point) -> list[Point]:
+        return [_trusted(Point, f, part) for f, part in zip(self.factors, self._slices(p.data))]
+
     def _map_pieces(self, op: str, x: Point, other) -> np.ndarray:
         parts = []
-        for i, f in enumerate(self.factors):
-            lo, hi = self._offsets[i], self._offsets[i + 1]
-            xp = Point(f, x.data[lo:hi])
-            if op in ("retract", "exp"):
-                up = Tangent(xp, other.data[lo:hi])
-                parts.append(getattr(f, op)(xp, up).data)
-            elif op == "log":
-                yp = Point(f, other.data[lo:hi])
-                parts.append(f.log(xp, yp).data)
+        for f, xp, part in zip(self.factors, self._pieces(x), self._slices(other.data)):
+            if op == "log":
+                parts.append(f.log(xp, _trusted(Point, f, part)).data)
+            else:
+                parts.append(getattr(f, op)(xp, _trusted(Tangent, xp, part)).data)
         return np.concatenate(parts)
 
     def retract(self, x: Point, u: Tangent) -> Point:
         self._require_rooted(x, u)
-        return Point(self, self._map_pieces("retract", x, u))
+        return _trusted(Point, self, self._map_pieces("retract", x, u))
 
     def exp(self, x: Point, u: Tangent) -> Point:
         self._require_rooted(x, u)
         if not self.has_exp:
             raise UnsupportedOperation("a product factor lacks the exponential map")
-        return Point(self, self._map_pieces("exp", x, u))
+        return _trusted(Point, self, self._map_pieces("exp", x, u))
 
     def log(self, x: Point, y: Point) -> Tangent:
-        self._require_point(x)
-        self._require_point(y)
+        self._require_point(x, y)
         if not self.has_exp:
             raise UnsupportedOperation("a product factor lacks the logarithm map")
         return Tangent(x, self._map_pieces("log", x, y))
@@ -755,30 +760,26 @@ class ProductManifold(Manifold):
     def transport(self, src: Point, dst: Point, u: Tangent) -> Tangent:
         self._require_rooted(src, u)
         self._require_point(dst)
-        parts = []
-        for i, f in enumerate(self.factors):
-            lo, hi = self._offsets[i], self._offsets[i + 1]
-            sp = Point(f, src.data[lo:hi])
-            dp = Point(f, dst.data[lo:hi])
-            parts.append(f.transport(sp, dp, Tangent(sp, u.data[lo:hi])).data)
+        parts = [
+            f.transport(sp, dp, _trusted(Tangent, sp, part)).data
+            for f, sp, dp, part in zip(self.factors, self._pieces(src), self._pieces(dst), self._slices(u.data))
+        ]
         return Tangent(dst, np.concatenate(parts))
 
     def dist(self, x: Point, y: Point) -> float:
-        self._require_point(x)
-        self._require_point(y)
+        self._require_point(x, y)
         total = 0.0
-        for i, f in enumerate(self.factors):
-            lo, hi = self._offsets[i], self._offsets[i + 1]
-            total += f.dist(Point(f, x.data[lo:hi]), Point(f, y.data[lo:hi])) ** 2
+        for f, xp, yp in zip(self.factors, self._pieces(x), self._pieces(y)):
+            total += f.dist(xp, yp) ** 2
         return float(np.sqrt(total))
 
     def project_tangent(self, x: Point, ambient: np.ndarray) -> Tangent:
         self._require_point(x)
         a = np.asarray(ambient, dtype=np.float64).reshape(-1)
-        parts = []
-        for i, f in enumerate(self.factors):
-            lo, hi = self._offsets[i], self._offsets[i + 1]
-            parts.append(f.project_tangent(Point(f, x.data[lo:hi]), a[lo:hi]).data)
+        parts = [
+            f.project_tangent(xp, part).data
+            for f, xp, part in zip(self.factors, self._pieces(x), self._slices(a))
+        ]
         return Tangent(x, np.concatenate(parts))
 
     def random_point(self, rng: np.random.Generator) -> Point:
@@ -837,18 +838,23 @@ def manifold_to_header(m: Manifold) -> dict:
 
 
 def manifold_from_header(header: dict) -> Manifold:
+    if not isinstance(header, dict):
+        raise InvalidGeometry(f"manifold header must be an object, got {header!r}")
     kind = header.get("kind")
     dims = header.get("dims", [])
-    if kind == "euclidean":
-        return Euclidean(dims[0])
-    if kind == "sphere":
-        return Sphere(dims[0], header.get("radius") or 1.0)
-    if kind == "stiefel":
-        return Stiefel(dims[0], dims[1])
-    if kind == "spd":
-        return SPD(dims[0])
-    if kind == "product":
-        return ProductManifold([manifold_from_header(h) for h in header["factors"]])
+    try:
+        if kind == "euclidean":
+            return Euclidean(dims[0])
+        if kind == "sphere":
+            return Sphere(dims[0], header.get("radius") or 1.0)
+        if kind == "stiefel":
+            return Stiefel(dims[0], dims[1])
+        if kind == "spd":
+            return SPD(dims[0])
+        if kind == "product":
+            return ProductManifold([manifold_from_header(h) for h in header["factors"]])
+    except (KeyError, IndexError, TypeError, ValueError, OverflowError) as err:
+        raise InvalidGeometry(f"malformed {kind} header: {type(err).__name__}: {err}") from None
     raise InvalidGeometry(f"unknown manifold kind {kind!r}")
 
 
@@ -857,11 +863,17 @@ def _pack(header: dict, payload: np.ndarray) -> bytes:
     return head + np.ascontiguousarray(payload, dtype="<f8").tobytes()
 
 
-def _unpack(blob: bytes) -> tuple[dict, np.ndarray]:
-    nl = blob.index(b"\n")
-    header = json.loads(blob[:nl].decode("utf-8"))
-    payload = np.frombuffer(blob[nl + 1:], dtype="<f8")
-    return header, payload
+def _unpack(blob: bytes) -> tuple[Manifold, np.ndarray]:
+    head, newline, body = bytes(blob).partition(b"\n")
+    if not newline:
+        raise InvalidGeometry("blob has no header line")
+    try:
+        header = json.loads(head.decode("utf-8"))
+    except (ValueError, RecursionError) as err:
+        raise InvalidGeometry(f"unreadable header: {err}") from None
+    if len(body) % 8:
+        raise InvalidGeometry(f"payload of {len(body)} bytes is not a whole number of float64 values")
+    return manifold_from_header(header), np.frombuffer(body, dtype="<f8")
 
 
 def serialize_point(p: Point) -> bytes:
@@ -869,8 +881,7 @@ def serialize_point(p: Point) -> bytes:
 
 
 def deserialize_point(blob: bytes) -> Point:
-    header, payload = _unpack(blob)
-    m = manifold_from_header(header)
+    m, payload = _unpack(blob)
     if payload.size != m.ambient_size:
         raise InvalidGeometry(f"payload size {payload.size} != ambient {m.ambient_size}")
     return Point(m, payload)
@@ -881,8 +892,7 @@ def serialize_tangent(t: Tangent) -> bytes:
 
 
 def deserialize_tangent(blob: bytes) -> Tangent:
-    header, payload = _unpack(blob)
-    m = manifold_from_header(header)
+    m, payload = _unpack(blob)
     n = m.ambient_size
     if payload.size != 2 * n:
         raise InvalidGeometry(f"payload size {payload.size} != 2 * ambient {n}")

@@ -371,21 +371,23 @@ def save_instance_matrix(path: str | Path, problem: RobustMleProblem) -> None:
 def load_instance(path: str | Path) -> RobustMleProblem:
     raw = Path(path).read_bytes()
     if raw.startswith(_INSTANCE_MAGIC):
-        off = len(_INSTANCE_MAGIC)
-        d, n, c = struct.unpack_from("<qqd", raw, off)
-        off += struct.calcsize("<qqd")
-        data = np.frombuffer(raw, dtype="<f8", count=n * d, offset=off).reshape(n, d)
-        return RobustMleProblem(data, c)
+        off = len(_INSTANCE_MAGIC) + struct.calcsize("<qqd")
+        if len(raw) < off:
+            raise ProblemError("instance file header is truncated")
+        d, n, c = struct.unpack_from("<qqd", raw, len(_INSTANCE_MAGIC))
+        if d < 1 or n < 1 or len(raw) - off != 8 * n * d:
+            raise ProblemError(f"instance file holds {len(raw) - off} data bytes, not 8 * n * d for n={n}, d={d}")
+        return RobustMleProblem(np.frombuffer(raw, dtype="<f8", offset=off).reshape(n, d), c)
     fields: dict[str, str] = {}
-    for line in raw.decode("utf-8").splitlines():
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, _, value = line.partition("=")
-        fields[key.strip()] = value.strip()
     try:
+        for line in raw.decode("utf-8").splitlines():
+            key, _, value = line.split("#", 1)[0].partition("=")
+            if key.strip():
+                fields[key.strip()] = value.strip()
         return generate_gaussian_instance(
             d=int(fields["d"]), n=int(fields["n"]), c=float(fields["c"]), seed=int(fields["seed"])
         )
     except KeyError as missing:
         raise ProblemError(f"instance file is missing field {missing}") from None
+    except ValueError as err:
+        raise ProblemError(f"malformed instance file: {err}") from None

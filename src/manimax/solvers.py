@@ -10,7 +10,8 @@ couple the descent stepsize to the larger of the two accumulators:
 
 The accumulators are updated before the stepsizes are formed; the stepsizes
 of step t therefore already include the gradients of step t. The stochastic
-variant draws the two batches of a step from disjoint rng substreams.
+variant draws the batches of the two sides from two generators that ``run``
+derives once from the seed. Every method steps through the one kernel ``_step``.
 """
 from __future__ import annotations
 
@@ -109,10 +110,8 @@ class SolverConfig:
             flags.append(
                 f"alpha={a:g}, beta={b:g} outside the deterministic rate regime (0 < beta < alpha < 1)"
             )
-        if self.method is Method.RSAGDA:
-            if 2 * b <= a:
-                pass
-            elif b <= a:
+        if self.method is Method.RSAGDA and 2 * b > a:
+            if b <= a:
                 flags.append(
                     f"alpha={a:g}, beta={b:g} needs second-order smoothness (2*beta > alpha)"
                 )
@@ -199,74 +198,69 @@ def running_min_checkpoints(trace: Trace, budgets, squared: bool = False) -> lis
     return out
 
 
-def _adaptive_update(
+def _step(
     problem: MinimaxProblem,
     state: AdaptiveState,
     cfg: SolverConfig,
     gx: Tangent,
     gy: Tangent,
-    nx2: float | None = None,
-    ny2: float | None = None,
-) -> AdaptiveState:
-    """Shared adaptive step: accumulate squared norms, then form stepsizes."""
-    if nx2 is None:
-        nx2 = problem.mx.inner(gx, gx)
-    if ny2 is None:
-        ny2 = problem.my.inner(gy, gy)
+) -> tuple[AdaptiveState, float, float, float, float]:
+    """One step of cfg.method from the gradients (gx, gy) at state.
+
+    Returns the next state, the stepsizes (eta, gamma) it applied and the
+    squared gradient norms (nx2, ny2). GDA uses eta_x on both sides, TSGDA
+    (eta_x, eta_y); the adaptive methods use the law in the module docstring.
+    """
+    nx2 = problem.mx.inner(gx, gx)
+    ny2 = problem.my.inner(gy, gy)
     if not (math.isfinite(nx2) and math.isfinite(ny2)):
         raise NumericalError("non-finite gradient norm")
-    vx = state.vx + nx2
-    vy = state.vy + ny2
-    eta = cfg.eta_x / max(vx, vy) ** cfg.alpha
-    gamma = cfg.eta_y / vy**cfg.beta
+    vx, vy = state.vx, state.vy
+    if cfg.method in (Method.RAGDA, Method.RSAGDA):
+        vx += nx2
+        vy += ny2
+        eta = cfg.eta_x / max(vx, vy) ** cfg.alpha
+        gamma = cfg.eta_y / vy**cfg.beta
+    else:
+        eta = cfg.eta_x
+        gamma = cfg.eta_x if cfg.method is Method.GDA else cfg.eta_y
     x1 = problem.mx.retract(state.x, gx.scaled(-eta))
     y1 = problem.my.retract(state.y, gy.scaled(gamma))
-    return AdaptiveState(x=x1, y=y1, vx=vx, vy=vy, t=state.t + 1)
+    return AdaptiveState(x=x1, y=y1, vx=vx, vy=vy, t=state.t + 1), eta, gamma, nx2, ny2
 
 
-def _fixed_update(
-    problem: MinimaxProblem,
-    state: AdaptiveState,
-    cfg: SolverConfig,
-    gx: Tangent,
-    gy: Tangent,
-    eta: float,
-    gamma: float,
-) -> AdaptiveState:
-    x1 = problem.mx.retract(state.x, gx.scaled(-eta))
-    y1 = problem.my.retract(state.y, gy.scaled(gamma))
-    return AdaptiveState(x=x1, y=y1, vx=state.vx, vy=state.vy, t=state.t + 1)
-
-
-def _stochastic_grads(
-    problem: MinimaxProblem,
-    state: AdaptiveState,
-    cfg: SolverConfig,
-    rng: np.random.Generator,
-) -> tuple[Tangent, Tangent]:
-    """Independent batches for the two variables from disjoint substreams.
+def _grads(problem: MinimaxProblem, state: AdaptiveState, cfg: SolverConfig,
+           rngs: tuple[np.random.Generator, np.random.Generator] | None = None) -> tuple[Tangent, Tangent]:
+    """Exact gradients, or stochastic ones with one (batch, noise) stream per side.
 
     A requested batch at least as large as the dataset degenerates to the
     deterministic full-index batch instead of sampling with replacement.
     """
-    rng_x, rng_y = rng.spawn(2)
+    x, y = state.x, state.y
+    if rngs is None:
+        return problem.grad_x(x, y), problem.grad_y(x, y)
+    rng_x, rng_y = rngs
     n = problem.sample_count
     if cfg.batch_size >= n:
-        batch_x = Batch.full(n)
-        batch_y = Batch.full(n)
+        batch_x = batch_y = Batch.full(n)
     else:
         batch_x = Batch.sample(rng_x, n, cfg.batch_size)
         batch_y = Batch.sample(rng_y, n, cfg.batch_size)
-    gx = problem.stoch_grad_x(state.x, state.y, batch_x, rng_x)
-    gy = problem.stoch_grad_y(state.x, state.y, batch_y, rng_y)
-    return gx, gy
+    return problem.stoch_grad_x(x, y, batch_x, rng_x), problem.stoch_grad_y(x, y, batch_y, rng_y)
+
+
+def _public_step(problem: MinimaxProblem, state: AdaptiveState, cfg: SolverConfig,
+                 method: Method, rng: np.random.Generator | None = None) -> AdaptiveState:
+    """Body of the public *_step functions: gradients, then one kernel step."""
+    if cfg.method is not method:
+        raise ConfigError(f"{method.value}_step needs method {method.value!r}, got {cfg.method.value!r}")
+    gx, gy = _grads(problem, state, cfg, None if rng is None else rng.spawn(2))
+    return _step(problem, state, cfg, gx, gy)[0]
 
 
 def ragda_step(problem: MinimaxProblem, state: AdaptiveState, cfg: SolverConfig) -> AdaptiveState:
     """One adaptive descent-ascent step with exact gradients."""
-    gx = problem.grad_x(state.x, state.y)
-    gy = problem.grad_y(state.x, state.y)
-    return _adaptive_update(problem, state, cfg, gx, gy)
+    return _public_step(problem, state, cfg, Method.RAGDA)
 
 
 def rsagda_step(
@@ -275,23 +269,22 @@ def rsagda_step(
     cfg: SolverConfig,
     rng: np.random.Generator,
 ) -> AdaptiveState:
-    """One adaptive step with stochastic gradients on independent batches."""
-    gx, gy = _stochastic_grads(problem, state, cfg, rng)
-    return _adaptive_update(problem, state, cfg, gx, gy)
+    """One adaptive step with stochastic gradients on independent batches.
+
+    Each call spawns one fresh substream per side from ``rng``; ``run`` keeps
+    one stream per side for the whole run, so the two sample paths differ.
+    """
+    return _public_step(problem, state, cfg, Method.RSAGDA, rng)
 
 
 def gda_step(problem: MinimaxProblem, state: AdaptiveState, cfg: SolverConfig) -> AdaptiveState:
     """Fixed-stepsize descent ascent with the same stepsize on both sides."""
-    gx = problem.grad_x(state.x, state.y)
-    gy = problem.grad_y(state.x, state.y)
-    return _fixed_update(problem, state, cfg, gx, gy, cfg.eta_x, cfg.eta_x)
+    return _public_step(problem, state, cfg, Method.GDA)
 
 
 def tsgda_step(problem: MinimaxProblem, state: AdaptiveState, cfg: SolverConfig) -> AdaptiveState:
     """Fixed-stepsize descent ascent on two timescales (eta_x, eta_y)."""
-    gx = problem.grad_x(state.x, state.y)
-    gy = problem.grad_y(state.x, state.y)
-    return _fixed_update(problem, state, cfg, gx, gy, cfg.eta_x, cfg.eta_y)
+    return _public_step(problem, state, cfg, Method.TSGDA)
 
 
 def run(
@@ -316,16 +309,18 @@ def run(
         raise ConfigError("eval_stride must be >= 1")
     ss = np.random.SeedSequence(cfg.seed)
     init_ss, step_ss = ss.spawn(2)
-    init_rng = np.random.default_rng(init_ss)
-    step_rng = np.random.default_rng(step_ss)
 
-    x_init, y_init = problem.default_start(init_rng)
+    x_init, y_init = problem.default_start(np.random.default_rng(init_ss))
+    for manifold, given in ((problem.mx, x0), (problem.my, y0)):
+        if given is not None:
+            manifold._require_point(given)
+            manifold.check_point(given.data)
     x = x0 if x0 is not None else x_init
     y = y0 if y0 is not None else y_init
     state = AdaptiveState(x=x, y=y, vx=cfg.v0_x, vy=cfg.v0_y, t=0)
 
     stochastic = cfg.method is Method.RSAGDA
-    adaptive = cfg.method in (Method.RAGDA, Method.RSAGDA)
+    rngs = tuple(np.random.default_rng(s) for s in step_ss.spawn(2)) if stochastic else None
     record_stride = 1 if cfg.max_iters <= RECORD_CAP else math.ceil(cfg.max_iters / RECORD_CAP)
 
     records: list[IterationRecord] = []
@@ -360,28 +355,10 @@ def run(
 
     try:
         for t in range(cfg.max_iters):
-            if stochastic:
-                gx, gy = _stochastic_grads(problem, state, cfg, step_rng)
-                calls["stoch_grad"] += 2
-            else:
-                gx = problem.grad_x(state.x, state.y)
-                gy = problem.grad_y(state.x, state.y)
-                calls["grad"] += 2
-            nx2 = problem.mx.inner(gx, gx)
-            ny2 = problem.my.inner(gy, gy)
-            if not (math.isfinite(nx2) and math.isfinite(ny2)):
-                raise NumericalError("non-finite gradient norm")
+            gx, gy = _grads(problem, state, cfg, rngs)
+            calls["stoch_grad" if stochastic else "grad"] += 2
+            nxt, eta, gamma, nx2, ny2 = _step(problem, state, cfg, gx, gy)
             max_step_grad = max(max_step_grad, math.sqrt(nx2), math.sqrt(ny2))
-
-            # Stepsizes of this step, from the post-accumulation values.
-            if adaptive:
-                vx1 = state.vx + nx2
-                vy1 = state.vy + ny2
-                eta = cfg.eta_x / max(vx1, vy1) ** cfg.alpha
-                gamma = cfg.eta_y / vy1**cfg.beta
-            else:
-                eta = cfg.eta_x
-                gamma = cfg.eta_x if cfg.method is Method.GDA else cfg.eta_y
 
             last = t == cfg.max_iters - 1
             if stochastic:
@@ -393,6 +370,8 @@ def run(
                 evaluate = True
                 sx, sy = math.sqrt(nx2), math.sqrt(ny2)
 
+            # Iterate t is evaluated and recorded with the stepsizes of step
+            # t; a converged iterate stops the run and is kept as final.
             if evaluate:
                 stat = sx + sy
                 min_stat = min(min_stat, stat)
@@ -402,11 +381,7 @@ def run(
                 if converged:
                     stop = StopReason.CONVERGED
                     break
-
-            if adaptive:
-                state = _adaptive_update(problem, state, cfg, gx, gy, nx2, ny2)
-            else:
-                state = _fixed_update(problem, state, cfg, gx, gy, eta, gamma)
+            state = nxt
     except (GeometryError, NumericalOverflow, NumericalError, FloatingPointError) as err:
         stop = StopReason.NUMERICAL_ERROR
         metadata_error = f"{type(err).__name__}: {err}"

@@ -29,8 +29,6 @@ class ToleranceProfile:
         Frobenius tolerance on ||X^T U + U^T X||.
     spd_symmetry:
         Entrywise symmetry tolerance, scaled by max(1, max|entry|).
-    retract_zero:
-        How far retract(x, 0) may drift from x on curved manifolds.
     degenerate_norm:
         Below this norm the sphere retraction input x + u (or a QR pivot)
         counts as collapsed and raises DegenerateRetraction.
@@ -47,7 +45,6 @@ class ToleranceProfile:
     stiefel_orth: float = 1e-10
     stiefel_tangent: float = 1e-10
     spd_symmetry: float = 1e-12
-    retract_zero: float = 1e-12
     degenerate_norm: float = 1e-14
     antipodal_margin: float = 1e-10
     eig_floor_rel: float = 1e-14

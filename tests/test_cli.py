@@ -98,6 +98,14 @@ def test_repeats_have_distinct_seeds(tmp_path):
     assert "repeat2.stop_reason" in summary
 
 
+@pytest.mark.parametrize("argv", [["run", "--preset", "synthetic-ragda", "--max-iters", "3"],
+                                  ["verify", "--suite", "adaptive-sum"]])
+def test_rm_seed_not_an_integer_is_a_config_error(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.setenv("RM_SEED", "abc")
+    assert main(argv + (["--out", str(tmp_path)] if argv[0] == "run" else [])) == 2
+    assert "RM_SEED must be an integer" in capsys.readouterr().err
+
+
 def test_config_error_exit_code(tmp_path):
     assert main(["run", "--alpha", "2.0", "--out", str(tmp_path)]) == 2
     assert main(["run", "--preset", "no-such-preset", "--out", str(tmp_path)]) == 2

@@ -461,6 +461,89 @@ def test_deserialize_rejects_garbage():
         deserialize_point(b"not a point")
 
 
+_SPHERE_HEADER = b'{"dims": [3], "kind": "sphere", "radius": 1.0}\n'
+
+
+@pytest.mark.parametrize("load", [deserialize_point, deserialize_tangent])
+@pytest.mark.parametrize(
+    "blob",
+    [
+        pytest.param(b"garbage", id="no-header-line"),
+        pytest.param(_SPHERE_HEADER + b"\x00" * 7, id="payload-not-whole-float64s"),
+        pytest.param(b'{"kind": "sphere"}\n' + b"\x00" * 24, id="header-without-dims"),
+        pytest.param(b'{"kind": "stiefel", "dims": [3]}\n', id="dims-too-short"),
+        pytest.param(b"\xff\xfe\n" + b"\x00" * 24, id="header-not-utf8"),
+        pytest.param(b"{kind: sphere\n" + b"\x00" * 24, id="header-not-json"),
+        pytest.param(b"[1, 2]\n" + b"\x00" * 24, id="header-not-an-object"),
+        pytest.param(b'{"kind": "torus", "dims": [3]}\n', id="unknown-kind"),
+        pytest.param(b'{"kind": "sphere", "dims": ["3"]}\n', id="dims-not-numbers"),
+        pytest.param(b'{"kind": "euclidean", "dims": [Infinity]}\n', id="dims-infinite"),
+        pytest.param(b'{"kind": "product", "dims": [3], "factors": 3}\n', id="factors-not-a-list"),
+        pytest.param(b'{"kind": "sphere", "dims": [3], "radius": Infinity}\n', id="radius-infinite"),
+        pytest.param(_SPHERE_HEADER + np.zeros(5).tobytes(), id="wrong-payload-size"),
+        pytest.param(_SPHERE_HEADER + np.array([np.nan, 0.0, 1.0] * 2).tobytes(), id="non-finite-payload"),
+        pytest.param(_SPHERE_HEADER + np.array([0.0, 0.0, 2.0] * 2).tobytes(), id="off-the-sphere"),
+    ],
+)
+def test_deserialize_malformed_blob_raises_invalid_geometry(load, blob):
+    with pytest.raises(InvalidGeometry):
+        load(blob)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_deserialize_fuzz_yields_value_or_invalid_geometry(data):
+    # Truncate or corrupt valid blobs, or send arbitrary bytes: every outcome
+    # is either a valid value or InvalidGeometry, never another exception.
+    man = data.draw(st.sampled_from([Sphere(3), SPD(2), Stiefel(3, 2), Euclidean(2),
+                                     ProductManifold([Sphere(3), Euclidean(2)])]), label="manifold")
+    x = man.random_point(np.random.default_rng(0))
+    valid = serialize_point(x) if data.draw(st.booleans()) else serialize_tangent(man.zero_tangent(x))
+    mode = data.draw(st.sampled_from(["truncate", "flip", "random"]))
+    if mode == "truncate":
+        blob = valid[: data.draw(st.integers(0, len(valid) - 1))]
+    elif mode == "flip":
+        i = data.draw(st.integers(0, len(valid) - 1))
+        blob = valid[:i] + bytes([valid[i] ^ data.draw(st.integers(1, 255))]) + valid[i + 1:]
+    else:
+        blob = data.draw(st.binary(max_size=200))
+    for load in (deserialize_point, deserialize_tangent):
+        try:
+            out = load(blob)
+        except InvalidGeometry:
+            continue
+        assert np.all(np.isfinite(out.data))
+
+
+def test_sphere_retract_rejects_overflowed_norm():
+    man = Sphere(3)
+    x = sphere_point(man, [1.0, 0.0, 0.0])
+    u = Tangent(x, [0.0, 1e300, 1e300])
+    with pytest.raises(DegenerateRetraction):
+        man.retract(x, u)
+
+
+def test_derived_values_are_checked_for_finiteness():
+    # Retraction results and scaled tangents skip the membership checks but
+    # not the finiteness check.
+    man = Euclidean(2)
+    x = Point(man, [1e308, 0.0])
+    u = Tangent(x, [1e308, 0.0])
+    with pytest.raises(InvalidGeometry):
+        man.retract(x, u)
+    with pytest.raises(InvalidGeometry):
+        u.scaled(10.0)
+    assert u.scaled(0.5).data.flags.writeable is False
+
+
+def test_spd_exp_rejects_underflow_to_singular():
+    man = SPD(2)
+    x = Point(man, np.eye(2).ravel())
+    u = Tangent(x, np.diag([-800.0, 0.0]).ravel())
+    with pytest.raises(DegenerateRetraction):
+        man.exp(x, u)
+
+
 # -- property-based checks -----------------------------------------------------
 
 

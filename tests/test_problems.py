@@ -1,12 +1,17 @@
 """Objective and oracle tests for the two benchmark problems."""
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from manimax import (
     Batch,
     EmptyBatch,
     Point,
+    ProblemError,
     RobustMleProblem,
     SyntheticQuadratic,
     Tangent,
@@ -315,6 +320,52 @@ def test_load_instance_rejects_junk(tmp_path):
     path.write_text("nonsense without equals\n")
     with pytest.raises(Exception):
         load_instance(path)
+
+
+def _matrix_blob(d=3, n=4, c=-2.5):
+    head = b"RMLEDAT1" + struct.pack("<qqd", d, n, c)
+    return head + np.arange(n * d, dtype="<f8").tobytes()
+
+
+@pytest.mark.parametrize(
+    "blob",
+    [
+        pytest.param(_matrix_blob()[:8], id="magic-only"),
+        pytest.param(_matrix_blob()[:20], id="header-cut-short"),
+        pytest.param(_matrix_blob()[:-1], id="data-cut-mid-value"),
+        pytest.param(_matrix_blob()[:-8], id="one-value-missing"),
+        pytest.param(_matrix_blob() + b"\x00" * 8, id="trailing-value"),
+        pytest.param(_matrix_blob(d=-1, n=-4), id="negative-sizes"),
+        pytest.param(_matrix_blob(d=0), id="empty-rows"),
+        pytest.param(b"d = 3\nn = four\nc = 1\nseed = 0\n", id="text-non-integer-field"),
+        pytest.param(b"d = 3\nn = -4\nc = 1\nseed = 0\n", id="text-negative-size"),
+        pytest.param(b"d = 3\nn = 4\nc = 1\n", id="text-missing-seed"),
+        pytest.param(b"\xff\xfe d = 3\n", id="text-not-utf8"),
+    ],
+)
+def test_load_instance_malformed_raises_problem_error(tmp_path, blob):
+    path = tmp_path / "inst.bin"
+    path.write_bytes(blob)
+    with pytest.raises(ProblemError):
+        load_instance(path)
+
+
+@settings(max_examples=100, deadline=None)
+@given(cut=st.integers(0, 8 + 24 + 96), flips=st.lists(st.tuples(st.integers(0, 127), st.integers(1, 255)), max_size=3))
+def test_load_instance_fuzz_yields_problem_or_problem_error(tmp_path_factory, cut, flips):
+    # A binary instance truncated and corrupted at random either loads with
+    # the declared shape or raises ProblemError.
+    blob = bytearray(_matrix_blob()[:cut])
+    for i, x in flips:
+        if i < len(blob):
+            blob[i] ^= x
+    path = tmp_path_factory.mktemp("fuzz") / "inst.bin"
+    path.write_bytes(bytes(blob))
+    try:
+        prob = load_instance(path)
+    except ProblemError:
+        return
+    assert prob.a.shape == (prob.n, prob.d)
 
 
 # -- shared plumbing ----------------------------------------------------------------

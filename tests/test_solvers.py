@@ -9,10 +9,13 @@ from manimax import (
     AdaptiveState,
     ConfigError,
     Euclidean,
+    InvalidGeometry,
+    Manifold,
     Method,
     MinimaxProblem,
     Point,
     SolverConfig,
+    Sphere,
     StopReason,
     Tangent,
     gda_step,
@@ -249,6 +252,42 @@ def test_initial_point_overrides():
     assert np.array_equal(trace.final_state.y.data, y0.data)
 
 
+def test_initial_point_on_wrong_manifold_rejected():
+    prob = generate_quadratic_instance(5, 3, 1.0, 0, 0.0)
+    cfg = SolverConfig(method=Method.RAGDA, max_iters=5, seed=0)
+    with pytest.raises(InvalidGeometry):
+        run(prob, cfg, x0=Point(Sphere(4), np.eye(4)[0]))
+    with pytest.raises(InvalidGeometry):
+        run(prob, cfg, y0=Point(Euclidean(2), [1.0, 2.0]))
+
+
+def test_geometry_checked_only_at_the_boundary(monkeypatch):
+    # Per step, only the two oracle outputs are validated; retraction
+    # results and scaled tangents are built without membership checks.
+    counts = {"point": 0, "tangent": 0}
+    check_point, check_tangent = Manifold.check_point, Manifold.check_tangent
+
+    def counted_point(self, data):
+        counts["point"] += 1
+        check_point(self, data)
+
+    def counted_tangent(self, base, data):
+        counts["tangent"] += 1
+        check_tangent(self, base, data)
+
+    monkeypatch.setattr(Manifold, "check_point", counted_point)
+    monkeypatch.setattr(Manifold, "check_tangent", counted_tangent)
+    prob = generate_gaussian_instance(4, 12, -5.0, seed=0)
+    seen = {}
+    for steps in (0, 20):
+        counts.update(point=0, tangent=0)
+        trace = run(prob, SolverConfig(method=Method.RAGDA, max_iters=steps, seed=1))
+        assert trace.final_state.t == steps
+        seen[steps] = dict(counts)
+    assert seen[20]["point"] - seen[0]["point"] == 0
+    assert seen[20]["tangent"] - seen[0]["tangent"] <= 2 * 20
+
+
 def test_record_stride_caps_trace_length():
     prob = generate_quadratic_instance(4, 3, 1.0, 0, 0.0)
     cfg = SolverConfig(method=Method.RAGDA, max_iters=25_000, seed=0)
@@ -293,12 +332,18 @@ def test_callbacks_see_every_record():
 
 
 def test_numerical_blowup_reported():
+    # The first step lands y near 1e150; the second overflows ||x + u|| on
+    # the sphere, which the retraction itself must reject.
     prob = generate_quadratic_instance(4, 3, 1.0, 0, 0.0)
     cfg = SolverConfig(method=Method.TSGDA, eta_x=1e150, eta_y=1e150,
                        max_iters=50, seed=0)
     trace = run(prob, cfg)
     assert trace.stop_reason is StopReason.NUMERICAL_ERROR
-    assert "error" in trace.metadata
+    assert trace.metadata["error"].startswith("DegenerateRetraction")
+    assert trace.final_state.t == 1
+    assert np.all(np.isfinite(trace.final_state.x.data))
+    assert np.all(np.isfinite(trace.final_state.y.data))
+    assert abs(np.linalg.norm(trace.final_state.x.data) - 1.0) <= 1e-12
 
 
 def test_min_stationarity_tracks_running_min():
@@ -390,6 +435,25 @@ def test_run_rejects_bad_eval_stride():
     prob = generate_quadratic_instance(4, 3, 1.0, 0, 0.0)
     with pytest.raises(ConfigError):
         run(prob, SolverConfig(method=Method.RAGDA, max_iters=5), eval_stride=0)
+
+
+@pytest.mark.parametrize(
+    "step, own",
+    [(ragda_step, Method.RAGDA), (gda_step, Method.GDA), (tsgda_step, Method.TSGDA),
+     (rsagda_step, Method.RSAGDA)],
+)
+def test_step_functions_reject_other_methods(step, own):
+    prob = generate_quadratic_instance(4, 3, 1.0, 0, 0.1)
+    x, y = prob.default_start(np.random.default_rng(0))
+    state = AdaptiveState(x=x, y=y, vx=1e-6, vy=1e-6, t=0)
+    extra = (np.random.default_rng(0),) if step is rsagda_step else ()
+    for method in Method:
+        cfg = SolverConfig(method=method, max_iters=1)
+        if method is own:
+            assert step(prob, state, cfg, *extra).t == 1
+        else:
+            with pytest.raises(ConfigError):
+                step(prob, state, cfg, *extra)
 
 
 def test_rsagda_step_signature_needs_rng():

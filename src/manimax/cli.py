@@ -16,16 +16,17 @@ import argparse
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, replace
 from importlib import resources
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
-from .manifolds import SPD, Euclidean, Sphere, Stiefel, UnsupportedOperation, serialize_point
+from .manifolds import SPD, Euclidean, InvalidGeometry, Sphere, Stiefel, UnsupportedOperation, serialize_point
 from .problems import (
     MinimaxProblem,
+    ProblemError,
     generate_gaussian_instance,
     generate_multiscale_instance,
     generate_quadratic_instance,
@@ -51,158 +52,148 @@ __all__ = ["ExperimentConfig", "load_preset", "build_problem", "run_experiment",
 
 _PROBLEMS = ("robust-mle", "synthetic-quadratic")
 
-# Preset/flag keys and the types they parse to.
-_FIELD_TYPES: dict[str, type] = {
-    "problem": str,
-    "solver": str,
-    "alpha": float,
-    "beta": float,
-    "eta-x": float,
-    "eta-y": float,
-    "v0-x": float,
-    "v0-y": float,
-    "max-iters": int,
-    "grad-tol": float,
-    "batch-size": int,
-    "seed": int,
-    "repeats": int,
-    "jobs": int,
-    "eval-stride": int,
-    "d": int,
-    "n": int,
-    "c": float,
-    "k": int,
-    "m": int,
-    "mu": float,
-    "sigma": float,
-    "data-seed": int,
-    "label": str,
+
+def _integer(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"must be an integer, got {text!r}") from None
+
+
+def _finite(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise ValueError(f"must be a number, got {text!r}") from None
+    if not math.isfinite(value):
+        raise ValueError(f"must be finite, got {text!r}")
+    return value
+
+
+@dataclass(frozen=True)
+class _Field:
+    parse: Callable[[str], object]
+    help: str
+    verify: bool = False  # also a flag of ``manimax verify``
+
+
+# Every setting a preset line, a flag or RM_SEED can give. The key "solver"
+# sets SolverConfig.method; every other key sets the SolverConfig or
+# ExperimentConfig attribute of the same name, with "-" read as "_". A key
+# left unset keeps that dataclass's default.
+_FIELDS: dict[str, _Field] = {
+    "problem": _Field(str, f"one of {', '.join(_PROBLEMS)}", verify=True),
+    "solver": _Field(str, f"one of {', '.join(m.value for m in Method)}"),
+    "alpha": _Field(_finite, "descent stepsize exponent, in (0, 1)"),
+    "beta": _Field(_finite, "ascent stepsize exponent, in (0, 1)"),
+    "eta-x": _Field(_finite, "descent stepsize scale"),
+    "eta-y": _Field(_finite, "ascent stepsize scale"),
+    "v0-x": _Field(_finite, "initial descent accumulator"),
+    "v0-y": _Field(_finite, "initial ascent accumulator"),
+    "max-iters": _Field(_integer, "iteration budget"),
+    "grad-tol": _Field(_finite, "stop once ||grad_x|| + ||grad_y|| <= this"),
+    "batch-size": _Field(_integer, "minibatch size of the stochastic method"),
+    "seed": _Field(_integer, "base seed (RM_SEED env overrides)", verify=True),
+    "repeats": _Field(_integer, "independent runs, each with its own derived seed"),
+    "eval-stride": _Field(_integer, "steps between exact evaluations of stochastic runs"),
+    "label": _Field(str, "output filename stem (default: <problem>-<solver>)"),
+    "d": _Field(_integer, "robust-mle data dimension", verify=True),
+    "n": _Field(_integer, "robust-mle sample count", verify=True),
+    "c": _Field(_finite, "robust-mle regularization weight", verify=True),
+    "k": _Field(_integer, "synthetic-quadratic sphere dimension", verify=True),
+    "m": _Field(_integer, "synthetic-quadratic ascent dimension", verify=True),
+    "mu": _Field(_finite, "synthetic-quadratic concavity", verify=True),
+    "sigma": _Field(_finite, "synthetic-quadratic oracle noise"),
+    "data-seed": _Field(_integer, "seed of the generated instance", verify=True),
 }
 
-_DEFAULTS: dict[str, object] = {
-    "problem": "robust-mle",
-    "solver": "ragda",
-    "alpha": 0.5,
-    "beta": 0.5,
-    "eta-x": 0.5,
-    "eta-y": 5.0,
-    "v0-x": 1e-6,
-    "v0-y": 1e-6,
-    "max-iters": 1000,
-    "grad-tol": 0.0,
-    "batch-size": 1,
-    "seed": 0,
-    "repeats": 1,
-    "jobs": 1,
-    "eval-stride": 50,
-    "d": 30,
-    "n": 100,
-    "c": -5.0,
-    "k": 20,
-    "m": 10,
-    "mu": 1.0,
-    "sigma": 0.1,
-    "data-seed": 0,
-    "label": "",
-}
+_SOLVER_ATTRS = {f.name for f in fields(SolverConfig)}
+
+
+def _parse(key: str, text: str, where: str) -> object:
+    try:
+        return _FIELDS[key].parse(text)
+    except ValueError as err:
+        raise ConfigError(f"{where} {err}") from None
 
 
 @dataclass
 class ExperimentConfig:
     """Everything one ``run`` invocation needs: problem, solver, and output."""
 
-    problem: str
-    solver: SolverConfig
-    repeats: int
-    jobs: int
-    eval_stride: int
-    label: str
-    d: int
-    n: int
-    c: float
-    k: int
-    m: int
-    mu: float
-    sigma: float
-    data_seed: int
+    problem: str = "robust-mle"
+    solver: SolverConfig = field(default_factory=SolverConfig)
+    repeats: int = 1
+    eval_stride: int = run.__kwdefaults__["eval_stride"]  # the default of solvers.run
+    label: str = ""
+    d: int = 30
+    n: int = 100
+    c: float = -5.0
+    k: int = 20
+    m: int = 10
+    mu: float = 1.0
+    sigma: float = 0.1
+    data_seed: int = 0
 
     def __post_init__(self) -> None:
         if self.problem not in _PROBLEMS:
             raise ConfigError(f"unknown problem {self.problem!r}; choose from {_PROBLEMS}")
         if self.repeats < 1:
             raise ConfigError("repeats must be >= 1")
-        if self.jobs < 1:
-            raise ConfigError("jobs must be >= 1")
         if self.eval_stride < 1:
             raise ConfigError("eval-stride must be >= 1")
+        if self.data_seed < 0:
+            raise ConfigError("data-seed must be nonnegative")
+        self.label = self.label or f"{self.problem}-{self.solver.method.value}"
 
     @classmethod
-    def from_fields(cls, fields: dict[str, object]) -> "ExperimentConfig":
-        solver = SolverConfig(
-            method=str(fields["solver"]),
-            eta_x=float(fields["eta-x"]),
-            eta_y=float(fields["eta-y"]),
-            alpha=float(fields["alpha"]),
-            beta=float(fields["beta"]),
-            v0_x=float(fields["v0-x"]),
-            v0_y=float(fields["v0-y"]),
-            max_iters=int(fields["max-iters"]),
-            grad_tol=float(fields["grad-tol"]),
-            batch_size=int(fields["batch-size"]),
-            seed=int(fields["seed"]),
-        )
-        label = str(fields["label"]) or f"{fields['problem']}-{solver.method.value}"
-        return cls(
-            problem=str(fields["problem"]),
-            solver=solver,
-            repeats=int(fields["repeats"]),
-            jobs=int(fields["jobs"]),
-            eval_stride=int(fields["eval-stride"]),
-            label=label,
-            d=int(fields["d"]),
-            n=int(fields["n"]),
-            c=float(fields["c"]),
-            k=int(fields["k"]),
-            m=int(fields["m"]),
-            mu=float(fields["mu"]),
-            sigma=float(fields["sigma"]),
-            data_seed=int(fields["data-seed"]),
-        )
+    def from_fields(cls, values: dict[str, object]) -> "ExperimentConfig":
+        """Config from parsed ``_FIELDS`` values; keys left out keep their defaults."""
+        attrs = {"method" if key == "solver" else key.replace("-", "_"): v for key, v in values.items()}
+        solver = SolverConfig(**{a: v for a, v in attrs.items() if a in _SOLVER_ATTRS})
+        return cls(solver=solver, **{a: v for a, v in attrs.items() if a not in _SOLVER_ATTRS})
 
 
 def _parse_fields(text: str, source: str) -> dict[str, object]:
-    fields: dict[str, object] = {}
+    values: dict[str, object] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         key, sep, value = line.partition("=")
         key = key.strip()
-        value = value.strip()
-        if not sep or key not in _FIELD_TYPES:
+        if not sep or key not in _FIELDS:
             raise ConfigError(f"{source}:{lineno}: unknown or malformed entry {raw.strip()!r}")
-        try:
-            fields[key] = _FIELD_TYPES[key](value)
-        except ValueError as err:
-            raise ConfigError(f"{source}:{lineno}: {err}") from None
-    return fields
+        values[key] = _parse(key, value.strip(), f"{source}:{lineno}: {key}")
+    return values
 
 
 def load_preset(name: str) -> dict[str, object]:
     """Read a preset by packaged name or by filesystem path."""
     path = Path(name)
-    if path.exists():
-        return _parse_fields(path.read_text(encoding="utf-8"), str(path))
     packaged = resources.files("manimax").joinpath("presets", f"{name}.cfg")
-    if packaged.is_file():
-        return _parse_fields(packaged.read_text(encoding="utf-8"), f"preset {name}")
-    raise ConfigError(f"preset {name!r} not found (not a file, not a packaged preset)")
+    try:
+        if path.exists():
+            source, raw = str(path), path.read_bytes()
+        elif packaged.is_file():
+            source, raw = f"preset {name}", packaged.read_bytes()
+        else:
+            raise ConfigError(f"preset {name!r} not found (not a file, not a packaged preset)")
+        text = raw.decode("utf-8")
+    except (OSError, UnicodeDecodeError) as err:
+        raise ConfigError(f"cannot read preset {name!r}: {err}") from None
+    return _parse_fields(text, source)
 
 
 def build_problem(cfg: ExperimentConfig) -> MinimaxProblem:
-    if cfg.problem == "robust-mle":
-        return generate_gaussian_instance(cfg.d, cfg.n, cfg.c, cfg.data_seed)
-    return generate_quadratic_instance(cfg.k, cfg.m, cfg.mu, cfg.data_seed, cfg.sigma)
+    """The configured instance; a size or parameter it rejects is a ConfigError."""
+    try:
+        if cfg.problem == "robust-mle":
+            return generate_gaussian_instance(cfg.d, cfg.n, cfg.c, cfg.data_seed)
+        return generate_quadratic_instance(cfg.k, cfg.m, cfg.mu, cfg.data_seed, cfg.sigma)
+    except (ProblemError, InvalidGeometry, ValueError) as err:
+        # numpy raises ValueError for negative dimensions.
+        raise ConfigError(f"{cfg.problem} instance: {err}") from None
 
 
 def _repeat_seed(base_seed: int, index: int) -> int:
@@ -212,15 +203,10 @@ def _repeat_seed(base_seed: int, index: int) -> int:
 
 def run_experiment(cfg: ExperimentConfig) -> list[Trace]:
     problem = build_problem(cfg)
-
-    def one(index: int) -> Trace:
-        solver = replace(cfg.solver, seed=_repeat_seed(cfg.solver.seed, index))
-        return run(problem, solver, eval_stride=cfg.eval_stride)
-
-    if cfg.jobs == 1 or cfg.repeats == 1:
-        return [one(i) for i in range(cfg.repeats)]
-    with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-        return list(pool.map(one, range(cfg.repeats)))
+    return [
+        run(problem, replace(cfg.solver, seed=_repeat_seed(cfg.solver.seed, i)), eval_stride=cfg.eval_stride)
+        for i in range(cfg.repeats)
+    ]
 
 
 _CSV_HEADER = "iter,wall_s,grad_x_norm,grad_y_norm,eta_t,gamma_t,f_value"
@@ -310,22 +296,17 @@ def cli_run(args: argparse.Namespace) -> int:
 
 
 def _collect_fields(args: argparse.Namespace) -> dict[str, object]:
-    """Defaults, then the preset (``run`` only), the flags actually passed
-    (argparse defaults are None), and RM_SEED for the seed."""
-    fields = dict(_DEFAULTS)
-    if getattr(args, "preset", None):
-        fields.update(load_preset(args.preset))
-    for key in _FIELD_TYPES:
-        value = getattr(args, key.replace("-", "_"), None)
-        if value is not None:
-            fields[key] = value
+    """The preset (``run`` only), then the flags actually passed (argparse
+    defaults are None), then RM_SEED for the seed."""
+    values = load_preset(args.preset) if getattr(args, "preset", None) else {}
+    for key in _FIELDS:
+        text = getattr(args, key, None)
+        if text is not None:
+            values[key] = _parse(key, text, f"--{key}")
     env_seed = os.environ.get("RM_SEED")
     if env_seed is not None:
-        try:
-            fields["seed"] = int(env_seed)
-        except ValueError:
-            raise ConfigError(f"RM_SEED must be an integer, got {env_seed!r}") from None
-    return fields
+        values["seed"] = _parse("seed", env_seed, "RM_SEED")
+    return values
 
 
 # -- verify suites -----------------------------------------------------------
@@ -383,10 +364,9 @@ def _geometry_suite(rng: np.random.Generator) -> list[tuple[str, bool, str]]:
     return rows
 
 
-def _gradients_suite(fields: dict[str, object], rng: np.random.Generator) -> list[tuple[str, bool, str]]:
+def _gradients_suite(cfg: ExperimentConfig, rng: np.random.Generator) -> list[tuple[str, bool, str]]:
     # Exact oracles only, so the instance's noise level plays no part.
-    problem_name = str(fields["problem"])
-    problem = build_problem(ExperimentConfig.from_fields(fields))
+    problem = build_problem(cfg)
     worst_x = worst_y = 0.0
     for _ in range(20):
         x = problem.mx.random_point(rng)
@@ -404,28 +384,19 @@ def _gradients_suite(fields: dict[str, object], rng: np.random.Generator) -> lis
             else:
                 worst_y = max(worst_y, err)
     return [
-        (f"grad_x matches finite differences ({problem_name})", worst_x <= 1e-4, f"max rel err {worst_x:.3e}"),
-        (f"grad_y matches finite differences ({problem_name})", worst_y <= 1e-4, f"max rel err {worst_y:.3e}"),
+        (f"grad_x matches finite differences ({cfg.problem})", worst_x <= 1e-4, f"max rel err {worst_x:.3e}"),
+        (f"grad_y matches finite differences ({cfg.problem})", worst_y <= 1e-4, f"max rel err {worst_y:.3e}"),
     ]
 
 
-def _rates_suite(fields: dict[str, object], decades: int) -> list[tuple[str, bool, str]]:
+def _rates_suite(cfg: ExperimentConfig, decades: int) -> list[tuple[str, bool, str]]:
     if decades < 2:
         raise ConfigError("--budget-decades must be >= 2")
     budgets = [round(10 ** (2 + 0.5 * i)) for i in range(2 * decades + 1)]
-    problem = generate_multiscale_instance(30, 20, 5.0, int(fields["data-seed"]), 0.0)
-    cfg = SolverConfig(
-        method=Method.RAGDA,
-        eta_x=0.5,
-        eta_y=5.0,
-        alpha=0.5,
-        beta=0.3,
-        v0_x=1e-6,
-        v0_y=1e-6,
-        max_iters=budgets[-1],
-        seed=int(fields["seed"]),
-    )
-    trace = run(problem, cfg)
+    problem = generate_multiscale_instance(30, 20, 5.0, cfg.data_seed, 0.0)
+    # RAGDA with the default stepsizes, and beta < alpha for the deterministic rate.
+    solver = SolverConfig(method=Method.RAGDA, beta=0.3, max_iters=budgets[-1], seed=cfg.solver.seed)
+    trace = run(problem, solver)
     mins = running_min_checkpoints(trace, budgets)
     fit = fit_rate(list(zip(budgets, mins)))
     ok = fit.slope <= -0.4 and fit.r2 >= 0.9
@@ -452,17 +423,17 @@ def _adaptive_sum_suite(rng: np.random.Generator) -> list[tuple[str, bool, str]]
 
 
 def cli_verify(args: argparse.Namespace) -> int:
-    fields = _collect_fields(args)
-    rng = np.random.default_rng(int(fields["seed"]))
+    cfg = ExperimentConfig.from_fields(_collect_fields(args))
+    rng = np.random.default_rng(cfg.solver.seed)
     suites = ("geometry", "gradients", "rates", "adaptive-sum") if args.suite == "all" else (args.suite,)
     rows: list[tuple[str, bool, str]] = []
     for suite in suites:
         if suite == "geometry":
             rows += _geometry_suite(rng)
         elif suite == "gradients":
-            rows += _gradients_suite(fields, rng)
+            rows += _gradients_suite(cfg, rng)
         elif suite == "rates":
-            rows += _rates_suite(fields, args.budget_decades)
+            rows += _rates_suite(cfg, args.budget_decades)
         elif suite == "adaptive-sum":
             rows += _adaptive_sum_suite(rng)
     width = max(len(name) for name, _, _ in rows)
@@ -484,31 +455,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     runp = sub.add_parser("run", help="run a solver and write CSV traces")
     runp.add_argument("--preset", help="packaged preset name or path to a preset file")
-    runp.add_argument("--problem", choices=_PROBLEMS)
-    runp.add_argument("--solver", choices=[m.value for m in Method])
-    runp.add_argument("--alpha", type=float)
-    runp.add_argument("--beta", type=float)
-    runp.add_argument("--eta-x", type=float, dest="eta_x")
-    runp.add_argument("--eta-y", type=float, dest="eta_y")
-    runp.add_argument("--v0-x", type=float, dest="v0_x")
-    runp.add_argument("--v0-y", type=float, dest="v0_y")
-    runp.add_argument("--max-iters", type=int, dest="max_iters")
-    runp.add_argument("--grad-tol", type=float, dest="grad_tol")
-    runp.add_argument("--batch-size", type=int, dest="batch_size")
-    runp.add_argument("--seed", type=int, help="base seed (RM_SEED env overrides)")
-    runp.add_argument("--repeats", type=int)
-    runp.add_argument("--jobs", type=int, help="max concurrent repeats")
-    runp.add_argument("--eval-stride", type=int, dest="eval_stride")
     runp.add_argument("--out", default="runs", help="output directory (default: runs)")
-    runp.add_argument("--label", help="output filename stem")
-    runp.add_argument("--d", type=int, help="robust-mle data dimension")
-    runp.add_argument("--n", type=int, help="robust-mle sample count")
-    runp.add_argument("--c", type=float, help="robust-mle regularization weight")
-    runp.add_argument("--k", type=int, help="synthetic-quadratic sphere dimension")
-    runp.add_argument("--m", type=int, help="synthetic-quadratic ascent dimension")
-    runp.add_argument("--mu", type=float, help="synthetic-quadratic concavity")
-    runp.add_argument("--sigma", type=float, help="synthetic-quadratic oracle noise")
-    runp.add_argument("--data-seed", type=int, dest="data_seed")
     runp.set_defaults(func=cli_run)
 
     verp = sub.add_parser("verify", help="run self-check suites")
@@ -518,16 +465,13 @@ def _build_parser() -> argparse.ArgumentParser:
         default="all",
     )
     verp.add_argument("--budget-decades", type=int, dest="budget_decades", default=2)
-    verp.add_argument("--seed", type=int)
-    verp.add_argument("--problem", choices=_PROBLEMS)
-    verp.add_argument("--d", type=int)
-    verp.add_argument("--n", type=int)
-    verp.add_argument("--c", type=float)
-    verp.add_argument("--k", type=int)
-    verp.add_argument("--m", type=int)
-    verp.add_argument("--mu", type=float)
-    verp.add_argument("--data-seed", type=int, dest="data_seed")
     verp.set_defaults(func=cli_verify)
+
+    # Values stay text here and are parsed by _collect_fields, so that a flag
+    # and a preset line go through the same parser and errors.
+    for key, spec in _FIELDS.items():
+        for subparser in (runp, verp) if spec.verify else (runp,):
+            subparser.add_argument(f"--{key}", dest=key, help=spec.help)
     return parser
 
 

@@ -17,7 +17,30 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tolerances import DEFAULT_TOLERANCES, ToleranceProfile
+# Thresholds of the invariant checks and of the geometric edge cases.
+#
+# Absolute elementwise tolerance when two tangents must share a base point, and
+# when an operation checks that a tangent is rooted at the point it was handed.
+_BASE_MATCH = 1e-12
+# Relative tolerance on | ||x|| - r | for sphere membership.
+_SPHERE_POINT_REL = 1e-10
+# |<x, u>| <= _SPHERE_TANGENT_REL * r * ||u|| for sphere tangency.
+_SPHERE_TANGENT_REL = 1e-10
+# Frobenius tolerances on ||X^T X - I|| (Stiefel points) and on
+# ||X^T U + U^T X|| (Stiefel tangents).
+_STIEFEL_ORTH = 1e-10
+_STIEFEL_TANGENT = 1e-10
+# Entrywise symmetry tolerance for SPD points and tangents, scaled by
+# max(1, max|entry|).
+_SPD_SYMMETRY = 1e-12
+# Below this norm the sphere retraction input x + u (or a QR pivot) counts as
+# collapsed and raises DegenerateRetraction.
+_DEGENERATE_NORM = 1e-14
+# The sphere log raises AntipodalPoints when <x,y>/r^2 <= -1 + _ANTIPODAL_MARGIN.
+_ANTIPODAL_MARGIN = 1e-10
+# SPD matrix functions clamp eigenvalues below _EIG_FLOOR_REL * lambda_max
+# before inverting or taking logs.
+_EIG_FLOOR_REL = 1e-14
 
 __all__ = [
     "GeometryError",
@@ -145,9 +168,6 @@ class Manifold:
 
     kind: str = "abstract"
 
-    def __init__(self, tol: ToleranceProfile = DEFAULT_TOLERANCES) -> None:
-        self.tol = tol
-
     # -- identity ---------------------------------------------------------
 
     @property
@@ -155,7 +175,7 @@ class Manifold:
         raise NotImplementedError
 
     def spec_key(self) -> tuple:
-        """Geometry identity: kind plus dimensions (tolerances excluded)."""
+        """Geometry identity: kind plus dimensions."""
         raise NotImplementedError
 
     def __eq__(self, other: object) -> bool:
@@ -197,12 +217,12 @@ class Manifold:
 
     def _require_rooted(self, x: Point, u: Tangent) -> None:
         self._require_point(x, u.base)
-        if np.max(np.abs(u.base.data - x.data), initial=0.0) > self.tol.base_match:
+        if np.max(np.abs(u.base.data - x.data), initial=0.0) > _BASE_MATCH:
             raise BaseMismatch("tangent is rooted at a different point")
 
     def _require_same_base(self, u: Tangent, v: Tangent) -> None:
         self._require_point(u.base, v.base)
-        if np.max(np.abs(u.base.data - v.base.data), initial=0.0) > self.tol.base_match:
+        if np.max(np.abs(u.base.data - v.base.data), initial=0.0) > _BASE_MATCH:
             raise BaseMismatch("tangents are rooted at different points")
 
     # -- metric -----------------------------------------------------------
@@ -278,10 +298,9 @@ class Euclidean(Manifold):
 
     kind = "euclidean"
 
-    def __init__(self, dim: int, tol: ToleranceProfile = DEFAULT_TOLERANCES) -> None:
+    def __init__(self, dim: int) -> None:
         if dim < 1:
             raise InvalidGeometry("Euclidean dimension must be >= 1")
-        super().__init__(tol)
         self.dim = int(dim)
 
     @property
@@ -334,12 +353,11 @@ class Sphere(Manifold):
 
     kind = "sphere"
 
-    def __init__(self, dim: int, radius: float = 1.0, tol: ToleranceProfile = DEFAULT_TOLERANCES) -> None:
+    def __init__(self, dim: int, radius: float = 1.0) -> None:
         if dim < 2:
             raise InvalidGeometry("sphere needs ambient dimension >= 2")
         if not 0 < radius < np.inf:
             raise InvalidGeometry("sphere radius must be positive and finite")
-        super().__init__(tol)
         self.dim = int(dim)
         self.radius = float(radius)
 
@@ -352,7 +370,7 @@ class Sphere(Manifold):
 
     def _check_point(self, data: np.ndarray) -> None:
         r = self.radius
-        if abs(np.linalg.norm(data) - r) > self.tol.sphere_point_rel * r:
+        if abs(np.linalg.norm(data) - r) > _SPHERE_POINT_REL * r:
             raise InvalidGeometry(f"point norm {np.linalg.norm(data):.17g} != radius {r}")
 
     def _check_tangent(self, base: np.ndarray, data: np.ndarray) -> None:
@@ -360,7 +378,7 @@ class Sphere(Manifold):
         # Relative bound plus an absolute floor: the radial residue left by
         # roundoff is proportional to the base scale, not the tangent scale,
         # so near-zero tangents would otherwise fail a purely relative test.
-        bound = self.tol.sphere_tangent_rel * r * np.linalg.norm(data) + self.tol.degenerate_norm * r * r
+        bound = _SPHERE_TANGENT_REL * r * np.linalg.norm(data) + _DEGENERATE_NORM * r * r
         if abs(float(np.dot(base, data))) > bound:
             raise InvalidGeometry("tangent is not orthogonal to the sphere point")
 
@@ -372,7 +390,7 @@ class Sphere(Manifold):
         s = x.data + u.data
         ns = float(np.linalg.norm(s))
         # An overflowed norm would scale x + u to the zero vector.
-        if not self.tol.degenerate_norm <= ns < np.inf:
+        if not _DEGENERATE_NORM <= ns < np.inf:
             raise DegenerateRetraction(f"||x + u|| = {ns:.3g}: collapsed to the origin or overflowed")
         return _trusted(Point, self, (self.radius / ns) * s)
 
@@ -390,7 +408,7 @@ class Sphere(Manifold):
     def log(self, x: Point, y: Point) -> Tangent:
         self._require_point(x, y)
         c = self._cos_angle(x.data, y.data)
-        if c <= -1.0 + self.tol.antipodal_margin:
+        if c <= -1.0 + _ANTIPODAL_MARGIN:
             raise AntipodalPoints("logarithm is undefined for antipodal points")
         theta = float(np.arccos(np.clip(c, -1.0, 1.0)))
         perp = y.data - c * x.data
@@ -461,10 +479,9 @@ class Stiefel(Manifold):
 
     kind = "stiefel"
 
-    def __init__(self, rows: int, cols: int, tol: ToleranceProfile = DEFAULT_TOLERANCES) -> None:
+    def __init__(self, rows: int, cols: int) -> None:
         if rows < 1 or cols < 1 or cols > rows:
             raise InvalidGeometry("Stiefel needs rows >= cols >= 1")
-        super().__init__(tol)
         self.rows = int(rows)
         self.cols = int(cols)
 
@@ -481,14 +498,14 @@ class Stiefel(Manifold):
     def _check_point(self, data: np.ndarray) -> None:
         X = self._mat(data)
         gram_err = np.linalg.norm(X.T @ X - np.eye(self.cols))
-        if gram_err > self.tol.stiefel_orth:
+        if gram_err > _STIEFEL_ORTH:
             raise InvalidGeometry(f"columns not orthonormal (||X^T X - I|| = {gram_err:.3e})")
 
     def _check_tangent(self, base: np.ndarray, data: np.ndarray) -> None:
         X = self._mat(base)
         U = self._mat(data)
         skew_err = np.linalg.norm(X.T @ U + U.T @ X)
-        if skew_err > self.tol.stiefel_tangent:
+        if skew_err > _STIEFEL_TANGENT:
             raise InvalidGeometry(f"X^T U not skew (||X^T U + U^T X|| = {skew_err:.3e})")
 
     @property
@@ -503,7 +520,7 @@ class Stiefel(Manifold):
         S = self._mat(x.data) + self._mat(u.data)
         Q, R = np.linalg.qr(S)
         diag = np.diag(R)
-        floor = self.tol.degenerate_norm * max(1.0, float(np.abs(diag).max()))
+        floor = _DEGENERATE_NORM * max(1.0, float(np.abs(diag).max()))
         if np.any(np.abs(diag) < floor):
             raise DegenerateRetraction("x + u is numerically rank deficient")
         Q = Q * np.sign(diag)
@@ -552,21 +569,15 @@ class SPD(Manifold):
 
     <U, V>_X = trace(X^-1 U X^-1 V). The exponential map doubles as the
     retraction. Matrix functions go through symmetric eigendecompositions with
-    eigenvalues clamped below at eig_floor_rel * lambda_max; clamp events bump
+    eigenvalues clamped below at _EIG_FLOOR_REL * lambda_max; clamp events bump
     the attached ClampCounter when one is present.
     """
 
     kind = "spd"
 
-    def __init__(
-        self,
-        order: int,
-        tol: ToleranceProfile = DEFAULT_TOLERANCES,
-        clamp_counter: ClampCounter | None = None,
-    ) -> None:
+    def __init__(self, order: int, *, clamp_counter: ClampCounter | None = None) -> None:
         if order < 1:
             raise InvalidGeometry("SPD order must be >= 1")
-        super().__init__(tol)
         self.order = int(order)
         self.clamp_counter = clamp_counter
 
@@ -582,7 +593,7 @@ class SPD(Manifold):
 
     def _check_sym(self, M: np.ndarray, what: str) -> None:
         scale = max(1.0, float(np.abs(M).max(initial=0.0)))
-        if float(np.abs(M - M.T).max(initial=0.0)) > self.tol.spd_symmetry * scale:
+        if float(np.abs(M - M.T).max(initial=0.0)) > _SPD_SYMMETRY * scale:
             raise InvalidGeometry(f"{what} is not symmetric")
 
     def _check_point(self, data: np.ndarray) -> None:
@@ -600,7 +611,7 @@ class SPD(Manifold):
         w, Q = np.linalg.eigh(_sym(M))
         if not np.all(np.isfinite(w)):
             raise InvalidGeometry("eigendecomposition produced non-finite values")
-        floor = self.tol.eig_floor_rel * float(w[-1])
+        floor = _EIG_FLOOR_REL * float(w[-1])
         if floor > 0.0:
             low = w < floor
             if np.any(low):
@@ -692,11 +703,9 @@ class ProductManifold(Manifold):
 
     kind = "product"
 
-    def __init__(self, factors: tuple[Manifold, ...] | list[Manifold],
-                 tol: ToleranceProfile = DEFAULT_TOLERANCES) -> None:
+    def __init__(self, factors: tuple[Manifold, ...] | list[Manifold]) -> None:
         if not factors:
             raise InvalidGeometry("product needs at least one factor")
-        super().__init__(tol)
         self.factors = tuple(factors)
         sizes = [f.ambient_size for f in self.factors]
         self._offsets = np.concatenate([[0], np.cumsum(sizes)]).astype(int)

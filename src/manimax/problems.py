@@ -297,13 +297,6 @@ class SyntheticQuadratic(MinimaxProblem):
         phi = float(ax @ ax) / (2.0 * self.mu) + float(self.b @ x.data)
         return y_star, phi
 
-    def _check_batch(self, batch: Batch) -> None:
-        # sample_count is 1; any nonempty batch of zeros is a full batch.
-        if len(batch) == 0:
-            raise EmptyBatch("batch must contain at least one index")
-        if int(batch.indices.min()) < 0 or int(batch.indices.max()) >= self.sample_count:
-            raise ProblemError("batch index out of range for a single-sample problem")
-
     def default_start(self, rng: np.random.Generator) -> tuple[Point, Point]:
         """Random location on the sphere; the ascent variable starts at zero."""
         x0 = self.mx.random_point(rng)

@@ -69,7 +69,7 @@ class StopReason(str, Enum):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    method: Method
+    method: Method = Method.RAGDA
     eta_x: float = 0.5
     eta_y: float = 5.0
     alpha: float = 0.5
@@ -89,18 +89,21 @@ class SolverConfig:
                 f"unknown method {self.method!r}; choose from "
                 f"{[m.value for m in Method]}"
             ) from None
-        if self.eta_x <= 0 or self.eta_y <= 0:
-            raise ConfigError("stepsize scales eta_x, eta_y must be positive")
+        # Written as ranges so that nan fails every one of them.
+        if not (0 < self.eta_x < math.inf and 0 < self.eta_y < math.inf):
+            raise ConfigError("stepsize scales eta_x, eta_y must be positive and finite")
         if not (0 < self.alpha < 1) or not (0 < self.beta < 1):
             raise ConfigError("alpha and beta must lie in (0, 1)")
-        if self.v0_x <= 0 or self.v0_y <= 0:
-            raise ConfigError("accumulator seeds v0_x, v0_y must be positive")
+        if not (0 < self.v0_x < math.inf and 0 < self.v0_y < math.inf):
+            raise ConfigError("accumulator seeds v0_x, v0_y must be positive and finite")
         if self.max_iters < 0:
             raise ConfigError("max_iters must be nonnegative")
-        if self.grad_tol < 0:
-            raise ConfigError("grad_tol must be nonnegative")
+        if not 0 <= self.grad_tol < math.inf:
+            raise ConfigError("grad_tol must be nonnegative and finite")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be nonnegative")
 
     def regime_flags(self) -> list[str]:
         """Notes on where (alpha, beta) sits relative to the known rate regimes."""

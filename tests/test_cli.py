@@ -1,9 +1,13 @@
 """End-to-end tests of the command line harness."""
+import argparse
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from manimax import Sphere, SPD, deserialize_point
-from manimax.cli import load_preset, main
+from manimax import ConfigError, Sphere, SPD, deserialize_point
+from manimax.cli import _FIELDS, ExperimentConfig, _build_parser, _collect_fields, _finite, load_preset, main
 
 
 def read_rows(path):
@@ -86,7 +90,7 @@ def test_rm_seed_env_wins(tmp_path, monkeypatch):
 def test_repeats_have_distinct_seeds(tmp_path):
     code = main([
         "run", "--problem", "synthetic-quadratic", "--solver", "ragda",
-        "--max-iters", "30", "--repeats", "3", "--jobs", "2",
+        "--max-iters", "30", "--repeats", "3",
         "--label", "rep", "--out", str(tmp_path),
     ])
     assert code == 0
@@ -178,3 +182,170 @@ def test_verify_geometry(capsys):
     out = capsys.readouterr().out
     assert "retraction accuracy Sphere(3)" in out
     assert "FAIL" not in out
+
+
+# -- the field table -------------------------------------------------------------
+
+# Per key, a non-default value for a preset line and a different value for
+# the flag that must override it.
+TABLE_VALUES = {
+    "problem": ("synthetic-quadratic", "robust-mle"),
+    "solver": ("gda", "tsgda"),
+    "alpha": ("0.25", "0.75"),
+    "beta": ("0.125", "0.375"),
+    "eta-x": ("0.75", "1.5"),
+    "eta-y": ("2.5", "7"),
+    "v0-x": ("0.001", "0.01"),
+    "v0-y": ("0.002", "0.02"),
+    "max-iters": ("17", "23"),
+    "grad-tol": ("1e-05", "0.001"),
+    "batch-size": ("4", "8"),
+    "seed": ("11", "12"),
+    "repeats": ("2", "3"),
+    "eval-stride": ("7", "9"),
+    "label": ("from-preset", "from-flag"),
+    "d": ("5", "6"),
+    "n": ("40", "50"),
+    "c": ("-2.5", "3"),
+    "k": ("4", "5"),
+    "m": ("3", "6"),
+    "mu": ("2", "0.5"),
+    "sigma": ("0.25", "0"),
+    "data-seed": ("5", "6"),
+}
+
+
+def config_value(cfg, key):
+    if key == "solver":
+        return cfg.solver.method.value
+    attr = key.replace("-", "_")
+    return getattr(cfg.solver if hasattr(cfg.solver, attr) else cfg, attr)
+
+
+def parsed_config(argv):
+    args = _build_parser().parse_args(argv)
+    return ExperimentConfig.from_fields(_collect_fields(args))
+
+
+def test_table_values_cover_every_key():
+    assert set(TABLE_VALUES) == set(_FIELDS)
+
+
+@pytest.mark.parametrize("key", sorted(TABLE_VALUES))
+def test_every_key_reaches_the_config_and_a_flag_overrides_the_preset(tmp_path, key):
+    in_preset, in_flag = TABLE_VALUES[key]
+    preset = tmp_path / "p.cfg"
+    preset.write_text(f"{key} = {in_preset}\n")
+    parse = _FIELDS[key].parse
+    default = config_value(ExperimentConfig(), key)
+    from_preset = config_value(parsed_config(["run", "--preset", str(preset)]), key)
+    assert from_preset == parse(in_preset) != default
+    from_flag = config_value(parsed_config(["run", "--preset", str(preset), f"--{key}", in_flag]), key)
+    assert from_flag == parse(in_flag) != from_preset
+
+
+def flags_of(command):
+    sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {opt for action in sub.choices[command]._actions for opt in action.option_strings} - {"-h", "--help"}
+
+
+def test_accepted_flag_sets():
+    assert flags_of("verify") == {
+        "--suite", "--budget-decades", "--seed", "--problem", "--d", "--n", "--c", "--k", "--m",
+        "--mu", "--data-seed",
+    }
+    assert flags_of("run") == {
+        "--preset", "--out", "--problem", "--solver", "--alpha", "--beta", "--eta-x", "--eta-y",
+        "--v0-x", "--v0-y", "--max-iters", "--grad-tol", "--batch-size", "--seed", "--repeats",
+        "--eval-stride", "--label", "--d", "--n", "--c", "--k", "--m", "--mu", "--sigma", "--data-seed",
+    }
+
+
+def test_jobs_is_gone(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--preset", "synthetic-ragda", "--jobs", "2", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    preset = tmp_path / "jobs.cfg"
+    preset.write_text("jobs = 2\n")
+    assert main(["run", "--preset", str(preset), "--out", str(tmp_path)]) == 2
+    assert "unknown or malformed entry 'jobs = 2'" in capsys.readouterr().err
+
+
+# -- configuration errors exit 2 ---------------------------------------------------
+
+
+def assert_config_error(argv, capsys):
+    assert main(argv) == 2
+    assert "configuration error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [
+    ["--problem", "robust-mle", "--d", "0"],
+    ["--problem", "robust-mle", "--n", "0"],
+    ["--problem", "robust-mle", "--d", "-1"],
+    ["--problem", "synthetic-quadratic", "--mu", "-1"],
+    ["--problem", "synthetic-quadratic", "--k", "1"],
+    ["--problem", "synthetic-quadratic", "--m", "0"],
+], ids=" ".join)
+@pytest.mark.parametrize("command", ["run", "verify"])
+def test_bad_problem_size_is_a_config_error(tmp_path, capsys, command, flags):
+    tail = ["--max-iters", "1", "--out", str(tmp_path)] if command == "run" else ["--suite", "gradients"]
+    assert_config_error([command, *flags, *tail], capsys)
+
+
+def test_negative_noise_is_a_config_error(tmp_path, capsys):
+    assert_config_error(["run", "--problem", "synthetic-quadratic", "--sigma", "-1", "--out", str(tmp_path)], capsys)
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--preset", "synthetic-ragda", "--seed", "-1"],
+    ["run", "--preset", "synthetic-ragda", "--data-seed", "-1"],
+    ["verify", "--suite", "adaptive-sum", "--seed", "-3"],
+    ["verify", "--suite", "rates", "--data-seed", "-1"],
+], ids=" ".join)
+def test_negative_seed_is_a_config_error(tmp_path, capsys, argv):
+    assert_config_error(argv + (["--out", str(tmp_path)] if argv[0] == "run" else []), capsys)
+
+
+@pytest.mark.parametrize("argv", [["run", "--preset", "synthetic-ragda", "--max-iters", "3"],
+                                  ["verify", "--suite", "adaptive-sum"]])
+def test_negative_rm_seed_is_a_config_error(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.setenv("RM_SEED", "-5")
+    assert_config_error(argv + (["--out", str(tmp_path)] if argv[0] == "run" else []), capsys)
+
+
+FLOAT_KEYS = sorted(key for key, spec in _FIELDS.items() if spec.parse is _finite)
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key", FLOAT_KEYS)
+def test_non_finite_float_is_a_config_error(tmp_path, capsys, key, bad):
+    assert_config_error(["run", f"--{key}={bad}", "--out", str(tmp_path)], capsys)
+    preset = tmp_path / "p.cfg"
+    preset.write_text(f"{key} = {bad}\n")
+    assert_config_error(["run", "--preset", str(preset), "--out", str(tmp_path)], capsys)
+
+
+def test_unreadable_preset_is_a_config_error(tmp_path, capsys):
+    binary = tmp_path / "binary.cfg"
+    binary.write_bytes(b"problem = robust-mle\n\xff\xfe = 3\n")
+    assert_config_error(["run", "--preset", str(binary), "--out", str(tmp_path)], capsys)
+    assert_config_error(["run", "--preset", str(tmp_path), "--out", str(tmp_path)], capsys)
+
+
+PRESET_LINES = st.lists(
+    st.tuples(st.sampled_from(sorted(_FIELDS)) | st.text(max_size=8), st.text(max_size=12)).map(" = ".join),
+    max_size=4,
+).map(lambda lines: "\n".join(lines).encode("utf-8"))
+
+
+@settings(max_examples=200, deadline=None)
+@given(blob=st.binary(max_size=200) | PRESET_LINES)
+def test_load_preset_fuzz_yields_fields_or_config_error(tmp_path_factory, blob):
+    path = tmp_path_factory.mktemp("fuzz") / "p.cfg"
+    path.write_bytes(blob)
+    try:
+        values = load_preset(str(path))
+    except ConfigError:
+        return
+    assert isinstance(values, dict) and set(values) <= set(_FIELDS)

@@ -278,6 +278,16 @@ def test_quadratic_zero_sigma_stochastic_equals_exact():
     assert np.array_equal(sy.data, prob.grad_y(x, y).data)
 
 
+@pytest.mark.parametrize("index", [-1, 1, 7])
+@pytest.mark.parametrize("oracle", ["stoch_grad_x", "stoch_grad_y"])
+def test_quadratic_rejects_bad_batch_index(oracle, index):
+    # The quadratic has one sample, so 0 is the only valid index.
+    prob = generate_quadratic_instance(5, 4, mu=1.0, seed=0)
+    x, y = random_pair(prob, RNG)
+    with pytest.raises(ProblemError, match="out of range"):
+        getattr(prob, oracle)(x, y, Batch(np.array([0, index])), np.random.default_rng(0))
+
+
 def test_quadratic_default_start_zero_dual():
     prob = generate_quadratic_instance(5, 4, mu=1.0, seed=0)
     x, y = prob.default_start(np.random.default_rng(4))

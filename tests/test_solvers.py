@@ -413,6 +413,18 @@ def test_config_validation():
         SolverConfig(method="no-such-method")
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"seed": -1}]
+    + [{name: bad} for name in ("eta_x", "eta_y", "v0_x", "v0_y", "grad_tol")
+       for bad in (math.nan, math.inf)],
+    ids=repr,
+)
+def test_config_rejects_negative_seed_and_non_finite_floats(kwargs):
+    with pytest.raises(ConfigError):
+        SolverConfig(method=Method.RAGDA, **kwargs)
+
+
 def test_method_coercion_from_string():
     cfg = SolverConfig(method="ragda")
     assert cfg.method is Method.RAGDA

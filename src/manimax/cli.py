@@ -145,6 +145,8 @@ class ExperimentConfig:
         if self.data_seed < 0:
             raise ConfigError("data-seed must be nonnegative")
         self.label = self.label or f"{self.problem}-{self.solver.method.value}"
+        if set(self.label) & {"/", "\0", os.sep, os.altsep or "/"}:
+            raise ConfigError(f"label {self.label!r} must not contain a path separator or NUL")
 
     @classmethod
     def from_fields(cls, values: dict[str, object]) -> "ExperimentConfig":
@@ -272,7 +274,10 @@ def cli_run(args: argparse.Namespace) -> int:
     cfg = ExperimentConfig.from_fields(_collect_fields(args))
 
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except (OSError, ValueError) as err:  # ValueError: a NUL in the path
+        raise ConfigError(f"cannot create output directory {args.out!r}: {err}") from None
     traces = run_experiment(cfg)
     for i, trace in enumerate(traces):
         write_trace_csv(out_dir / f"{cfg.label}_rep{i}.csv", trace)
@@ -389,10 +394,17 @@ def _gradients_suite(cfg: ExperimentConfig, rng: np.random.Generator) -> list[tu
     ]
 
 
-def _rates_suite(cfg: ExperimentConfig, decades: int) -> list[tuple[str, bool, str]]:
+def _budget_ladder(decades: int) -> list[int]:
+    """Iteration budgets 10^2, 10^2.5, ..., 10^(2 + decades) of the rates suite."""
     if decades < 2:
         raise ConfigError("--budget-decades must be >= 2")
-    budgets = [round(10 ** (2 + 0.5 * i)) for i in range(2 * decades + 1)]
+    try:
+        return [round(10 ** (2 + 0.5 * i)) for i in range(2 * decades + 1)]
+    except OverflowError:
+        raise ConfigError(f"--budget-decades {decades} overflows the iteration budget") from None
+
+
+def _rates_suite(cfg: ExperimentConfig, budgets: list[int]) -> list[tuple[str, bool, str]]:
     problem = generate_multiscale_instance(30, 20, 5.0, cfg.data_seed, 0.0)
     # RAGDA with the default stepsizes, and beta < alpha for the deterministic rate.
     solver = SolverConfig(method=Method.RAGDA, beta=0.3, max_iters=budgets[-1], seed=cfg.solver.seed)
@@ -424,6 +436,7 @@ def _adaptive_sum_suite(rng: np.random.Generator) -> list[tuple[str, bool, str]]
 
 def cli_verify(args: argparse.Namespace) -> int:
     cfg = ExperimentConfig.from_fields(_collect_fields(args))
+    budgets = _budget_ladder(args.budget_decades)
     rng = np.random.default_rng(cfg.solver.seed)
     suites = ("geometry", "gradients", "rates", "adaptive-sum") if args.suite == "all" else (args.suite,)
     rows: list[tuple[str, bool, str]] = []
@@ -433,7 +446,7 @@ def cli_verify(args: argparse.Namespace) -> int:
         elif suite == "gradients":
             rows += _gradients_suite(cfg, rng)
         elif suite == "rates":
-            rows += _rates_suite(cfg, args.budget_decades)
+            rows += _rates_suite(cfg, budgets)
         elif suite == "adaptive-sum":
             rows += _adaptive_sum_suite(rng)
     width = max(len(name) for name, _, _ in rows)

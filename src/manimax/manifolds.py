@@ -1,19 +1,21 @@
 """Geometry kernels for the manifolds used by the minimax solvers.
 
-Points and tangents are immutable wrappers around flat float64 arrays; each
-manifold interprets that storage and owns the metric, retraction, exponential
-and logarithm maps, transport, distance, and random sampling. All operations
-are pure: they never mutate their inputs and return fresh values.
+Points and tangents are immutable wrappers around flat float64 arrays. Each
+manifold implements its metric, retraction, exponential and logarithm maps,
+transport, distance and sampling as kernels on those arrays, and ``Manifold``
+writes every public map once on top of them. All operations are pure: they
+never mutate their inputs and return fresh values.
 
 The Point and Tangent constructors validate shape, finiteness and the manifold
-invariants of the arrays they are given. Values derived from validated ones
-(retraction and exp results, scaled tangents, product factor slices) are built
-by ``_trusted``, which checks finiteness only.
+invariants of the arrays they are given. Retraction and exp results and scaled
+tangents, derived from validated values, are built by ``_trusted``, which
+checks finiteness only.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -150,8 +152,9 @@ class Tangent:
 def _trusted(cls: type, owner, data: np.ndarray):
     """A Point (owner: manifold) or Tangent (owner: base) from derived data.
 
-    Membership holds by construction, so only finiteness is checked. The array
-    is frozen in place, not copied: pass fresh arrays or read-only views.
+    Builds the results of ``Manifold.retract``/``exp`` and ``Tangent.scaled``,
+    whose membership holds by construction, so only finiteness is checked. The
+    array is frozen in place, not copied: pass fresh arrays or read-only views.
     """
     arr = np.asarray(data, dtype=np.float64).reshape(-1)
     if not np.isfinite(arr).all():
@@ -163,8 +166,29 @@ def _trusted(cls: type, owner, data: np.ndarray):
     return obj
 
 
+def _size(value, what: str, low: int) -> int:
+    """A manifold dimension: an integer (not a bool) of at least ``low``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise InvalidGeometry(f"{what} must be an integer, got {value!r}")
+    if value < low:
+        raise InvalidGeometry(f"{what} must be >= {low}, got {value}")
+    return int(value)
+
+
 class Manifold:
-    """Base class owning validation plus the shared parts of the metric."""
+    """Base class owning validation and every public map.
+
+    A concrete manifold implements array kernels on flat float64 arrays:
+    ``_check_point``, ``_check_tangent``, ``_exp``, ``_log``, ``_transport``,
+    ``_project``, ``_random_point`` and ``_random_tangent_data``, plus
+    ``_retract``, ``_dist`` and ``_inner_data`` where the defaults here (the
+    exponential map, the ambient distance, the ambient metric) do not fit.
+    Kernels trust their arguments and raise only for their own degenerate
+    cases. The public maps check the relations between their arguments once,
+    here, and then wrap the kernel's array: retract and exp results through
+    ``_trusted``, log, transport and project_tangent results as validated
+    Tangents, random_point results as validated Points.
+    """
 
     kind: str = "abstract"
 
@@ -204,12 +228,6 @@ class Manifold:
         if not np.all(np.isfinite(data)):
             raise InvalidGeometry(f"{self.kind} {what} contains non-finite entries")
 
-    def _check_point(self, data: np.ndarray) -> None:
-        raise NotImplementedError
-
-    def _check_tangent(self, base: np.ndarray, data: np.ndarray) -> None:
-        raise NotImplementedError
-
     def _require_point(self, *points: Point) -> None:
         for x in points:
             if x.manifold.spec_key() != self.spec_key():
@@ -224,6 +242,10 @@ class Manifold:
         self._require_point(u.base, v.base)
         if np.max(np.abs(u.base.data - v.base.data), initial=0.0) > _BASE_MATCH:
             raise BaseMismatch("tangents are rooted at different points")
+
+    def _require_exp(self) -> None:
+        if not self.has_exp:
+            raise UnsupportedOperation(f"{self!r} provides no exponential or logarithm map")
 
     # -- metric -----------------------------------------------------------
 
@@ -248,32 +270,53 @@ class Manifold:
         return True
 
     def retract(self, x: Point, u: Tangent) -> Point:
-        raise NotImplementedError
+        return self._moved(self._retract, x, u)
 
     def exp(self, x: Point, u: Tangent) -> Point:
-        raise NotImplementedError
+        self._require_exp()
+        return self._moved(self._exp, x, u)
+
+    def _moved(self, kernel, x: Point, u: Tangent) -> Point:
+        self._require_rooted(x, u)
+        if not u.data.any():
+            return x
+        return _trusted(Point, self, kernel(x.data, u.data))
 
     def log(self, x: Point, y: Point) -> Tangent:
-        raise NotImplementedError
+        self._require_exp()
+        self._require_point(x, y)
+        return Tangent(x, self._log(x.data, y.data))
 
     def transport(self, src: Point, dst: Point, u: Tangent) -> Tangent:
-        raise NotImplementedError
+        self._require_rooted(src, u)
+        self._require_point(dst)
+        return Tangent(dst, self._transport(src.data, dst.data, u.data))
 
     def dist(self, x: Point, y: Point) -> float:
-        raise NotImplementedError
+        self._require_point(x, y)
+        return self._dist(x.data, y.data)
 
     def project_tangent(self, x: Point, ambient: np.ndarray) -> Tangent:
         """Map an ambient (Euclidean) gradient to the tangent representation."""
-        raise NotImplementedError
+        self._require_point(x)
+        return Tangent(x, self._project(x.data, np.asarray(ambient, dtype=np.float64).reshape(-1)))
 
     def zero_tangent(self, x: Point) -> Tangent:
         self._require_point(x)
         return Tangent(x, np.zeros(self.ambient_size))
 
+    def _retract(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
+        return self._exp(x, u)
+
+    def _dist(self, x: np.ndarray, y: np.ndarray) -> float:
+        # Frobenius distance between representatives: the metric distance on
+        # Euclidean space, and reporting only on Stiefel.
+        return float(np.linalg.norm(y - x))
+
     # -- sampling -----------------------------------------------------------
 
     def random_point(self, rng: np.random.Generator) -> Point:
-        raise NotImplementedError
+        return Point(self, self._random_point(rng))
 
     def random_tangent(self, x: Point, rng: np.random.Generator, norm: float = 1.0) -> Tangent:
         """A tangent at x with the requested Riemannian norm."""
@@ -289,9 +332,6 @@ class Manifold:
                 return Tangent(x, (norm / scale) * raw)
         raise InvalidGeometry("failed to draw a nonzero tangent")
 
-    def _random_tangent_data(self, base: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        raise NotImplementedError
-
 
 class Euclidean(Manifold):
     """Flat R^m with the usual inner product."""
@@ -299,9 +339,7 @@ class Euclidean(Manifold):
     kind = "euclidean"
 
     def __init__(self, dim: int) -> None:
-        if dim < 1:
-            raise InvalidGeometry("Euclidean dimension must be >= 1")
-        self.dim = int(dim)
+        self.dim = _size(dim, "Euclidean dimension", 1)
 
     @property
     def ambient_size(self) -> int:
@@ -316,33 +354,20 @@ class Euclidean(Manifold):
     def _check_tangent(self, base: np.ndarray, data: np.ndarray) -> None:
         pass
 
-    def retract(self, x: Point, u: Tangent) -> Point:
-        self._require_rooted(x, u)
-        if not u.data.any():
-            return x
-        return _trusted(Point, self, x.data + u.data)
+    def _exp(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
+        return x + u
 
-    exp = retract
+    def _log(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        return y - x
 
-    def log(self, x: Point, y: Point) -> Tangent:
-        self._require_point(x, y)
-        return Tangent(x, y.data - x.data)
+    def _transport(self, x: np.ndarray, y: np.ndarray, u: np.ndarray) -> np.ndarray:
+        return u
 
-    def transport(self, src: Point, dst: Point, u: Tangent) -> Tangent:
-        self._require_rooted(src, u)
-        self._require_point(dst)
-        return Tangent(dst, u.data)
+    def _project(self, x: np.ndarray, ambient: np.ndarray) -> np.ndarray:
+        return ambient
 
-    def dist(self, x: Point, y: Point) -> float:
-        self._require_point(x, y)
-        return float(np.linalg.norm(y.data - x.data))
-
-    def project_tangent(self, x: Point, ambient: np.ndarray) -> Tangent:
-        self._require_point(x)
-        return Tangent(x, np.asarray(ambient, dtype=np.float64).reshape(-1))
-
-    def random_point(self, rng: np.random.Generator) -> Point:
-        return Point(self, rng.standard_normal(self.dim))
+    def _random_point(self, rng: np.random.Generator) -> np.ndarray:
+        return rng.standard_normal(self.dim)
 
     def _random_tangent_data(self, base: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         return rng.standard_normal(self.dim)
@@ -354,11 +379,9 @@ class Sphere(Manifold):
     kind = "sphere"
 
     def __init__(self, dim: int, radius: float = 1.0) -> None:
-        if dim < 2:
-            raise InvalidGeometry("sphere needs ambient dimension >= 2")
-        if not 0 < radius < np.inf:
-            raise InvalidGeometry("sphere radius must be positive and finite")
-        self.dim = int(dim)
+        self.dim = _size(dim, "sphere ambient dimension", 2)
+        if isinstance(radius, bool) or not isinstance(radius, Real) or not 0 < radius < np.inf:
+            raise InvalidGeometry(f"sphere radius must be positive and finite, got {radius!r}")
         self.radius = float(radius)
 
     @property
@@ -382,82 +405,73 @@ class Sphere(Manifold):
         if abs(float(np.dot(base, data))) > bound:
             raise InvalidGeometry("tangent is not orthogonal to the sphere point")
 
-    def retract(self, x: Point, u: Tangent) -> Point:
+    def _retract(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Metric rescaling: r * (x + u) / ||x + u||."""
-        self._require_rooted(x, u)
-        if not u.data.any():
-            return x
-        s = x.data + u.data
+        s = x + u
         ns = float(np.linalg.norm(s))
         # An overflowed norm would scale x + u to the zero vector.
         if not _DEGENERATE_NORM <= ns < np.inf:
             raise DegenerateRetraction(f"||x + u|| = {ns:.3g}: collapsed to the origin or overflowed")
-        return _trusted(Point, self, (self.radius / ns) * s)
+        return (self.radius / ns) * s
 
-    def exp(self, x: Point, u: Tangent) -> Point:
-        self._require_rooted(x, u)
-        nu = float(np.linalg.norm(u.data))
+    def _exp(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
+        nu = float(np.linalg.norm(u))
+        # A nonzero u whose squared entries all underflow has norm 0.
         if nu == 0.0:
             return x
         t = nu / self.radius
-        return _trusted(Point, self, np.cos(t) * x.data + (self.radius * np.sin(t) / nu) * u.data)
+        return np.cos(t) * x + (self.radius * np.sin(t) / nu) * u
 
     def _cos_angle(self, x: np.ndarray, y: np.ndarray) -> float:
         return float(np.dot(x, y)) / self.radius**2
 
-    def log(self, x: Point, y: Point) -> Tangent:
-        self._require_point(x, y)
-        c = self._cos_angle(x.data, y.data)
+    def _log(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        c = self._cos_angle(x, y)
         if c <= -1.0 + _ANTIPODAL_MARGIN:
             raise AntipodalPoints("logarithm is undefined for antipodal points")
         theta = float(np.arccos(np.clip(c, -1.0, 1.0)))
-        perp = y.data - c * x.data
+        perp = y - c * x
         np_norm = float(np.linalg.norm(perp))
         if np_norm == 0.0:
-            return self.zero_tangent(x)
-        return Tangent(x, (theta * self.radius / np_norm) * perp)
+            return np.zeros(self.dim)
+        return (theta * self.radius / np_norm) * perp
 
-    def transport(self, src: Point, dst: Point, u: Tangent) -> Tangent:
-        """Parallel transport along the minimizing geodesic from src to dst.
+    def _transport(self, x: np.ndarray, y: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """Parallel transport along the minimizing geodesic from x to y.
 
-        Rotates the component of u in the src-direction plane and leaves the
+        Rotates the component of u in the x-direction plane and leaves the
         orthogonal complement untouched; an isometry of the round metric.
         """
-        self._require_rooted(src, u)
-        self._require_point(dst)
-        if np.array_equal(src.data, dst.data):
-            return Tangent(dst, u.data)
-        v = self.log(src, dst)
-        d = float(np.linalg.norm(v.data))
+        if np.array_equal(x, y):
+            return u
+        v = self._log(x, y)
+        d = float(np.linalg.norm(v))
         if d == 0.0:
-            return Tangent(dst, u.data)
-        e = v.data / d
+            return u
+        e = v / d
         t = d / self.radius
-        along = float(np.dot(u.data, e))
-        rotated = np.cos(t) * e - (np.sin(t) / self.radius) * src.data
-        return Tangent(dst, u.data + along * (rotated - e))
+        along = float(np.dot(u, e))
+        rotated = np.cos(t) * e - (np.sin(t) / self.radius) * x
+        return u + along * (rotated - e)
 
-    def dist(self, x: Point, y: Point) -> float:
-        self._require_point(x, y)
-        c = np.clip(self._cos_angle(x.data, y.data), -1.0, 1.0)
+    def _dist(self, x: np.ndarray, y: np.ndarray) -> float:
+        c = np.clip(self._cos_angle(x, y), -1.0, 1.0)
         return self.radius * float(np.arccos(c))
 
-    def project_tangent(self, x: Point, ambient: np.ndarray) -> Tangent:
-        self._require_point(x)
-        a = np.asarray(ambient, dtype=np.float64).reshape(-1)
+    def _project(self, x: np.ndarray, ambient: np.ndarray) -> np.ndarray:
         r2 = self.radius**2
-        out = a - (float(np.dot(x.data, a)) / r2) * x.data
+        out = ambient - (float(np.dot(x, ambient)) / r2) * x
         # Second pass scrubs the residual normal component left by cancellation
         # when the input is nearly parallel to x.
-        out -= (float(np.dot(x.data, out)) / r2) * x.data
-        return Tangent(x, out)
+        out -= (float(np.dot(x, out)) / r2) * x
+        return out
 
-    def random_point(self, rng: np.random.Generator) -> Point:
+    def _random_point(self, rng: np.random.Generator) -> np.ndarray:
         for _ in range(64):
             v = rng.standard_normal(self.dim)
             n = float(np.linalg.norm(v))
             if n > 1e-12:
-                return Point(self, (self.radius / n) * v)
+                return (self.radius / n) * v
         raise InvalidGeometry("failed to draw a sphere point")
 
     def _random_tangent_data(self, base: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -480,10 +494,10 @@ class Stiefel(Manifold):
     kind = "stiefel"
 
     def __init__(self, rows: int, cols: int) -> None:
-        if rows < 1 or cols < 1 or cols > rows:
+        self.rows = _size(rows, "Stiefel rows", 1)
+        self.cols = _size(cols, "Stiefel columns", 1)
+        if self.cols > self.rows:
             raise InvalidGeometry("Stiefel needs rows >= cols >= 1")
-        self.rows = int(rows)
-        self.cols = int(cols)
 
     @property
     def ambient_size(self) -> int:
@@ -512,50 +526,29 @@ class Stiefel(Manifold):
     def has_exp(self) -> bool:
         return False
 
-    def retract(self, x: Point, u: Tangent) -> Point:
+    def _retract(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
         """QR retraction with the R diagonal forced positive."""
-        self._require_rooted(x, u)
-        if not u.data.any():
-            return x
-        S = self._mat(x.data) + self._mat(u.data)
-        Q, R = np.linalg.qr(S)
+        Q, R = np.linalg.qr(self._mat(x) + self._mat(u))
         diag = np.diag(R)
         floor = _DEGENERATE_NORM * max(1.0, float(np.abs(diag).max()))
         if np.any(np.abs(diag) < floor):
             raise DegenerateRetraction("x + u is numerically rank deficient")
-        Q = Q * np.sign(diag)
-        return _trusted(Point, self, Q.reshape(-1))
+        return (Q * np.sign(diag)).reshape(-1)
 
-    def exp(self, x: Point, u: Tangent) -> Point:
-        raise UnsupportedOperation("Stiefel exponential map is not provided")
+    def _transport(self, x: np.ndarray, y: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """Projection transport: project u onto the tangent space at y."""
+        return self._project(y, u)
 
-    def log(self, x: Point, y: Point) -> Tangent:
-        raise UnsupportedOperation("Stiefel logarithm map is not provided")
-
-    def transport(self, src: Point, dst: Point, u: Tangent) -> Tangent:
-        """Projection transport: project u onto the tangent space at dst."""
-        self._require_rooted(src, u)
-        self._require_point(dst)
-        return self.project_tangent(dst, u.data)
-
-    def dist(self, x: Point, y: Point) -> float:
-        """Frobenius distance between representatives; reporting only."""
-        self._require_point(x, y)
-        return float(np.linalg.norm(y.data - x.data))
-
-    def project_tangent(self, x: Point, ambient: np.ndarray) -> Tangent:
-        self._require_point(x)
-        X = self._mat(x.data)
-        A = np.asarray(ambient, dtype=np.float64).reshape(self.rows, self.cols)
+    def _project(self, x: np.ndarray, ambient: np.ndarray) -> np.ndarray:
+        X = self._mat(x)
+        A = self._mat(ambient)
         U = A - X @ _sym(X.T @ A)
         U -= X @ _sym(X.T @ U)
-        return Tangent(x, U.reshape(-1))
+        return U.reshape(-1)
 
-    def random_point(self, rng: np.random.Generator) -> Point:
-        A = rng.standard_normal((self.rows, self.cols))
-        Q, R = np.linalg.qr(A)
-        Q = Q * np.sign(np.diag(R))
-        return Point(self, Q.reshape(-1))
+    def _random_point(self, rng: np.random.Generator) -> np.ndarray:
+        Q, R = np.linalg.qr(rng.standard_normal((self.rows, self.cols)))
+        return (Q * np.sign(np.diag(R))).reshape(-1)
 
     def _random_tangent_data(self, base: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         X = self._mat(base)
@@ -576,9 +569,7 @@ class SPD(Manifold):
     kind = "spd"
 
     def __init__(self, order: int, *, clamp_counter: ClampCounter | None = None) -> None:
-        if order < 1:
-            raise InvalidGeometry("SPD order must be >= 1")
-        self.order = int(order)
+        self.order = _size(order, "SPD order", 1)
         self.clamp_counter = clamp_counter
 
     @property
@@ -626,22 +617,21 @@ class SPD(Manifold):
         V = Q.T @ self._mat(v) @ Q
         return float(np.sum(U * V / np.outer(w, w)))
 
-    def _whitened(self, x: Point, m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _whitened(self, x: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(rt, irt, S) with X^1/2 = rt @ Q.T, X^-1/2 = irt @ Q.T, S = X^-1/2 M X^-1/2."""
-        w, Q = self.spectrum(self._mat(x.data))
+        w, Q = self.spectrum(self._mat(x))
         rt = Q * np.sqrt(w)
         irt = Q / np.sqrt(w)
         return rt, irt, _sym(irt.T @ self._mat(m) @ irt)
 
     def retract(self, x: Point, u: Tangent) -> Point:
+        # A public delegation, so that a traced solver step reports its SPD
+        # move as an exp call.
         return self.exp(x, u)
 
-    def exp(self, x: Point, u: Tangent) -> Point:
+    def _exp(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
         """X^1/2 expm(X^-1/2 U X^-1/2) X^1/2 via eigendecompositions."""
-        self._require_rooted(x, u)
-        if not u.data.any():
-            return x
-        rt, _, S = self._whitened(x, u.data)
+        rt, _, S = self._whitened(x, u)
         ws, Qs = np.linalg.eigh(S)
         if not np.all(np.isfinite(ws)):
             raise InvalidGeometry("exp map inner matrix is not finite")
@@ -649,57 +639,50 @@ class SPD(Manifold):
         if not ew[0] > 0.0:
             raise DegenerateRetraction("exp map underflowed to a singular matrix")
         E = (Qs * ew) @ Qs.T
-        out = _sym(rt @ E @ rt.T)
-        return _trusted(Point, self, out.reshape(-1))
+        return _sym(rt @ E @ rt.T).reshape(-1)
 
-    def log(self, x: Point, y: Point) -> Tangent:
+    def _log(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """X^1/2 logm(X^-1/2 Y X^-1/2) X^1/2."""
-        self._require_point(x, y)
-        rt, _, S = self._whitened(x, y.data)
+        rt, _, S = self._whitened(x, y)
         ws, Qs = self.spectrum(S)
         L = (Qs * np.log(ws)) @ Qs.T
-        out = _sym(rt @ L @ rt.T)
-        return Tangent(x, out.reshape(-1))
+        return _sym(rt @ L @ rt.T).reshape(-1)
 
-    def transport(self, src: Point, dst: Point, u: Tangent) -> Tangent:
+    def _transport(self, x: np.ndarray, y: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Parallel transport E U E^T with E = (Y X^-1)^1/2; an exact isometry."""
-        self._require_rooted(src, u)
-        self._require_point(dst)
-        if np.array_equal(src.data, dst.data):
-            return Tangent(dst, u.data)
-        rt, irt, S = self._whitened(src, dst.data)
+        if np.array_equal(x, y):
+            return u
+        rt, irt, S = self._whitened(x, y)
         ws, Qs = self.spectrum(S)
         halfS = (Qs * np.sqrt(ws)) @ Qs.T
         E = rt @ halfS @ irt.T
-        out = _sym(E @ self._mat(u.data) @ E.T)
-        return Tangent(dst, out.reshape(-1))
+        return _sym(E @ self._mat(u) @ E.T).reshape(-1)
 
-    def dist(self, x: Point, y: Point) -> float:
+    def _dist(self, x: np.ndarray, y: np.ndarray) -> float:
         """Affine-invariant distance ||logm(X^-1/2 Y X^-1/2)||_F."""
-        self._require_point(x, y)
-        ws, _ = self.spectrum(self._whitened(x, y.data)[2])
+        ws, _ = self.spectrum(self._whitened(x, y)[2])
         return float(np.linalg.norm(np.log(ws)))
 
-    def project_tangent(self, x: Point, ambient: np.ndarray) -> Tangent:
+    def _project(self, x: np.ndarray, ambient: np.ndarray) -> np.ndarray:
         """X sym(a) X: converts a Euclidean gradient to the Riemannian one."""
-        self._require_point(x)
-        X = self._mat(x.data)
-        A = _sym(np.asarray(ambient, dtype=np.float64).reshape(self.order, self.order))
-        return Tangent(x, _sym(X @ A @ X).reshape(-1))
+        X = self._mat(x)
+        return _sym(X @ _sym(self._mat(ambient)) @ X).reshape(-1)
 
-    def random_point(self, rng: np.random.Generator) -> Point:
+    def _random_point(self, rng: np.random.Generator) -> np.ndarray:
         A = rng.standard_normal((self.order, self.order))
-        S = _sym(A) / np.sqrt(self.order)
-        w, Q = np.linalg.eigh(S)
-        X = (Q * np.exp(w)) @ Q.T
-        return Point(self, _sym(X).reshape(-1))
+        w, Q = np.linalg.eigh(_sym(A) / np.sqrt(self.order))
+        return _sym((Q * np.exp(w)) @ Q.T).reshape(-1)
 
     def _random_tangent_data(self, base: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         return _sym(rng.standard_normal((self.order, self.order))).reshape(-1)
 
 
 class ProductManifold(Manifold):
-    """Cartesian product with the sum metric; storage is the concatenation."""
+    """Cartesian product with the sum metric; storage is the concatenation.
+
+    Kernels run the factor kernels on slices. A factor whose slice of a retract
+    or exp tangent is zero keeps its slice of the point, as its own maps do.
+    """
 
     kind = "product"
 
@@ -717,88 +700,51 @@ class ProductManifold(Manifold):
     def spec_key(self) -> tuple:
         return ("product",) + tuple(f.spec_key() for f in self.factors)
 
-    def _slices(self, data: np.ndarray) -> list[np.ndarray]:
-        return [data[self._offsets[i]:self._offsets[i + 1]] for i in range(len(self.factors))]
+    def _split(self, *arrays: np.ndarray):
+        """Per factor: the factor, then its slice of each array."""
+        off = self._offsets
+        return zip(self.factors, *([a[off[i]:off[i + 1]] for i in range(len(self.factors))] for a in arrays))
 
+    # The whole array has passed the shape and finiteness checks, so each
+    # factor checks only its own invariants on its slice.
     def _check_point(self, data: np.ndarray) -> None:
-        for f, part in zip(self.factors, self._slices(data)):
-            f.check_point(part)
+        for f, part in self._split(data):
+            f._check_point(part)
 
     def _check_tangent(self, base: np.ndarray, data: np.ndarray) -> None:
-        for f, b, part in zip(self.factors, self._slices(base), self._slices(data)):
-            f.check_tangent(b, part)
+        for f, b, part in self._split(base, data):
+            f._check_tangent(b, part)
 
     @property
     def has_exp(self) -> bool:
         return all(f.has_exp for f in self.factors)
 
     def _inner_data(self, base: np.ndarray, u: np.ndarray, v: np.ndarray) -> float:
-        return sum(
-            f._inner_data(b, uu, vv)
-            for f, b, uu, vv in zip(self.factors, self._slices(base), self._slices(u), self._slices(v))
-        )
+        return sum(f._inner_data(b, uu, vv) for f, b, uu, vv in self._split(base, u, v))
 
-    def _pieces(self, p: Point) -> list[Point]:
-        return [_trusted(Point, f, part) for f, part in zip(self.factors, self._slices(p.data))]
+    def _retract(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
+        return np.concatenate([f._retract(xx, uu) if uu.any() else xx for f, xx, uu in self._split(x, u)])
 
-    def _map_pieces(self, op: str, x: Point, other) -> np.ndarray:
-        parts = []
-        for f, xp, part in zip(self.factors, self._pieces(x), self._slices(other.data)):
-            if op == "log":
-                parts.append(f.log(xp, _trusted(Point, f, part)).data)
-            else:
-                parts.append(getattr(f, op)(xp, _trusted(Tangent, xp, part)).data)
-        return np.concatenate(parts)
+    def _exp(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
+        return np.concatenate([f._exp(xx, uu) if uu.any() else xx for f, xx, uu in self._split(x, u)])
 
-    def retract(self, x: Point, u: Tangent) -> Point:
-        self._require_rooted(x, u)
-        return _trusted(Point, self, self._map_pieces("retract", x, u))
+    def _log(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        return np.concatenate([f._log(xx, yy) for f, xx, yy in self._split(x, y)])
 
-    def exp(self, x: Point, u: Tangent) -> Point:
-        self._require_rooted(x, u)
-        if not self.has_exp:
-            raise UnsupportedOperation("a product factor lacks the exponential map")
-        return _trusted(Point, self, self._map_pieces("exp", x, u))
+    def _transport(self, x: np.ndarray, y: np.ndarray, u: np.ndarray) -> np.ndarray:
+        return np.concatenate([f._transport(xx, yy, uu) for f, xx, yy, uu in self._split(x, y, u)])
 
-    def log(self, x: Point, y: Point) -> Tangent:
-        self._require_point(x, y)
-        if not self.has_exp:
-            raise UnsupportedOperation("a product factor lacks the logarithm map")
-        return Tangent(x, self._map_pieces("log", x, y))
+    def _dist(self, x: np.ndarray, y: np.ndarray) -> float:
+        return float(np.sqrt(sum(f._dist(xx, yy) ** 2 for f, xx, yy in self._split(x, y))))
 
-    def transport(self, src: Point, dst: Point, u: Tangent) -> Tangent:
-        self._require_rooted(src, u)
-        self._require_point(dst)
-        parts = [
-            f.transport(sp, dp, _trusted(Tangent, sp, part)).data
-            for f, sp, dp, part in zip(self.factors, self._pieces(src), self._pieces(dst), self._slices(u.data))
-        ]
-        return Tangent(dst, np.concatenate(parts))
+    def _project(self, x: np.ndarray, ambient: np.ndarray) -> np.ndarray:
+        return np.concatenate([f._project(xx, aa) for f, xx, aa in self._split(x, ambient)])
 
-    def dist(self, x: Point, y: Point) -> float:
-        self._require_point(x, y)
-        total = 0.0
-        for f, xp, yp in zip(self.factors, self._pieces(x), self._pieces(y)):
-            total += f.dist(xp, yp) ** 2
-        return float(np.sqrt(total))
-
-    def project_tangent(self, x: Point, ambient: np.ndarray) -> Tangent:
-        self._require_point(x)
-        a = np.asarray(ambient, dtype=np.float64).reshape(-1)
-        parts = [
-            f.project_tangent(xp, part).data
-            for f, xp, part in zip(self.factors, self._pieces(x), self._slices(a))
-        ]
-        return Tangent(x, np.concatenate(parts))
-
-    def random_point(self, rng: np.random.Generator) -> Point:
-        return Point(self, np.concatenate([f.random_point(rng).data for f in self.factors]))
+    def _random_point(self, rng: np.random.Generator) -> np.ndarray:
+        return np.concatenate([f._random_point(rng) for f in self.factors])
 
     def _random_tangent_data(self, base: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        parts = []
-        for f, b in zip(self.factors, self._slices(base)):
-            parts.append(f._random_tangent_data(b, rng))
-        return np.concatenate(parts)
+        return np.concatenate([f._random_tangent_data(b, rng) for f, b in self._split(base)])
 
 
 @dataclass(frozen=True)
@@ -855,13 +801,16 @@ def manifold_from_header(header: dict) -> Manifold:
         if kind == "euclidean":
             return Euclidean(dims[0])
         if kind == "sphere":
-            return Sphere(dims[0], header.get("radius") or 1.0)
+            return Sphere(dims[0], header["radius"])
         if kind == "stiefel":
             return Stiefel(dims[0], dims[1])
         if kind == "spd":
             return SPD(dims[0])
         if kind == "product":
-            return ProductManifold([manifold_from_header(h) for h in header["factors"]])
+            m = ProductManifold([manifold_from_header(h) for h in header["factors"]])
+            if len(dims) != 1 or _size(dims[0], "product size", 1) != m.ambient_size:
+                raise InvalidGeometry(f"product dims {dims!r} != [{m.ambient_size}], the summed factor sizes")
+            return m
     except (KeyError, IndexError, TypeError, ValueError, OverflowError) as err:
         raise InvalidGeometry(f"malformed {kind} header: {type(err).__name__}: {err}") from None
     raise InvalidGeometry(f"unknown manifold kind {kind!r}")

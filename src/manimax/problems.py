@@ -152,9 +152,11 @@ class RobustMleProblem(MinimaxProblem):
             raise ProblemError("data must be a nonempty 2-d array")
         if not np.all(np.isfinite(A)):
             raise ProblemError("data contains non-finite entries")
+        self.c = float(c)
+        if not np.isfinite(self.c):
+            raise ProblemError(f"c must be finite, got {self.c!r}")
         self.a = A.copy()
         self.a.setflags(write=False)
-        self.c = float(c)
         self.n, self.d = A.shape
         self.z = np.hstack([self.a, np.ones((self.n, 1))])
         self.z.setflags(write=False)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from manimax import ConfigError, Sphere, SPD, deserialize_point
+from manimax import ConfigError, Sphere, SPD, cli, deserialize_point
 from manimax.cli import _FIELDS, ExperimentConfig, _build_parser, _collect_fields, _finite, load_preset, main
 
 
@@ -324,6 +324,35 @@ def test_non_finite_float_is_a_config_error(tmp_path, capsys, key, bad):
     preset = tmp_path / "p.cfg"
     preset.write_text(f"{key} = {bad}\n")
     assert_config_error(["run", "--preset", str(preset), "--out", str(tmp_path)], capsys)
+
+
+@pytest.fixture
+def no_runs(monkeypatch):
+    """Make any repeat or verify suite fail the test: the checks must come first."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("ran before the configuration was checked")
+
+    for name in ("run_experiment", "_geometry_suite", "_gradients_suite", "_rates_suite", "_adaptive_sum_suite"):
+        monkeypatch.setattr(cli, name, forbidden)
+
+
+@pytest.mark.parametrize("label", ["a/b", "../up", "nul\0byte"])
+def test_label_with_path_separator_is_a_config_error(tmp_path, capsys, no_runs, label):
+    assert_config_error(["run", "--preset", "synthetic-ragda", "--label", label, "--out", str(tmp_path)], capsys)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_out_that_cannot_be_created_is_a_config_error(tmp_path, capsys, no_runs):
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    for out in (afile, afile / "sub", tmp_path / "nul\0byte"):
+        assert_config_error(["run", "--preset", "synthetic-ragda", "--out", str(out)], capsys)
+
+
+@pytest.mark.parametrize("decades", ["-1", "0", "1", "307", "800"])
+@pytest.mark.parametrize("suite", ["all", "adaptive-sum", "geometry"])
+def test_bad_budget_decades_is_a_config_error_before_any_suite(capsys, no_runs, suite, decades):
+    assert_config_error(["verify", "--suite", suite, "--budget-decades", decades], capsys)
 
 
 def test_unreadable_preset_is_a_config_error(tmp_path, capsys):

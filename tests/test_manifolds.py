@@ -13,6 +13,7 @@ from manimax import (
     DegenerateRetraction,
     Euclidean,
     InvalidGeometry,
+    Manifold,
     Point,
     ProductManifold,
     Sphere,
@@ -375,6 +376,145 @@ def test_invalid_constructions():
         Euclidean(0)
 
 
+@pytest.mark.parametrize(
+    "make",
+    [lambda: Sphere(3.7), lambda: Sphere(3.0), lambda: Euclidean(True), lambda: Euclidean("3"),
+     lambda: Stiefel(4, 2.0), lambda: SPD(np.float64(2)), lambda: SPD(np.True_),
+     lambda: Sphere(3, radius=True), lambda: Sphere(3, radius="1")],
+    ids=["sphere-3.7", "sphere-3.0", "euclidean-true", "euclidean-str", "stiefel-float-cols",
+         "spd-float64", "spd-numpy-bool", "radius-true", "radius-str"],
+)
+def test_constructors_reject_non_integer_sizes_and_non_numeric_radius(make):
+    with pytest.raises(InvalidGeometry):
+        make()
+
+
+def test_constructors_accept_numpy_integers():
+    assert SPD(np.int64(3)).order == 3 and type(SPD(np.int64(3)).order) is int
+    assert Sphere(np.int32(4), radius=np.float64(2.0)).spec_key() == ("sphere", 4, 2.0)
+
+
+# -- the Point/Tangent boundary in Manifold ------------------------------------
+
+
+BOUNDARY_MANIFOLDS = [
+    Euclidean(3), Sphere(4, radius=2.0), Stiefel(5, 2), SPD(3),
+    ProductManifold([Sphere(3), Euclidean(2)]), ProductManifold([Stiefel(4, 2), SPD(2)]),
+]
+
+
+@pytest.fixture
+def check_calls(monkeypatch):
+    """Counts of Manifold.check_point and Manifold.check_tangent calls."""
+    calls = {"point": 0, "tangent": 0}
+    for what in calls:
+        original = getattr(Manifold, f"check_{what}")
+
+        def counted(self, *args, _original=original, _what=what):
+            calls[_what] += 1
+            return _original(self, *args)
+
+        monkeypatch.setattr(Manifold, f"check_{what}", counted)
+    return calls
+
+
+@pytest.mark.parametrize("man", BOUNDARY_MANIFOLDS, ids=repr)
+def test_public_maps_check_once_at_the_boundary(man, check_calls):
+    rng = np.random.default_rng(3)
+    x, y = man.random_point(rng), man.random_point(rng)
+    u = man.random_tangent(x, rng, norm=0.3)
+    a = rng.standard_normal(man.ambient_size)
+
+    def counts(call):
+        check_calls.update(point=0, tangent=0)
+        call()
+        return check_calls["point"], check_calls["tangent"]
+
+    # Retraction and exp results are trusted: no membership check at all.
+    assert counts(lambda: man.retract(x, u)) == (0, 0)
+    # Tangent results are validated exactly once.
+    assert counts(lambda: man.transport(x, y, u)) == (0, 1)
+    assert counts(lambda: man.project_tangent(x, a)) == (0, 1)
+    if man.has_exp:
+        assert counts(lambda: man.exp(x, u)) == (0, 0)
+        assert counts(lambda: man.log(x, y)) == (0, 1)
+    else:
+        for call in (lambda: man.exp(x, u), lambda: man.log(x, y)):
+            with pytest.raises(UnsupportedOperation):
+                call()
+
+    # A point or tangent from another manifold is rejected by every map.
+    other = Euclidean(man.ambient_size + 1)
+    xo = other.random_point(rng)
+    uo = other.random_tangent(xo, rng)
+    for call in (
+        lambda: man.retract(xo, u), lambda: man.retract(x, uo), lambda: man.transport(xo, y, u),
+        lambda: man.transport(x, xo, u), lambda: man.transport(x, y, uo), lambda: man.dist(x, xo),
+        lambda: man.dist(xo, y), lambda: man.project_tangent(xo, a), lambda: man.inner(u, uo),
+        lambda: man.norm(uo), lambda: man.zero_tangent(xo), lambda: man.random_tangent(xo, rng),
+    ):
+        with pytest.raises(InvalidGeometry):
+            call()
+    # exp and log report a missing map before they look at their arguments.
+    for call in (lambda: man.exp(xo, u), lambda: man.exp(x, uo), lambda: man.log(xo, y), lambda: man.log(x, xo)):
+        with pytest.raises(InvalidGeometry if man.has_exp else UnsupportedOperation):
+            call()
+
+    # A tangent rooted at another point of the same manifold is rejected.
+    v = man.random_tangent(y, rng)
+    for call in (lambda: man.retract(x, v), lambda: man.transport(x, y, v), lambda: man.inner(u, v)):
+        with pytest.raises(BaseMismatch):
+            call()
+    with pytest.raises(BaseMismatch if man.has_exp else UnsupportedOperation):
+        man.exp(x, v)
+
+
+@pytest.mark.parametrize(
+    "factors",
+    [[Sphere(3), SPD(2), Euclidean(2)], [Stiefel(4, 2), Sphere(3, radius=0.5)]],
+    ids=lambda fs: " x ".join(map(repr, fs)),
+)
+@pytest.mark.parametrize("zero_slice", [None, 0, 1])
+def test_product_maps_are_factor_maps_concatenated(factors, zero_slice):
+    prod = ProductManifold(factors)
+    rng = np.random.default_rng(11)
+    x = prod.random_point(rng)
+    again = np.random.default_rng(11)
+    assert np.array_equal(x.data, np.concatenate([f.random_point(again).data for f in factors]))
+    y = prod.random_point(rng)
+    data = prod.random_tangent(x, rng, norm=0.4).data.copy()
+    cuts = np.cumsum([0] + [f.ambient_size for f in factors])
+    if zero_slice is not None:
+        data[cuts[zero_slice]:cuts[zero_slice + 1]] = 0.0
+    u = Tangent(x, data)
+    a = rng.standard_normal(prod.ambient_size)
+
+    def parts(arr):
+        return [arr[cuts[i]:cuts[i + 1]] for i in range(len(factors))]
+
+    xs = [Point(f, p) for f, p in zip(factors, parts(x.data))]
+    ys = [Point(f, p) for f, p in zip(factors, parts(y.data))]
+    us = [Tangent(xf, p) for xf, p in zip(xs, parts(u.data))]
+
+    def joined(results):
+        return np.concatenate([r.data for r in results])
+
+    maps = {"retract": (prod.retract(x, u), [f.retract(*a_) for f, *a_ in zip(factors, xs, us)])}
+    if prod.has_exp:
+        maps["exp"] = (prod.exp(x, u), [f.exp(*a_) for f, *a_ in zip(factors, xs, us)])
+        maps["log"] = (prod.log(x, y), [f.log(*a_) for f, *a_ in zip(factors, xs, ys)])
+    maps["transport"] = (prod.transport(x, y, u), [f.transport(*a_) for f, *a_ in zip(factors, xs, ys, us)])
+    maps["project_tangent"] = (prod.project_tangent(x, a),
+                               [f.project_tangent(xf, p) for f, xf, p in zip(factors, xs, parts(a))])
+    for name, (whole, pieces) in maps.items():
+        assert np.array_equal(whole.data, joined(pieces)), name
+    if zero_slice is not None:
+        # The factor with a zero tangent slice stays where it is.
+        assert np.array_equal(parts(prod.retract(x, u).data)[zero_slice], xs[zero_slice].data)
+    assert prod.dist(x, y) == float(np.sqrt(sum(f.dist(*a_) ** 2 for f, *a_ in zip(factors, xs, ys))))
+    assert prod.inner(u, u) == sum(f.inner(uf, uf) for f, uf in zip(factors, us))
+
+
 # -- product manifold ---------------------------------------------------------
 
 
@@ -462,6 +602,12 @@ def test_deserialize_rejects_garbage():
 
 
 _SPHERE_HEADER = b'{"dims": [3], "kind": "sphere", "radius": 1.0}\n'
+# A valid point payload of Sphere(3), so that only the header is at fault.
+_NORTH = np.array([0.0, 0.0, 1.0]).tobytes()
+# Sphere(3) x Euclidean(2), whose dims must be [5].
+_PRODUCT_HEADER = (b'{"kind": "product", "dims": %s, "radius": null, "factors": ['
+                   b'{"kind": "sphere", "dims": [3], "radius": 1.0}, '
+                   b'{"kind": "euclidean", "dims": [2], "radius": null}]}\n')
 
 
 @pytest.mark.parametrize("load", [deserialize_point, deserialize_tangent])
@@ -483,6 +629,15 @@ _SPHERE_HEADER = b'{"dims": [3], "kind": "sphere", "radius": 1.0}\n'
         pytest.param(_SPHERE_HEADER + np.zeros(5).tobytes(), id="wrong-payload-size"),
         pytest.param(_SPHERE_HEADER + np.array([np.nan, 0.0, 1.0] * 2).tobytes(), id="non-finite-payload"),
         pytest.param(_SPHERE_HEADER + np.array([0.0, 0.0, 2.0] * 2).tobytes(), id="off-the-sphere"),
+        pytest.param(b'{"kind": "sphere", "dims": [3.7], "radius": 1.0}\n' + _NORTH, id="dims-not-integer"),
+        pytest.param(b'{"kind": "euclidean", "dims": [true], "radius": null}\n' + _NORTH[:8], id="dims-bool"),
+        pytest.param(b'{"kind": "sphere", "dims": [3], "radius": 0}\n' + _NORTH, id="radius-zero"),
+        pytest.param(b'{"kind": "sphere", "dims": [3], "radius": false}\n' + _NORTH, id="radius-false"),
+        pytest.param(b'{"kind": "sphere", "dims": [3]}\n' + _NORTH, id="radius-missing"),
+        pytest.param(_PRODUCT_HEADER % b"[6]" + _NORTH + _NORTH[:16], id="product-dims-too-large"),
+        pytest.param(_PRODUCT_HEADER % b"[5, 1]" + _NORTH + _NORTH[:16], id="product-dims-extra-entry"),
+        pytest.param(_PRODUCT_HEADER % b"[5.0]" + _NORTH + _NORTH[:16], id="product-dims-not-integer"),
+        pytest.param(_PRODUCT_HEADER % b"[]" + _NORTH + _NORTH[:16], id="product-dims-empty"),
     ],
 )
 def test_deserialize_malformed_blob_raises_invalid_geometry(load, blob):

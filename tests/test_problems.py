@@ -351,6 +351,10 @@ def _matrix_blob(d=3, n=4, c=-2.5):
         pytest.param(b"d = 3\nn = -4\nc = 1\nseed = 0\n", id="text-negative-size"),
         pytest.param(b"d = 3\nn = 4\nc = 1\n", id="text-missing-seed"),
         pytest.param(b"\xff\xfe d = 3\n", id="text-not-utf8"),
+        pytest.param(_matrix_blob(c=float("nan")), id="c-nan"),
+        pytest.param(_matrix_blob(c=float("inf")), id="c-inf"),
+        pytest.param(b"d = 3\nn = 4\nc = nan\nseed = 0\n", id="text-c-nan"),
+        pytest.param(b"d = 3\nn = 4\nc = -inf\nseed = 0\n", id="text-c-inf"),
     ],
 )
 def test_load_instance_malformed_raises_problem_error(tmp_path, blob):

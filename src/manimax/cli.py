@@ -253,6 +253,7 @@ def write_summary(path: Path, cfg: ExperimentConfig, traces: list[Trace]) -> Non
         lines += [
             f"repeat{i}.seed = {trace.metadata['seed']}",
             f"repeat{i}.min_stationarity = {_fmt(trace.min_stationarity)}",
+            f"repeat{i}.max_step_grad_norm = {_fmt(trace.metadata['max_step_grad_norm'])}",
             f"repeat{i}.stop_reason = {trace.stop_reason.value}",
             f"repeat{i}.records = {len(trace.records)}",
             f"repeat{i}.oracle_calls.grad = {calls['grad']}",
@@ -369,9 +370,10 @@ def _geometry_suite(rng: np.random.Generator) -> list[tuple[str, bool, str]]:
     return rows
 
 
-def _gradients_suite(cfg: ExperimentConfig, rng: np.random.Generator) -> list[tuple[str, bool, str]]:
+def _gradients_suite(
+    cfg: ExperimentConfig, problem: MinimaxProblem, rng: np.random.Generator
+) -> list[tuple[str, bool, str]]:
     # Exact oracles only, so the instance's noise level plays no part.
-    problem = build_problem(cfg)
     worst_x = worst_y = 0.0
     for _ in range(20):
         x = problem.mx.random_point(rng)
@@ -437,6 +439,7 @@ def _adaptive_sum_suite(rng: np.random.Generator) -> list[tuple[str, bool, str]]
 def cli_verify(args: argparse.Namespace) -> int:
     cfg = ExperimentConfig.from_fields(_collect_fields(args))
     budgets = _budget_ladder(args.budget_decades)
+    problem = build_problem(cfg)
     rng = np.random.default_rng(cfg.solver.seed)
     suites = ("geometry", "gradients", "rates", "adaptive-sum") if args.suite == "all" else (args.suite,)
     rows: list[tuple[str, bool, str]] = []
@@ -444,7 +447,7 @@ def cli_verify(args: argparse.Namespace) -> int:
         if suite == "geometry":
             rows += _geometry_suite(rng)
         elif suite == "gradients":
-            rows += _gradients_suite(cfg, rng)
+            rows += _gradients_suite(cfg, problem, rng)
         elif suite == "rates":
             rows += _rates_suite(cfg, budgets)
         elif suite == "adaptive-sum":

@@ -299,7 +299,10 @@ class Manifold:
     def project_tangent(self, x: Point, ambient: np.ndarray) -> Tangent:
         """Map an ambient (Euclidean) gradient to the tangent representation."""
         self._require_point(x)
-        return Tangent(x, self._project(x.data, np.asarray(ambient, dtype=np.float64).reshape(-1)))
+        a = np.asarray(ambient, dtype=np.float64).reshape(-1)
+        if a.size != self.ambient_size:
+            raise InvalidGeometry(f"{self.kind} ambient array needs {self.ambient_size} entries, got {a.size}")
+        return Tangent(x, self._project(x.data, a))
 
     def zero_tangent(self, x: Point) -> Tangent:
         self._require_point(x)
@@ -564,6 +567,15 @@ class SPD(Manifold):
     retraction. Matrix functions go through symmetric eigendecompositions with
     eigenvalues clamped below at _EIG_FLOOR_REL * lambda_max; clamp events bump
     the attached ClampCounter when one is present.
+
+    The spectrum of a point is memoised: the manifold keeps one entry, the
+    clamped (w, Q) of the last read-only flat point array it decomposed, and
+    serves it again when ``point_spectrum`` is handed that same array object.
+    A solver step therefore decomposes its SPD iterate once for the metric,
+    the maps and the problem oracles. Point arrays are private copies frozen
+    at construction, so a hit cannot be stale; a writable array is decomposed
+    on every call and never stored. Clamp events count once per
+    decomposition, not once per use of a spectrum.
     """
 
     kind = "spd"
@@ -571,6 +583,9 @@ class SPD(Manifold):
     def __init__(self, order: int, *, clamp_counter: ClampCounter | None = None) -> None:
         self.order = _size(order, "SPD order", 1)
         self.clamp_counter = clamp_counter
+        # (array, w, Q) of the last read-only point decomposed; replaced whole,
+        # so a reader sees one consistent entry.
+        self._memo: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     @property
     def ambient_size(self) -> int:
@@ -611,15 +626,25 @@ class SPD(Manifold):
                 w = np.maximum(w, floor)
         return w, Q
 
+    def point_spectrum(self, data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``spectrum`` of a flat point array, memoised for read-only arrays."""
+        memo = self._memo
+        if memo is not None and memo[0] is data:
+            return memo[1], memo[2]
+        w, Q = self.spectrum(self._mat(data))
+        if not data.flags.writeable:
+            self._memo = (data, w, Q)
+        return w, Q
+
     def _inner_data(self, base: np.ndarray, u: np.ndarray, v: np.ndarray) -> float:
-        w, Q = self.spectrum(self._mat(base))
+        w, Q = self.point_spectrum(base)
         U = Q.T @ self._mat(u) @ Q
         V = Q.T @ self._mat(v) @ Q
         return float(np.sum(U * V / np.outer(w, w)))
 
     def _whitened(self, x: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(rt, irt, S) with X^1/2 = rt @ Q.T, X^-1/2 = irt @ Q.T, S = X^-1/2 M X^-1/2."""
-        w, Q = self.spectrum(self._mat(x))
+        w, Q = self.point_spectrum(x)
         rt = Q * np.sqrt(w)
         irt = Q / np.sqrt(w)
         return rt, irt, _sym(irt.T @ self._mat(m) @ irt)

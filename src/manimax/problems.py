@@ -166,16 +166,14 @@ class RobustMleProblem(MinimaxProblem):
 
     # -- shared kernels ----------------------------------------------------
 
-    def _y_matrix(self, y: Point) -> np.ndarray:
-        return y.data.reshape(self.d + 1, self.d + 1)
-
     def _quad_rows(self, x: Point, batch: Batch | None) -> np.ndarray:
         rows = self.z if batch is None else self.z[batch.indices]
         return rows - x.data
 
+    # The oracles hand the manifold y.data itself, not a reshaped view, so that
+    # one spectrum of Y serves every oracle, metric and map call at y.
     def value(self, x: Point, y: Point) -> float:
-        Y = self._y_matrix(y)
-        w, Q = self.my.spectrum(Y)
+        w, Q = self.my.point_spectrum(y.data)
         logs = np.log(w)
         y_inv = (Q / w) @ Q.T
         W = self._quad_rows(x, None)
@@ -187,8 +185,7 @@ class RobustMleProblem(MinimaxProblem):
         return val
 
     def _grad_x_eucl(self, x: Point, y: Point, batch: Batch | None) -> np.ndarray:
-        Y = self._y_matrix(y)
-        w, Q = self.my.spectrum(Y)
+        w, Q = self.my.point_spectrum(y.data)
         y_inv = (Q / w) @ Q.T
         return y_inv @ self._quad_rows(x, batch).sum(axis=0)
 
@@ -196,13 +193,13 @@ class RobustMleProblem(MinimaxProblem):
         # Riemannian gradient under the affine-invariant metric: sandwiching
         # the Euclidean partial by Y collapses to -(n/2) Y + (1/2) W^T W, and
         # the regularizer contributes 2c * Y logm(Y).
-        Y = self._y_matrix(y)
-        w, Q = self.my.spectrum(Y)
+        w, Q = self.my.point_spectrum(y.data)
         W = self._quad_rows(x, batch)
         quad = W.T @ W
         if scale is not None:
             quad = scale * quad
         reg = (Q * (w * np.log(w))) @ Q.T
+        Y = y.data.reshape(self.d + 1, self.d + 1)
         M = -0.5 * self.n * Y + 0.5 * quad + (2.0 * self.c) * reg
         return 0.5 * (M + M.T)
 

@@ -35,6 +35,10 @@ def test_run_preset_writes_outputs(tmp_path):
     summary = (tmp_path / "t_summary.txt").read_text()
     assert "repeat0.stop_reason = max_iters" in summary
     assert "repeat0.min_stationarity = " in summary
+    # Every RAGDA step is recorded, so the largest step gradient norm is the
+    # largest norm in the CSV.
+    fields = dict(line.split(" = ", 1) for line in summary.splitlines())
+    assert float(fields["repeat0.max_step_grad_norm"]) == max(float(v) for r in rows for v in r[2:4])
     x = deserialize_point((tmp_path / "t_rep0_x.point").read_bytes())
     y = deserialize_point((tmp_path / "t_rep0_y.point").read_bytes())
     assert x.manifold.spec_key() == Sphere(20).spec_key()
@@ -353,6 +357,11 @@ def test_out_that_cannot_be_created_is_a_config_error(tmp_path, capsys, no_runs)
 @pytest.mark.parametrize("suite", ["all", "adaptive-sum", "geometry"])
 def test_bad_budget_decades_is_a_config_error_before_any_suite(capsys, no_runs, suite, decades):
     assert_config_error(["verify", "--suite", suite, "--budget-decades", decades], capsys)
+
+
+@pytest.mark.parametrize("suite", ["geometry", "all"])
+def test_bad_problem_size_is_a_config_error_before_any_suite(capsys, no_runs, suite):
+    assert_config_error(["verify", "--suite", suite, "--d", "0"], capsys)
 
 
 def test_unreadable_preset_is_a_config_error(tmp_path, capsys):

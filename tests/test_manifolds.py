@@ -363,6 +363,34 @@ def test_spd_clamp_counter_bumps():
     assert counter.events >= 1
 
 
+def test_spd_point_spectrum_is_never_stale():
+    # Every answer must be bitwise the fresh spectrum of what the array holds
+    # at the call: distinct points, repeats of earlier ones, and a writable
+    # buffer changed in place between calls.
+    man = SPD(4)
+    rng = np.random.default_rng(5)
+
+    def served(data):
+        w, Q = man.point_spectrum(data)
+        w0, Q0 = man.spectrum(data.reshape(4, 4))
+        assert w.tobytes() == w0.tobytes() and Q.tobytes() == Q0.tobytes()
+        return Q
+
+    points = [man.random_point(rng) for _ in range(4)]
+    buf = np.array(points[0].data)
+    for p in points + points[::-1]:
+        served(p.data)
+        served(p.data)
+        served(buf)
+        buf[:] = p.data
+        served(buf)
+        buf[:] = man.random_point(rng).data
+        served(buf)
+    # A read-only point array is decomposed once and then served.
+    assert served(points[1].data) is served(points[1].data)
+    assert served(buf) is not served(buf)
+
+
 def test_invalid_constructions():
     with pytest.raises(InvalidGeometry):
         Sphere(1)
@@ -455,6 +483,10 @@ def test_public_maps_check_once_at_the_boundary(man, check_calls):
     ):
         with pytest.raises(InvalidGeometry):
             call()
+    # An ambient array of the wrong size is rejected before the kernel sees it.
+    for size in (man.ambient_size - 1, man.ambient_size + 1):
+        with pytest.raises(InvalidGeometry, match="ambient array"):
+            man.project_tangent(x, rng.standard_normal(size))
     # exp and log report a missing map before they look at their arguments.
     for call in (lambda: man.exp(xo, u), lambda: man.exp(x, uo), lambda: man.log(xo, y), lambda: man.log(x, xo)):
         with pytest.raises(InvalidGeometry if man.has_exp else UnsupportedOperation):

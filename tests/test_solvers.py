@@ -288,6 +288,27 @@ def test_geometry_checked_only_at_the_boundary(monkeypatch):
     assert seen[20]["tangent"] - seen[0]["tangent"] <= 2 * 20
 
 
+@pytest.mark.parametrize("method", [Method.RAGDA, Method.GDA])
+def test_robust_mle_step_decomposes_twice(monkeypatch, method):
+    # One spectrum of the iterate Y_t serves the value, both oracles, the
+    # metric and exp's whitening; the second is exp's inner matrix.
+    count = [0]
+    for name in ("eigh", "eigvalsh"):
+        def counted(*args, _original=getattr(np.linalg, name), **kwargs):
+            count[0] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    prob = generate_gaussian_instance(4, 12, -5.0, seed=0)
+    seen = {}
+    for steps in (0, 20):
+        count[0] = 0
+        trace = run(prob, SolverConfig(method=method, max_iters=steps, seed=1, eta_x=5e-4, eta_y=5e-4))
+        assert trace.final_state.t == steps
+        seen[steps] = count[0]
+    assert seen[20] - seen[0] == 2 * 20
+
+
 def test_record_stride_caps_trace_length():
     prob = generate_quadratic_instance(4, 3, 1.0, 0, 0.0)
     cfg = SolverConfig(method=Method.RAGDA, max_iters=25_000, seed=0)

@@ -398,12 +398,10 @@ def _gradients_suite(
 
 def _budget_ladder(decades: int) -> list[int]:
     """Iteration budgets 10^2, 10^2.5, ..., 10^(2 + decades) of the rates suite."""
-    if decades < 2:
-        raise ConfigError("--budget-decades must be >= 2")
-    try:
-        return [round(10 ** (2 + 0.5 * i)) for i in range(2 * decades + 1)]
-    except OverflowError:
-        raise ConfigError(f"--budget-decades {decades} overflows the iteration budget") from None
+    # At 5, the top budget of 10^7 RAGDA steps already takes about 15 minutes.
+    if not 2 <= decades <= 5:
+        raise ConfigError(f"--budget-decades must lie in [2, 5], got {decades}")
+    return [round(10 ** (2 + 0.5 * i)) for i in range(2 * decades + 1)]
 
 
 def _rates_suite(cfg: ExperimentConfig, budgets: list[int]) -> list[tuple[str, bool, str]]:

@@ -8,8 +8,8 @@ never mutate their inputs and return fresh values.
 
 The Point and Tangent constructors validate shape, finiteness and the manifold
 invariants of the arrays they are given. Retraction and exp results and scaled
-tangents, derived from validated values, are built by ``_trusted``, which
-checks finiteness only.
+tangents, derived from validated values, are checked for finiteness only, by
+``_frozen``, and wrapped by ``_trusted``.
 """
 from __future__ import annotations
 
@@ -143,23 +143,27 @@ class Tangent:
         return self.base.manifold
 
     def scaled(self, s: float) -> "Tangent":
-        return _trusted(Tangent, self.base, s * self.data)
+        with np.errstate(over="ignore"):
+            data = s * self.data
+        return _trusted(Tangent, self.base, _frozen(data, "tangent", self.base))
 
     def __repr__(self) -> str:
         return f"Tangent(base={self.base!r})"
 
 
-def _trusted(cls: type, owner, data: np.ndarray):
-    """A Point (owner: manifold) or Tangent (owner: base) from derived data.
-
-    Builds the results of ``Manifold.retract``/``exp`` and ``Tangent.scaled``,
-    whose membership holds by construction, so only finiteness is checked. The
-    array is frozen in place, not copied: pass fresh arrays or read-only views.
-    """
+def _frozen(data: np.ndarray, what: str, owner) -> np.ndarray:
+    """Derived data, whose membership holds by construction, checked for
+    finiteness only and frozen in place: pass fresh arrays or read-only views."""
     arr = np.asarray(data, dtype=np.float64).reshape(-1)
     if not np.isfinite(arr).all():
-        raise InvalidGeometry(f"{cls.__name__.lower()} on {owner!r} contains non-finite entries")
+        raise InvalidGeometry(f"{what} on {owner!r} contains non-finite entries")
     arr.setflags(write=False)
+    return arr
+
+
+def _trusted(cls: type, owner, arr: np.ndarray):
+    """A Point (owner: manifold) or Tangent (owner: base) around a checked array
+    (``_frozen``, or the data of a validated value), without validation."""
     obj = object.__new__(cls)
     object.__setattr__(obj, "manifold" if cls is Point else "base", owner)
     object.__setattr__(obj, "data", arr)
@@ -186,8 +190,9 @@ class Manifold:
     Kernels trust their arguments and raise only for their own degenerate
     cases. The public maps check the relations between their arguments once,
     here, and then wrap the kernel's array: retract and exp results through
-    ``_trusted``, log, transport and project_tangent results as validated
-    Tangents, random_point results as validated Points.
+    ``_move``, which the solver loop also calls on bare arrays, log, transport
+    and project_tangent results as validated Tangents, random_point results
+    as validated Points.
     """
 
     kind: str = "abstract"
@@ -214,18 +219,22 @@ class Manifold:
 
     # -- validation -------------------------------------------------------
 
+    # The invariant checks run under an errstate: a huge finite array can
+    # overflow inside them, and then fails the check instead of warning.
     def check_point(self, data: np.ndarray) -> None:
         self._check_array(data, "point")
-        self._check_point(data)
+        with np.errstate(over="ignore", invalid="ignore"):
+            self._check_point(data)
 
     def check_tangent(self, base: np.ndarray, data: np.ndarray) -> None:
         self._check_array(data, "tangent")
-        self._check_tangent(base, data)
+        with np.errstate(over="ignore", invalid="ignore"):
+            self._check_tangent(base, data)
 
     def _check_array(self, data: np.ndarray, what: str) -> None:
         if data.shape != (self.ambient_size,):
             raise InvalidGeometry(f"{self.kind} {what} needs {self.ambient_size} entries, got {data.shape}")
-        if not np.all(np.isfinite(data)):
+        if not np.isfinite(data).all():
             raise InvalidGeometry(f"{self.kind} {what} contains non-finite entries")
 
     def _require_point(self, *points: Point) -> None:
@@ -278,9 +287,18 @@ class Manifold:
 
     def _moved(self, kernel, x: Point, u: Tangent) -> Point:
         self._require_rooted(x, u)
-        if not u.data.any():
+        z = self._move(kernel, x.data, u.data)
+        return x if z is x.data else _trusted(Point, self, z)
+
+    def _move(self, kernel, x: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """Retract and exp on arrays: x itself for a zero u, else ``kernel(x, u)``.
+        An overflow there yields inf or nan, not a warning, and then a
+        GeometryError from the kernel's own guard or from ``_frozen``."""
+        if not u.any():
             return x
-        return _trusted(Point, self, kernel(x.data, u.data))
+        with np.errstate(over="ignore", invalid="ignore"):
+            z = kernel(x, u)
+        return _frozen(z, "point", self)
 
     def log(self, x: Point, y: Point) -> Tangent:
         self._require_exp()
@@ -405,7 +423,7 @@ class Sphere(Manifold):
         # roundoff is proportional to the base scale, not the tangent scale,
         # so near-zero tangents would otherwise fail a purely relative test.
         bound = _SPHERE_TANGENT_REL * r * np.linalg.norm(data) + _DEGENERATE_NORM * r * r
-        if abs(float(np.dot(base, data))) > bound:
+        if not abs(float(np.dot(base, data))) <= bound:
             raise InvalidGeometry("tangent is not orthogonal to the sphere point")
 
     def _retract(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -515,14 +533,14 @@ class Stiefel(Manifold):
     def _check_point(self, data: np.ndarray) -> None:
         X = self._mat(data)
         gram_err = np.linalg.norm(X.T @ X - np.eye(self.cols))
-        if gram_err > _STIEFEL_ORTH:
+        if not gram_err <= _STIEFEL_ORTH:
             raise InvalidGeometry(f"columns not orthonormal (||X^T X - I|| = {gram_err:.3e})")
 
     def _check_tangent(self, base: np.ndarray, data: np.ndarray) -> None:
         X = self._mat(base)
         U = self._mat(data)
         skew_err = np.linalg.norm(X.T @ U + U.T @ X)
-        if skew_err > _STIEFEL_TANGENT:
+        if not skew_err <= _STIEFEL_TANGENT:
             raise InvalidGeometry(f"X^T U not skew (||X^T U + U^T X|| = {skew_err:.3e})")
 
     @property
@@ -649,18 +667,15 @@ class SPD(Manifold):
         irt = Q / np.sqrt(w)
         return rt, irt, _sym(irt.T @ self._mat(m) @ irt)
 
-    def retract(self, x: Point, u: Tangent) -> Point:
-        # A public delegation, so that a traced solver step reports its SPD
-        # move as an exp call.
-        return self.exp(x, u)
-
     def _exp(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
         """X^1/2 expm(X^-1/2 U X^-1/2) X^1/2 via eigendecompositions."""
         rt, _, S = self._whitened(x, u)
         ws, Qs = np.linalg.eigh(S)
         if not np.all(np.isfinite(ws)):
             raise InvalidGeometry("exp map inner matrix is not finite")
-        ew = np.exp(ws)
+        ew = np.exp(ws)  # under the errstate of Manifold._move
+        if not ew[-1] < np.inf:
+            raise DegenerateRetraction("exp map overflowed")
         if not ew[0] > 0.0:
             raise DegenerateRetraction("exp map underflowed to a singular matrix")
         E = (Qs * ew) @ Qs.T

@@ -8,8 +8,8 @@ rng handle so the solver controls all randomness.
 from __future__ import annotations
 
 import io
+import math
 import struct
-from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -85,30 +85,42 @@ class Batch:
         return cls(rng.integers(0, n, size=size, dtype=np.int64))
 
 
-class MinimaxProblem(ABC):
-    """min over x in mx, max over y in my, of a smooth objective."""
+class MinimaxProblem:
+    """min over x in mx, max over y in my, of a smooth objective.
+
+    A concrete problem implements kernels on flat float64 arrays: ``_value``,
+    ``_grad_x`` and ``_grad_y`` at (x, y), the gradients as tangent arrays,
+    and, if it has stochastic oracles, ``_stoch_grad_x`` and ``_stoch_grad_y``
+    at (x, y, idx, rng) for sample indices idx. Kernels trust their
+    arguments; the public oracles here check the points and the batch, and
+    return validated Tangents.
+    """
 
     mx: Manifold
     my: Manifold
     sample_count: int = 1
 
-    @abstractmethod
     def value(self, x: Point, y: Point) -> float:
-        ...
+        return self._value(*self._arrays(x, y))
 
-    @abstractmethod
     def grad_x(self, x: Point, y: Point) -> Tangent:
         """Exact Riemannian gradient in the minimization variable."""
+        return Tangent(x, self._grad_x(*self._arrays(x, y)))
 
-    @abstractmethod
     def grad_y(self, x: Point, y: Point) -> Tangent:
         """Exact Riemannian gradient in the maximization variable."""
+        return Tangent(y, self._grad_y(*self._arrays(x, y)))
 
     def stoch_grad_x(self, x: Point, y: Point, batch: Batch, rng: np.random.Generator) -> Tangent:
-        raise UnsupportedOperation(f"{type(self).__name__} has no stochastic oracles")
+        return Tangent(x, self._stoch_grad_x(*self._arrays(x, y), self._indices(batch), rng))
 
     def stoch_grad_y(self, x: Point, y: Point, batch: Batch, rng: np.random.Generator) -> Tangent:
+        return Tangent(y, self._stoch_grad_y(*self._arrays(x, y), self._indices(batch), rng))
+
+    def _stoch_grad_x(self, x: np.ndarray, y: np.ndarray, idx: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         raise UnsupportedOperation(f"{type(self).__name__} has no stochastic oracles")
+
+    _stoch_grad_y = _stoch_grad_x
 
     def inner_max_oracle(self, x: Point) -> tuple[Point, float]:
         """Closed-form argmax over y and the resulting envelope value."""
@@ -118,15 +130,17 @@ class MinimaxProblem(ABC):
         """Deterministic-in-rng initial iterates; subclasses pick natural ones."""
         return self.mx.random_point(rng), self.my.random_point(rng)
 
-    def _check_batch(self, batch: Batch) -> None:
-        if len(batch) == 0:
-            raise EmptyBatch("batch must contain at least one index")
-        lo = int(batch.indices.min())
-        hi = int(batch.indices.max())
+    def _arrays(self, x: Point, y: Point) -> tuple[np.ndarray, np.ndarray]:
+        self.mx._require_point(x)
+        self.my._require_point(y)
+        return x.data, y.data
+
+    def _indices(self, batch: Batch) -> np.ndarray:
+        # A Batch is never empty; its indices must name samples.
+        lo, hi = int(batch.indices.min()), int(batch.indices.max())
         if lo < 0 or hi >= self.sample_count:
-            raise ProblemError(
-                f"batch index out of range [0, {self.sample_count}): saw {lo}..{hi}"
-            )
+            raise ProblemError(f"batch index out of range [0, {self.sample_count}): saw {lo}..{hi}")
+        return batch.indices
 
 
 class RobustMleProblem(MinimaxProblem):
@@ -164,16 +178,17 @@ class RobustMleProblem(MinimaxProblem):
         self.my: SPD = SPD(self.d + 1, clamp_counter=clamp_counter)
         self.sample_count = self.n
 
-    # -- shared kernels ----------------------------------------------------
+    # The kernels hand the manifold the point array y itself, not a reshaped
+    # view, so that one spectrum of Y serves every oracle, metric and map call
+    # at y. The stochastic kernels are the exact ones on the rows in idx, with
+    # the quadratic term scaled by n / |idx|; they draw nothing from rng.
 
-    def _quad_rows(self, x: Point, batch: Batch | None) -> np.ndarray:
-        rows = self.z if batch is None else self.z[batch.indices]
-        return rows - x.data
+    def _quad_rows(self, x: np.ndarray, idx: np.ndarray | None) -> np.ndarray:
+        rows = self.z if idx is None else self.z[idx]
+        return rows - x
 
-    # The oracles hand the manifold y.data itself, not a reshaped view, so that
-    # one spectrum of Y serves every oracle, metric and map call at y.
-    def value(self, x: Point, y: Point) -> float:
-        w, Q = self.my.point_spectrum(y.data)
+    def _value(self, x: np.ndarray, y: np.ndarray) -> float:
+        w, Q = self.my.point_spectrum(y)
         logs = np.log(w)
         y_inv = (Q / w) @ Q.T
         W = self._quad_rows(x, None)
@@ -184,44 +199,24 @@ class RobustMleProblem(MinimaxProblem):
             raise NumericalOverflow(f"objective overflowed (logdet={float(logs.sum()):.6g})")
         return val
 
-    def _grad_x_eucl(self, x: Point, y: Point, batch: Batch | None) -> np.ndarray:
-        w, Q = self.my.point_spectrum(y.data)
-        y_inv = (Q / w) @ Q.T
-        return y_inv @ self._quad_rows(x, batch).sum(axis=0)
+    def _grad_x(self, x: np.ndarray, y: np.ndarray, idx: np.ndarray | None = None, rng=None) -> np.ndarray:
+        w, Q = self.my.point_spectrum(y)
+        g = ((Q / w) @ Q.T) @ self._quad_rows(x, idx).sum(axis=0)
+        return self.mx._project(x, g if idx is None else (self.n / idx.size) * g)
 
-    def _grad_y_mat(self, x: Point, y: Point, batch: Batch | None, scale: float | None) -> np.ndarray:
+    def _grad_y(self, x: np.ndarray, y: np.ndarray, idx: np.ndarray | None = None, rng=None) -> np.ndarray:
         # Riemannian gradient under the affine-invariant metric: sandwiching
         # the Euclidean partial by Y collapses to -(n/2) Y + (1/2) W^T W, and
         # the regularizer contributes 2c * Y logm(Y).
-        w, Q = self.my.point_spectrum(y.data)
-        W = self._quad_rows(x, batch)
-        quad = W.T @ W
-        if scale is not None:
-            quad = scale * quad
+        w, Q = self.my.point_spectrum(y)
+        W = self._quad_rows(x, idx)
+        quad = W.T @ W if idx is None else (self.n / idx.size) * (W.T @ W)
         reg = (Q * (w * np.log(w))) @ Q.T
-        Y = y.data.reshape(self.d + 1, self.d + 1)
+        Y = y.reshape(self.d + 1, self.d + 1)
         M = -0.5 * self.n * Y + 0.5 * quad + (2.0 * self.c) * reg
-        return 0.5 * (M + M.T)
+        return (0.5 * (M + M.T)).reshape(-1)
 
-    # -- exact oracles -------------------------------------------------------
-
-    def grad_x(self, x: Point, y: Point) -> Tangent:
-        return self.mx.project_tangent(x, self._grad_x_eucl(x, y, None))
-
-    def grad_y(self, x: Point, y: Point) -> Tangent:
-        return Tangent(y, self._grad_y_mat(x, y, None, None).reshape(-1))
-
-    # -- stochastic oracles ---------------------------------------------------
-
-    def stoch_grad_x(self, x: Point, y: Point, batch: Batch, rng: np.random.Generator) -> Tangent:
-        self._check_batch(batch)
-        g = (self.n / len(batch)) * self._grad_x_eucl(x, y, batch)
-        return self.mx.project_tangent(x, g)
-
-    def stoch_grad_y(self, x: Point, y: Point, batch: Batch, rng: np.random.Generator) -> Tangent:
-        self._check_batch(batch)
-        M = self._grad_y_mat(x, y, batch, self.n / len(batch))
-        return Tangent(y, M.reshape(-1))
+    _stoch_grad_x, _stoch_grad_y = _grad_x, _grad_y
 
     def default_start(self, rng: np.random.Generator) -> tuple[Point, Point]:
         """Random location on the sphere; the covariance starts at identity."""
@@ -262,32 +257,29 @@ class SyntheticQuadratic(MinimaxProblem):
         self.my: Euclidean = Euclidean(self.m)
         self.sample_count = 1
 
-    def value(self, x: Point, y: Point) -> float:
-        val = float(y.data @ (self.a_mat @ x.data)) - 0.5 * self.mu * float(y.data @ y.data)
-        val += float(self.b @ x.data)
+    def _value(self, x: np.ndarray, y: np.ndarray) -> float:
+        val = float(y @ (self.a_mat @ x)) - 0.5 * self.mu * float(y @ y)
+        val += float(self.b @ x)
         if not np.isfinite(val):
             raise NumericalOverflow("objective overflowed")
         return val
 
-    def grad_x(self, x: Point, y: Point) -> Tangent:
-        return self.mx.project_tangent(x, self.a_mat.T @ y.data + self.b)
+    def _grad_x(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        return self.mx._project(x, self.a_mat.T @ y + self.b)
 
-    def grad_y(self, x: Point, y: Point) -> Tangent:
-        return Tangent(y, self.a_mat @ x.data - self.mu * y.data)
+    def _grad_y(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        return self.a_mat @ x - self.mu * y
 
-    def stoch_grad_x(self, x: Point, y: Point, batch: Batch, rng: np.random.Generator) -> Tangent:
-        self._check_batch(batch)
-        g = self.a_mat.T @ y.data + self.b
+    def _noisy(self, g: np.ndarray, idx: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         if self.noise_sigma > 0.0:
-            g = g + (self.noise_sigma / np.sqrt(len(batch))) * rng.standard_normal(self.k)
-        return self.mx.project_tangent(x, g)
+            g = g + (self.noise_sigma / math.sqrt(idx.size)) * rng.standard_normal(g.size)
+        return g
 
-    def stoch_grad_y(self, x: Point, y: Point, batch: Batch, rng: np.random.Generator) -> Tangent:
-        self._check_batch(batch)
-        g = self.a_mat @ x.data - self.mu * y.data
-        if self.noise_sigma > 0.0:
-            g = g + (self.noise_sigma / np.sqrt(len(batch))) * rng.standard_normal(self.m)
-        return Tangent(y, g)
+    def _stoch_grad_x(self, x: np.ndarray, y: np.ndarray, idx: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        return self.mx._project(x, self._noisy(self.a_mat.T @ y + self.b, idx, rng))
+
+    def _stoch_grad_y(self, x: np.ndarray, y: np.ndarray, idx: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        return self._noisy(self._grad_y(x, y), idx, rng)
 
     def inner_max_oracle(self, x: Point) -> tuple[Point, float]:
         self.mx._require_point(x)

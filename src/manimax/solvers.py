@@ -11,7 +11,7 @@ couple the descent stepsize to the larger of the two accumulators:
 The accumulators are updated before the stepsizes are formed; the stepsizes
 of step t therefore already include the gradients of step t. The stochastic
 variant draws the batches of the two sides from two generators that ``run``
-derives once from the seed. Every method steps through the one kernel ``_step``.
+derives once from the seed. Every method steps through one array kernel, ``_step``.
 """
 from __future__ import annotations
 
@@ -22,8 +22,8 @@ from enum import Enum
 
 import numpy as np
 
-from .manifolds import GeometryError, Point, Tangent
-from .problems import Batch, MinimaxProblem, NumericalOverflow
+from .manifolds import GeometryError, Point, _trusted
+from .problems import MinimaxProblem, NumericalOverflow
 
 __all__ = [
     "ConfigError",
@@ -151,7 +151,6 @@ class IterationRecord:
     gamma_t: float
     f_value: float
     wall_s: float
-    dist_to_ystar: float | None = None
 
 
 @dataclass
@@ -201,69 +200,70 @@ def running_min_checkpoints(trace: Trace, budgets, squared: bool = False) -> lis
     return out
 
 
-def _step(
-    problem: MinimaxProblem,
-    state: AdaptiveState,
-    cfg: SolverConfig,
-    gx: Tangent,
-    gy: Tangent,
-) -> tuple[AdaptiveState, float, float, float, float]:
-    """One step of cfg.method from the gradients (gx, gy) at state.
+def _step(problem: MinimaxProblem, cfg: SolverConfig, x: np.ndarray, y: np.ndarray, vx: float, vy: float,
+          rngs: tuple[np.random.Generator, np.random.Generator] | None, full: np.ndarray):
+    """One step of cfg.method at the point arrays (x, y) with accumulators (vx, vy).
 
-    Returns the next state, the stepsizes (eta, gamma) it applied and the
+    Exact gradients when rngs is None, else each side draws its batch and
+    noise from its own generator; a batch that covers the dataset is ``full``.
+    Returns the next (x, y, vx, vy), the stepsizes (eta, gamma) and the
     squared gradient norms (nx2, ny2). GDA uses eta_x on both sides, TSGDA
     (eta_x, eta_y); the adaptive methods use the law in the module docstring.
     """
-    nx2 = problem.mx.inner(gx, gx)
-    ny2 = problem.my.inner(gy, gy)
+    mx, my = problem.mx, problem.my
+    if rngs is None:
+        gx, gy = problem._grad_x(x, y), problem._grad_y(x, y)
+    else:
+        n, size = full.size, cfg.batch_size
+        idx_x = full if size >= n else rngs[0].integers(0, n, size=size, dtype=np.int64)
+        idx_y = full if size >= n else rngs[1].integers(0, n, size=size, dtype=np.int64)
+        gx = problem._stoch_grad_x(x, y, idx_x, rngs[0])
+        gy = problem._stoch_grad_y(x, y, idx_y, rngs[1])
+    mx.check_tangent(x, gx)
+    my.check_tangent(y, gy)
+    # An overflow of the norms or of the scaled steps reads as inf: a NumericalError.
+    with np.errstate(over="ignore", invalid="ignore"):
+        nx2, ny2 = _sq_norms(problem, x, y, gx, gy)
+        if cfg.method in (Method.RAGDA, Method.RSAGDA):
+            vx += nx2
+            vy += ny2
+            eta = cfg.eta_x / max(vx, vy) ** cfg.alpha
+            gamma = cfg.eta_y / vy**cfg.beta
+        else:
+            eta = cfg.eta_x
+            gamma = cfg.eta_x if cfg.method is Method.GDA else cfg.eta_y
+        ux, uy = -eta * gx, gamma * gy
+    if not (np.isfinite(ux).all() and np.isfinite(uy).all()):
+        raise NumericalError("a scaled gradient step overflowed")
+    return mx._move(mx._retract, x, ux), my._move(my._retract, y, uy), vx, vy, eta, gamma, nx2, ny2
+
+
+def _sq_norms(problem: MinimaxProblem, x: np.ndarray, y: np.ndarray,
+              gx: np.ndarray, gy: np.ndarray) -> tuple[float, float]:
+    nx2 = problem.mx._inner_data(x, gx, gx)
+    ny2 = problem.my._inner_data(y, gy, gy)
     if not (math.isfinite(nx2) and math.isfinite(ny2)):
         raise NumericalError("non-finite gradient norm")
-    vx, vy = state.vx, state.vy
-    if cfg.method in (Method.RAGDA, Method.RSAGDA):
-        vx += nx2
-        vy += ny2
-        eta = cfg.eta_x / max(vx, vy) ** cfg.alpha
-        gamma = cfg.eta_y / vy**cfg.beta
-    else:
-        eta = cfg.eta_x
-        gamma = cfg.eta_x if cfg.method is Method.GDA else cfg.eta_y
-    x1 = problem.mx.retract(state.x, gx.scaled(-eta))
-    y1 = problem.my.retract(state.y, gy.scaled(gamma))
-    return AdaptiveState(x=x1, y=y1, vx=vx, vy=vy, t=state.t + 1), eta, gamma, nx2, ny2
+    return nx2, ny2
 
 
-def _grads(problem: MinimaxProblem, state: AdaptiveState, cfg: SolverConfig,
-           rngs: tuple[np.random.Generator, np.random.Generator] | None = None) -> tuple[Tangent, Tangent]:
-    """Exact gradients, or stochastic ones with one (batch, noise) stream per side.
-
-    A requested batch at least as large as the dataset degenerates to the
-    deterministic full-index batch instead of sampling with replacement.
-    """
-    x, y = state.x, state.y
-    if rngs is None:
-        return problem.grad_x(x, y), problem.grad_y(x, y)
-    rng_x, rng_y = rngs
-    n = problem.sample_count
-    if cfg.batch_size >= n:
-        batch_x = batch_y = Batch.full(n)
-    else:
-        batch_x = Batch.sample(rng_x, n, cfg.batch_size)
-        batch_y = Batch.sample(rng_y, n, cfg.batch_size)
-    return problem.stoch_grad_x(x, y, batch_x, rng_x), problem.stoch_grad_y(x, y, batch_y, rng_y)
+def _state(problem: MinimaxProblem, x: np.ndarray, y: np.ndarray, vx: float, vy: float, t: int) -> AdaptiveState:
+    return AdaptiveState(x=_trusted(Point, problem.mx, x), y=_trusted(Point, problem.my, y), vx=vx, vy=vy, t=t)
 
 
-def _public_step(problem: MinimaxProblem, state: AdaptiveState, cfg: SolverConfig,
-                 method: Method, rng: np.random.Generator | None = None) -> AdaptiveState:
-    """Body of the public *_step functions: gradients, then one kernel step."""
+def _state_step(problem: MinimaxProblem, state: AdaptiveState, cfg: SolverConfig, method: Method,
+                rngs: tuple[np.random.Generator, np.random.Generator] | None = None) -> AdaptiveState:
+    """The boundary of the *_step functions: one ``_step`` from and to an AdaptiveState."""
     if cfg.method is not method:
         raise ConfigError(f"{method.value}_step needs method {method.value!r}, got {cfg.method.value!r}")
-    gx, gy = _grads(problem, state, cfg, None if rng is None else rng.spawn(2))
-    return _step(problem, state, cfg, gx, gy)[0]
+    full = np.arange(problem.sample_count, dtype=np.int64)
+    x, y, vx, vy = _step(problem, cfg, *problem._arrays(state.x, state.y), state.vx, state.vy, rngs, full)[:4]
+    return _state(problem, x, y, vx, vy, state.t + 1)
 
 
 def ragda_step(problem: MinimaxProblem, state: AdaptiveState, cfg: SolverConfig) -> AdaptiveState:
     """One adaptive descent-ascent step with exact gradients."""
-    return _public_step(problem, state, cfg, Method.RAGDA)
+    return _state_step(problem, state, cfg, Method.RAGDA)
 
 
 def rsagda_step(
@@ -277,17 +277,17 @@ def rsagda_step(
     Each call spawns one fresh substream per side from ``rng``; ``run`` keeps
     one stream per side for the whole run, so the two sample paths differ.
     """
-    return _public_step(problem, state, cfg, Method.RSAGDA, rng)
+    return _state_step(problem, state, cfg, Method.RSAGDA, tuple(rng.spawn(2)))
 
 
 def gda_step(problem: MinimaxProblem, state: AdaptiveState, cfg: SolverConfig) -> AdaptiveState:
     """Fixed-stepsize descent ascent with the same stepsize on both sides."""
-    return _public_step(problem, state, cfg, Method.GDA)
+    return _state_step(problem, state, cfg, Method.GDA)
 
 
 def tsgda_step(problem: MinimaxProblem, state: AdaptiveState, cfg: SolverConfig) -> AdaptiveState:
     """Fixed-stepsize descent ascent on two timescales (eta_x, eta_y)."""
-    return _public_step(problem, state, cfg, Method.TSGDA)
+    return _state_step(problem, state, cfg, Method.TSGDA)
 
 
 def run(
@@ -318,12 +318,13 @@ def run(
         if given is not None:
             manifold._require_point(given)
             manifold.check_point(given.data)
-    x = x0 if x0 is not None else x_init
-    y = y0 if y0 is not None else y_init
-    state = AdaptiveState(x=x, y=y, vx=cfg.v0_x, vy=cfg.v0_y, t=0)
+    # Read-only point arrays, so that the SPD spectrum memo hits at each iterate.
+    x, y = (x0 or x_init).data, (y0 or y_init).data
+    vx, vy, done = cfg.v0_x, cfg.v0_y, 0
 
     stochastic = cfg.method is Method.RSAGDA
     rngs = tuple(np.random.default_rng(s) for s in step_ss.spawn(2)) if stochastic else None
+    full = np.arange(problem.sample_count, dtype=np.int64)
     record_stride = 1 if cfg.max_iters <= RECORD_CAP else math.ceil(cfg.max_iters / RECORD_CAP)
 
     records: list[IterationRecord] = []
@@ -335,22 +336,14 @@ def run(
 
     def emit(t: int, sx: float, sy: float, eta: float, gamma: float) -> None:
         calls["value"] += 1
-        f_val = problem.value(state.x, state.y)
-        dist_ystar = None
-        try:
-            y_star, _ = problem.inner_max_oracle(state.x)
-            dist_ystar = problem.my.dist(state.y, y_star)
-        except GeometryError:
-            pass
         rec = IterationRecord(
             t=t,
             grad_x_norm=sx,
             grad_y_norm=sy,
             eta_t=eta,
             gamma_t=gamma,
-            f_value=f_val,
+            f_value=problem._value(x, y),
             wall_s=time.perf_counter() - start,
-            dist_to_ystar=dist_ystar,
         )
         records.append(rec)
         for cb in callbacks:
@@ -358,16 +351,17 @@ def run(
 
     try:
         for t in range(cfg.max_iters):
-            gx, gy = _grads(problem, state, cfg, rngs)
+            x1, y1, vx1, vy1, eta, gamma, nx2, ny2 = _step(problem, cfg, x, y, vx, vy, rngs, full)
             calls["stoch_grad" if stochastic else "grad"] += 2
-            nxt, eta, gamma, nx2, ny2 = _step(problem, state, cfg, gx, gy)
             max_step_grad = max(max_step_grad, math.sqrt(nx2), math.sqrt(ny2))
 
             last = t == cfg.max_iters - 1
             if stochastic:
                 evaluate = t % eval_stride == 0 or last
                 if evaluate:
-                    sx, sy = stationarity(problem, state.x, state.y)
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        ex2, ey2 = _sq_norms(problem, x, y, problem._grad_x(x, y), problem._grad_y(x, y))
+                    sx, sy = math.sqrt(ex2), math.sqrt(ey2)
                     calls["grad"] += 2
             else:
                 evaluate = True
@@ -384,7 +378,7 @@ def run(
                 if converged:
                     stop = StopReason.CONVERGED
                     break
-            state = nxt
+            x, y, vx, vy, done = x1, y1, vx1, vy1, t + 1
     except (GeometryError, NumericalOverflow, NumericalError, FloatingPointError) as err:
         stop = StopReason.NUMERICAL_ERROR
         metadata_error = f"{type(err).__name__}: {err}"
@@ -396,7 +390,7 @@ def run(
         records=records,
         stop_reason=stop,
         min_stationarity=min_stat,
-        final_state=state,
+        final_state=_state(problem, x, y, vx, vy, done),
         metadata={
             "seed": cfg.seed,
             "method": cfg.method.value,

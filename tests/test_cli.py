@@ -1,5 +1,6 @@
 """End-to-end tests of the command line harness."""
 import argparse
+import warnings
 
 import numpy as np
 import pytest
@@ -127,6 +128,21 @@ def test_numerical_error_exit_code(tmp_path):
     ])
     assert code == 3
     assert "repeat0.error = " in (tmp_path / "boom_summary.txt").read_text()
+
+
+def test_spd_exp_overflow_is_a_typed_error_not_a_warning(tmp_path):
+    # GDA with eta 0.5 overflows exp of the whitened SPD step within a few
+    # steps; that must stop the run with a named error and no numpy warning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main([
+            "run", "--preset", "robust-mle-gda", "--eta-x", "0.5", "--eta-y", "0.5",
+            "--max-iters", "50", "--label", "of", "--out", str(tmp_path),
+        ])
+    assert code == 3
+    summary = (tmp_path / "of_summary.txt").read_text()
+    assert "repeat0.stop_reason = numerical_error" in summary
+    assert "repeat0.error = DegenerateRetraction: exp map overflowed" in summary
 
 
 def test_preset_from_file_and_bad_preset(tmp_path):
@@ -353,7 +369,7 @@ def test_out_that_cannot_be_created_is_a_config_error(tmp_path, capsys, no_runs)
         assert_config_error(["run", "--preset", "synthetic-ragda", "--out", str(out)], capsys)
 
 
-@pytest.mark.parametrize("decades", ["-1", "0", "1", "307", "800"])
+@pytest.mark.parametrize("decades", ["-1", "0", "1", "6", "307", "800"])
 @pytest.mark.parametrize("suite", ["all", "adaptive-sum", "geometry"])
 def test_bad_budget_decades_is_a_config_error_before_any_suite(capsys, no_runs, suite, decades):
     assert_config_error(["verify", "--suite", suite, "--budget-decades", decades], capsys)

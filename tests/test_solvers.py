@@ -1,5 +1,6 @@
 """Solver tests: hand-stepped updates, determinism, stepsize laws, traces."""
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,7 +18,6 @@ from manimax import (
     SolverConfig,
     Sphere,
     StopReason,
-    Tangent,
     gda_step,
     generate_gaussian_instance,
     generate_quadratic_instance,
@@ -38,14 +38,14 @@ class SaddleToy(MinimaxProblem):
         self.my = Euclidean(1)
         self.sample_count = 1
 
-    def value(self, x, y):
-        return float(x.data[0] * y.data[0] - 0.5 * y.data[0] ** 2)
+    def _value(self, x, y):
+        return float(x[0] * y[0] - 0.5 * y[0] ** 2)
 
-    def grad_x(self, x, y):
-        return Tangent(x, np.array([y.data[0]]))
+    def _grad_x(self, x, y):
+        return np.array([y[0]])
 
-    def grad_y(self, x, y):
-        return Tangent(y, np.array([x.data[0] - y.data[0]]))
+    def _grad_y(self, x, y):
+        return np.array([x[0] - y[0]])
 
     def default_start(self, rng):
         return Point(self.mx, [1.0]), Point(self.my, [0.0])
@@ -261,9 +261,16 @@ def test_initial_point_on_wrong_manifold_rejected():
         run(prob, cfg, y0=Point(Euclidean(2), [1.0, 2.0]))
 
 
-def test_geometry_checked_only_at_the_boundary(monkeypatch):
+@pytest.mark.parametrize(
+    "prob, method",
+    [(generate_gaussian_instance(4, 12, -5.0, seed=0), Method.RAGDA),
+     (generate_quadratic_instance(6, 4, 1.0, 0, 0.1), Method.RSAGDA)],
+    ids=["robust-mle-ragda", "quadratic-rsagda"],
+)
+def test_geometry_checked_only_at_the_boundary(monkeypatch, prob, method):
     # Per step, only the two oracle outputs are validated; retraction
-    # results and scaled tangents are built without membership checks.
+    # results are built without membership checks, and the exact gradients
+    # of a stochastic run's evaluations are not checked either.
     counts = {"point": 0, "tangent": 0}
     check_point, check_tangent = Manifold.check_point, Manifold.check_tangent
 
@@ -277,11 +284,10 @@ def test_geometry_checked_only_at_the_boundary(monkeypatch):
 
     monkeypatch.setattr(Manifold, "check_point", counted_point)
     monkeypatch.setattr(Manifold, "check_tangent", counted_tangent)
-    prob = generate_gaussian_instance(4, 12, -5.0, seed=0)
     seen = {}
     for steps in (0, 20):
         counts.update(point=0, tangent=0)
-        trace = run(prob, SolverConfig(method=Method.RAGDA, max_iters=steps, seed=1))
+        trace = run(prob, SolverConfig(method=method, max_iters=steps, seed=1), eval_stride=5)
         assert trace.final_state.t == steps
         seen[steps] = dict(counts)
     assert seen[20]["point"] - seen[0]["point"] == 0
@@ -307,6 +313,27 @@ def test_robust_mle_step_decomposes_twice(monkeypatch, method):
         assert trace.final_state.t == steps
         seen[steps] = count[0]
     assert seen[20] - seen[0] == 2 * 20
+
+
+@pytest.mark.parametrize(
+    "prob, cfg",
+    [(generate_quadratic_instance(6, 4, 1.0, 0, 0.0), SolverConfig(max_iters=30, seed=2)),
+     (generate_gaussian_instance(4, 12, -5.0, seed=0), SolverConfig(max_iters=30, seed=1, eta_x=5e-3, eta_y=5e-3))],
+    ids=["quadratic", "robust-mle"],
+)
+@pytest.mark.parametrize("step, method", [(ragda_step, Method.RAGDA), (gda_step, Method.GDA),
+                                          (tsgda_step, Method.TSGDA)])
+def test_step_functions_replay_run(prob, cfg, step, method):
+    # The step functions and run share one kernel: stepping by hand from
+    # run's start point ends where run does, bit for bit.
+    cfg = replace(cfg, method=method)
+    state = run(prob, replace(cfg, max_iters=0)).final_state
+    for _ in range(cfg.max_iters):
+        state = step(prob, state, cfg)
+    final = run(prob, cfg).final_state
+    assert np.array_equal(state.x.data, final.x.data)
+    assert np.array_equal(state.y.data, final.y.data)
+    assert (state.vx, state.vy, state.t) == (final.vx, final.vy, final.t)
 
 
 def test_record_stride_caps_trace_length():

@@ -16,7 +16,7 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from importlib import resources
 from pathlib import Path
 from typing import Callable
@@ -38,6 +38,7 @@ from .solvers import (
     StopReason,
     Trace,
     run,
+    run_seeds,
     running_min_checkpoints,
 )
 from .verification import (
@@ -204,11 +205,10 @@ def _repeat_seed(base_seed: int, index: int) -> int:
 
 
 def run_experiment(cfg: ExperimentConfig) -> list[Trace]:
+    """Every repeat, as the rows of one batched run."""
     problem = build_problem(cfg)
-    return [
-        run(problem, replace(cfg.solver, seed=_repeat_seed(cfg.solver.seed, i)), eval_stride=cfg.eval_stride)
-        for i in range(cfg.repeats)
-    ]
+    seeds = [_repeat_seed(cfg.solver.seed, i) for i in range(cfg.repeats)]
+    return run_seeds(problem, cfg.solver, seeds, eval_stride=cfg.eval_stride)
 
 
 _CSV_HEADER = "iter,wall_s,grad_x_norm,grad_y_norm,eta_t,gamma_t,f_value"

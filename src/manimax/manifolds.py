@@ -10,10 +10,16 @@ The Point and Tangent constructors validate shape, finiteness and the manifold
 invariants of the arrays they are given. Retraction and exp results and scaled
 tangents, derived from validated values, are checked for finiteness only, by
 ``_frozen``, and wrapped by ``_trusted``.
+
+The kernels a solver step calls (``_retract``, ``_exp``, ``_inner_data``,
+``_project``, ``check_tangent`` and ``_move``) are row-wise: they take one flat
+array of shape (n,) or a stack of R of them, shape (R, n), and treat every row
+on its own, with the same bits whatever R is.
 """
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from numbers import Real
 
@@ -154,7 +160,7 @@ class Tangent:
 def _frozen(data: np.ndarray, what: str, owner) -> np.ndarray:
     """Derived data, whose membership holds by construction, checked for
     finiteness only and frozen in place: pass fresh arrays or read-only views."""
-    arr = np.asarray(data, dtype=np.float64).reshape(-1)
+    arr = np.asarray(data, dtype=np.float64)
     if not np.isfinite(arr).all():
         raise InvalidGeometry(f"{what} on {owner!r} contains non-finite entries")
     arr.setflags(write=False)
@@ -168,6 +174,27 @@ def _trusted(cls: type, owner, arr: np.ndarray):
     object.__setattr__(obj, "manifold" if cls is Point else "base", owner)
     object.__setattr__(obj, "data", arr)
     return obj
+
+
+def _norm(a: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row; the bits of ``np.linalg.norm`` on that row."""
+    return np.sqrt(np.vecdot(a, a))
+
+
+def _first(values: np.ndarray, bad: np.ndarray) -> float:
+    """The entry of ``values`` at the first row flagged ``bad``, for an error message."""
+    return float(np.ravel(values)[np.argmax(np.ravel(bad))])
+
+
+def _still_rows_kept(kernel, x: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``kernel(x, u)``, keeping x on every row where u is zero, and x itself
+    when all of u is zero."""
+    moving = u.any(axis=-1)
+    if np.count_nonzero(moving) == moving.size:
+        return kernel(x, u)
+    if not moving.any():
+        return x
+    return np.where(moving[..., None], kernel(x, u), x)
 
 
 def _size(value, what: str, low: int) -> int:
@@ -227,12 +254,13 @@ class Manifold:
             self._check_point(data)
 
     def check_tangent(self, base: np.ndarray, data: np.ndarray) -> None:
-        self._check_array(data, "tangent")
+        """Tangent data at base; a stack of rows is checked row by row."""
+        self._check_array(data, "tangent", base.shape)
         with np.errstate(over="ignore", invalid="ignore"):
             self._check_tangent(base, data)
 
-    def _check_array(self, data: np.ndarray, what: str) -> None:
-        if data.shape != (self.ambient_size,):
+    def _check_array(self, data: np.ndarray, what: str, shape: tuple | None = None) -> None:
+        if data.shape != (shape or (self.ambient_size,)):
             raise InvalidGeometry(f"{self.kind} {what} needs {self.ambient_size} entries, got {data.shape}")
         if not np.isfinite(data).all():
             raise InvalidGeometry(f"{self.kind} {what} contains non-finite entries")
@@ -261,15 +289,15 @@ class Manifold:
     def inner(self, u: Tangent, v: Tangent) -> float:
         """Riemannian inner product of two tangents at the same base."""
         self._require_same_base(u, v)
-        return self._inner_data(u.base.data, u.data, v.data)
+        return float(self._inner_data(u.base.data, u.data, v.data))
 
     def norm(self, u: Tangent) -> float:
         self._require_point(u.base)
         return float(np.sqrt(self._inner_data(u.base.data, u.data, u.data)))
 
-    def _inner_data(self, base: np.ndarray, u: np.ndarray, v: np.ndarray) -> float:
+    def _inner_data(self, base: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         # Ambient (Frobenius) metric; SPD overrides with the affine-invariant one.
-        return float(np.dot(u, v))
+        return np.vecdot(u, v)
 
     # -- maps ---------------------------------------------------------------
 
@@ -287,18 +315,19 @@ class Manifold:
 
     def _moved(self, kernel, x: Point, u: Tangent) -> Point:
         self._require_rooted(x, u)
-        z = self._move(kernel, x.data, u.data)
+        with np.errstate(over="ignore", invalid="ignore"):
+            z = self._move(kernel, x.data, u.data)
         return x if z is x.data else _trusted(Point, self, z)
 
     def _move(self, kernel, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """Retract and exp on arrays: x itself for a zero u, else ``kernel(x, u)``.
-        An overflow there yields inf or nan, not a warning, and then a
-        GeometryError from the kernel's own guard or from ``_frozen``."""
-        if not u.any():
-            return x
-        with np.errstate(over="ignore", invalid="ignore"):
-            z = kernel(x, u)
-        return _frozen(z, "point", self)
+        """Retract and exp on arrays: x itself for a zero u, else ``kernel(x, u)``
+        with the rows of x kept where u is zero. Callers run it under an
+        errstate that ignores overflow and invalid results: an overflow then
+        yields inf or nan, not a warning, and then a GeometryError from the
+        kernel's own guard or from ``_frozen``."""
+        # No zero entry at all (the rule for noisy gradients) is the cheap test.
+        z = kernel(x, u) if u.all() else _still_rows_kept(kernel, x, u)
+        return x if z is x else _frozen(z, "point", self)
 
     def log(self, x: Point, y: Point) -> Tangent:
         self._require_exp()
@@ -422,26 +451,27 @@ class Sphere(Manifold):
         # Relative bound plus an absolute floor: the radial residue left by
         # roundoff is proportional to the base scale, not the tangent scale,
         # so near-zero tangents would otherwise fail a purely relative test.
-        bound = _SPHERE_TANGENT_REL * r * np.linalg.norm(data) + _DEGENERATE_NORM * r * r
-        if not abs(float(np.dot(base, data))) <= bound:
-            raise InvalidGeometry("tangent is not orthogonal to the sphere point")
+        for sq, dot in zip(np.vecdot(data, data).ravel().tolist(), np.vecdot(base, data).ravel().tolist()):
+            bound = _SPHERE_TANGENT_REL * r * math.sqrt(sq) + _DEGENERATE_NORM * r * r
+            if not abs(dot) <= bound:
+                raise InvalidGeometry("tangent is not orthogonal to the sphere point")
 
     def _retract(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Metric rescaling: r * (x + u) / ||x + u||."""
         s = x + u
-        ns = float(np.linalg.norm(s))
+        ns = np.sqrt(np.vecdot(s, s, keepdims=True))
         # An overflowed norm would scale x + u to the zero vector.
-        if not _DEGENERATE_NORM <= ns < np.inf:
-            raise DegenerateRetraction(f"||x + u|| = {ns:.3g}: collapsed to the origin or overflowed")
+        for v in ns.ravel().tolist():
+            if not _DEGENERATE_NORM <= v < np.inf:
+                raise DegenerateRetraction(f"||x + u|| = {v:.3g}: collapsed to the origin or overflowed")
         return (self.radius / ns) * s
 
     def _exp(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-        nu = float(np.linalg.norm(u))
-        # A nonzero u whose squared entries all underflow has norm 0.
-        if nu == 0.0:
-            return x
+        nu = _norm(u)[..., None]
         t = nu / self.radius
-        return np.cos(t) * x + (self.radius * np.sin(t) / nu) * u
+        z = np.cos(t) * x + (self.radius * np.sin(t) / nu) * u
+        # A nonzero u whose squared entries all underflow has norm 0.
+        return np.where(nu == 0.0, x, z)
 
     def _cos_angle(self, x: np.ndarray, y: np.ndarray) -> float:
         return float(np.dot(x, y)) / self.radius**2
@@ -480,11 +510,14 @@ class Sphere(Manifold):
         return self.radius * float(np.arccos(c))
 
     def _project(self, x: np.ndarray, ambient: np.ndarray) -> np.ndarray:
+        # Dividing by 1 changes no bit, so the unit sphere skips it.
         r2 = self.radius**2
-        out = ambient - (float(np.dot(x, ambient)) / r2) * x
+        c = np.vecdot(x, ambient, keepdims=True)
+        out = ambient - (c if r2 == 1.0 else c / r2) * x
         # Second pass scrubs the residual normal component left by cancellation
         # when the input is nearly parallel to x.
-        out -= (float(np.dot(x, out)) / r2) * x
+        c = np.vecdot(x, out, keepdims=True)
+        out -= (c if r2 == 1.0 else c / r2) * x
         return out
 
     def _random_point(self, rng: np.random.Generator) -> np.ndarray:
@@ -502,7 +535,7 @@ class Sphere(Manifold):
 
 
 def _sym(mat: np.ndarray) -> np.ndarray:
-    return 0.5 * (mat + mat.T)
+    return 0.5 * (mat + mat.mT)
 
 
 class Stiefel(Manifold):
@@ -528,7 +561,7 @@ class Stiefel(Manifold):
         return ("stiefel", self.rows, self.cols)
 
     def _mat(self, data: np.ndarray) -> np.ndarray:
-        return data.reshape(self.rows, self.cols)
+        return data.reshape(*data.shape[:-1], self.rows, self.cols)
 
     def _check_point(self, data: np.ndarray) -> None:
         X = self._mat(data)
@@ -539,9 +572,10 @@ class Stiefel(Manifold):
     def _check_tangent(self, base: np.ndarray, data: np.ndarray) -> None:
         X = self._mat(base)
         U = self._mat(data)
-        skew_err = np.linalg.norm(X.T @ U + U.T @ X)
-        if not skew_err <= _STIEFEL_TANGENT:
-            raise InvalidGeometry(f"X^T U not skew (||X^T U + U^T X|| = {skew_err:.3e})")
+        skew_err = _norm((X.mT @ U + U.mT @ X).reshape(*data.shape[:-1], -1))
+        ok = skew_err <= _STIEFEL_TANGENT
+        if not ok.all():
+            raise InvalidGeometry(f"X^T U not skew (||X^T U + U^T X|| = {_first(skew_err, ~ok):.3e})")
 
     @property
     def has_exp(self) -> bool:
@@ -550,11 +584,11 @@ class Stiefel(Manifold):
     def _retract(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
         """QR retraction with the R diagonal forced positive."""
         Q, R = np.linalg.qr(self._mat(x) + self._mat(u))
-        diag = np.diag(R)
-        floor = _DEGENERATE_NORM * max(1.0, float(np.abs(diag).max()))
+        diag = np.diagonal(R, axis1=-2, axis2=-1)
+        floor = _DEGENERATE_NORM * np.fmax(1.0, np.abs(diag).max(axis=-1, keepdims=True))
         if np.any(np.abs(diag) < floor):
             raise DegenerateRetraction("x + u is numerically rank deficient")
-        return (Q * np.sign(diag)).reshape(-1)
+        return (Q * np.sign(diag)[..., None, :]).reshape(x.shape)
 
     def _transport(self, x: np.ndarray, y: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Projection transport: project u onto the tangent space at y."""
@@ -563,9 +597,9 @@ class Stiefel(Manifold):
     def _project(self, x: np.ndarray, ambient: np.ndarray) -> np.ndarray:
         X = self._mat(x)
         A = self._mat(ambient)
-        U = A - X @ _sym(X.T @ A)
-        U -= X @ _sym(X.T @ U)
-        return U.reshape(-1)
+        U = A - X @ _sym(X.mT @ A)
+        U -= X @ _sym(X.mT @ U)
+        return U.reshape(x.shape)
 
     def _random_point(self, rng: np.random.Generator) -> np.ndarray:
         Q, R = np.linalg.qr(rng.standard_normal((self.rows, self.cols)))
@@ -613,11 +647,12 @@ class SPD(Manifold):
         return ("spd", self.order)
 
     def _mat(self, data: np.ndarray) -> np.ndarray:
-        return data.reshape(self.order, self.order)
+        return data.reshape(*data.shape[:-1], self.order, self.order)
 
     def _check_sym(self, M: np.ndarray, what: str) -> None:
-        scale = max(1.0, float(np.abs(M).max(initial=0.0)))
-        if float(np.abs(M - M.T).max(initial=0.0)) > _SPD_SYMMETRY * scale:
+        entries = (-2, -1)
+        scale = np.maximum(1.0, np.abs(M).max(axis=entries, initial=0.0))
+        if np.any(np.abs(M - M.mT).max(axis=entries, initial=0.0) > _SPD_SYMMETRY * scale):
             raise InvalidGeometry(f"{what} is not symmetric")
 
     def _check_point(self, data: np.ndarray) -> None:
@@ -631,21 +666,20 @@ class SPD(Manifold):
         self._check_sym(self._mat(data), "SPD tangent")
 
     def spectrum(self, M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Eigendecomposition of a symmetric matrix with the clamp policy."""
+        """Eigendecomposition of a symmetric matrix, or of each in a stack, with the clamp policy."""
         w, Q = np.linalg.eigh(_sym(M))
         if not np.all(np.isfinite(w)):
             raise InvalidGeometry("eigendecomposition produced non-finite values")
-        floor = _EIG_FLOOR_REL * float(w[-1])
-        if floor > 0.0:
-            low = w < floor
-            if np.any(low):
-                if self.clamp_counter is not None:
-                    self.clamp_counter.bump(int(low.sum()))
-                w = np.maximum(w, floor)
+        floor = _EIG_FLOOR_REL * w[..., -1:]
+        low = (w < floor) & (floor > 0.0)
+        if np.any(low):
+            if self.clamp_counter is not None:
+                self.clamp_counter.bump(int(low.sum()))
+            w = np.where(low, floor, w)
         return w, Q
 
     def point_spectrum(self, data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``spectrum`` of a flat point array, memoised for read-only arrays."""
+        """``spectrum`` of a flat point array or of a stack of them, memoised for read-only arrays."""
         memo = self._memo
         if memo is not None and memo[0] is data:
             return memo[1], memo[2]
@@ -654,18 +688,19 @@ class SPD(Manifold):
             self._memo = (data, w, Q)
         return w, Q
 
-    def _inner_data(self, base: np.ndarray, u: np.ndarray, v: np.ndarray) -> float:
+    def _inner_data(self, base: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         w, Q = self.point_spectrum(base)
-        U = Q.T @ self._mat(u) @ Q
-        V = Q.T @ self._mat(v) @ Q
-        return float(np.sum(U * V / np.outer(w, w)))
+        U = Q.mT @ self._mat(u) @ Q
+        V = Q.mT @ self._mat(v) @ Q
+        return np.sum(U * V / (w[..., :, None] * w[..., None, :]), axis=(-2, -1))
 
     def _whitened(self, x: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(rt, irt, S) with X^1/2 = rt @ Q.T, X^-1/2 = irt @ Q.T, S = X^-1/2 M X^-1/2."""
         w, Q = self.point_spectrum(x)
-        rt = Q * np.sqrt(w)
-        irt = Q / np.sqrt(w)
-        return rt, irt, _sym(irt.T @ self._mat(m) @ irt)
+        root = np.sqrt(w)[..., None, :]
+        rt = Q * root
+        irt = Q / root
+        return rt, irt, _sym(irt.mT @ self._mat(m) @ irt)
 
     def _exp(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
         """X^1/2 expm(X^-1/2 U X^-1/2) X^1/2 via eigendecompositions."""
@@ -673,13 +708,13 @@ class SPD(Manifold):
         ws, Qs = np.linalg.eigh(S)
         if not np.all(np.isfinite(ws)):
             raise InvalidGeometry("exp map inner matrix is not finite")
-        ew = np.exp(ws)  # under the errstate of Manifold._move
-        if not ew[-1] < np.inf:
+        ew = np.exp(ws)  # under the errstate around Manifold._move
+        if not np.all(ew[..., -1] < np.inf):
             raise DegenerateRetraction("exp map overflowed")
-        if not ew[0] > 0.0:
+        if not np.all(ew[..., 0] > 0.0):
             raise DegenerateRetraction("exp map underflowed to a singular matrix")
-        E = (Qs * ew) @ Qs.T
-        return _sym(rt @ E @ rt.T).reshape(-1)
+        E = (Qs * ew[..., None, :]) @ Qs.mT
+        return _sym(rt @ E @ rt.mT).reshape(x.shape)
 
     def _log(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """X^1/2 logm(X^-1/2 Y X^-1/2) X^1/2."""
@@ -706,7 +741,7 @@ class SPD(Manifold):
     def _project(self, x: np.ndarray, ambient: np.ndarray) -> np.ndarray:
         """X sym(a) X: converts a Euclidean gradient to the Riemannian one."""
         X = self._mat(x)
-        return _sym(X @ _sym(self._mat(ambient)) @ X).reshape(-1)
+        return _sym(X @ _sym(self._mat(ambient)) @ X).reshape(x.shape)
 
     def _random_point(self, rng: np.random.Generator) -> np.ndarray:
         A = rng.standard_normal((self.order, self.order))
@@ -743,7 +778,7 @@ class ProductManifold(Manifold):
     def _split(self, *arrays: np.ndarray):
         """Per factor: the factor, then its slice of each array."""
         off = self._offsets
-        return zip(self.factors, *([a[off[i]:off[i + 1]] for i in range(len(self.factors))] for a in arrays))
+        return zip(self.factors, *([a[..., off[i]:off[i + 1]] for i in range(len(self.factors))] for a in arrays))
 
     # The whole array has passed the shape and finiteness checks, so each
     # factor checks only its own invariants on its slice.
@@ -759,14 +794,14 @@ class ProductManifold(Manifold):
     def has_exp(self) -> bool:
         return all(f.has_exp for f in self.factors)
 
-    def _inner_data(self, base: np.ndarray, u: np.ndarray, v: np.ndarray) -> float:
+    def _inner_data(self, base: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         return sum(f._inner_data(b, uu, vv) for f, b, uu, vv in self._split(base, u, v))
 
     def _retract(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-        return np.concatenate([f._retract(xx, uu) if uu.any() else xx for f, xx, uu in self._split(x, u)])
+        return np.concatenate([_still_rows_kept(f._retract, xx, uu) for f, xx, uu in self._split(x, u)], axis=-1)
 
     def _exp(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-        return np.concatenate([f._exp(xx, uu) if uu.any() else xx for f, xx, uu in self._split(x, u)])
+        return np.concatenate([_still_rows_kept(f._exp, xx, uu) for f, xx, uu in self._split(x, u)], axis=-1)
 
     def _log(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         return np.concatenate([f._log(xx, yy) for f, xx, yy in self._split(x, y)])
@@ -778,7 +813,7 @@ class ProductManifold(Manifold):
         return float(np.sqrt(sum(f._dist(xx, yy) ** 2 for f, xx, yy in self._split(x, y))))
 
     def _project(self, x: np.ndarray, ambient: np.ndarray) -> np.ndarray:
-        return np.concatenate([f._project(xx, aa) for f, xx, aa in self._split(x, ambient)])
+        return np.concatenate([f._project(xx, aa) for f, xx, aa in self._split(x, ambient)], axis=-1)
 
     def _random_point(self, rng: np.random.Generator) -> np.ndarray:
         return np.concatenate([f._random_point(rng) for f in self.factors])

@@ -24,6 +24,7 @@ from .manifolds import (
     Sphere,
     Tangent,
     UnsupportedOperation,
+    _first,
 )
 
 __all__ = [
@@ -94,6 +95,14 @@ class MinimaxProblem:
     at (x, y, idx, rng) for sample indices idx. Kernels trust their
     arguments; the public oracles here check the points and the batch, and
     return validated Tangents.
+
+    Kernels are row-wise, like the manifold kernels: x and y are single
+    points (n,) or stacks of R points (R, n), and the results are stacked the
+    same way (the values as an (R,) array). For a stack, idx is either one
+    batch shared by every row or one batch per row, (R, b), and
+    ``rng.standard_normal(shape)`` draws row i of its (R, ...) result from
+    the generator of row i. Row i of a result must not depend on the other
+    rows, to the bit, which rules out one matrix product over all rows.
     """
 
     mx: Manifold
@@ -101,7 +110,7 @@ class MinimaxProblem:
     sample_count: int = 1
 
     def value(self, x: Point, y: Point) -> float:
-        return self._value(*self._arrays(x, y))
+        return float(self._value(*self._arrays(x, y)))
 
     def grad_x(self, x: Point, y: Point) -> Tangent:
         """Exact Riemannian gradient in the minimization variable."""
@@ -185,24 +194,26 @@ class RobustMleProblem(MinimaxProblem):
 
     def _quad_rows(self, x: np.ndarray, idx: np.ndarray | None) -> np.ndarray:
         rows = self.z if idx is None else self.z[idx]
-        return rows - x
+        return rows - x[..., None, :]
 
-    def _value(self, x: np.ndarray, y: np.ndarray) -> float:
+    def _value(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         w, Q = self.my.point_spectrum(y)
         logs = np.log(w)
-        y_inv = (Q / w) @ Q.T
+        logdet = logs.sum(axis=-1)
+        y_inv = (Q / w[..., None, :]) @ Q.mT
         W = self._quad_rows(x, None)
         with np.errstate(over="ignore", invalid="ignore"):
-            quad = float(np.sum((W @ y_inv) * W))
-            val = -0.5 * self.n * float(logs.sum()) - 0.5 * quad + self.c * float(np.dot(logs, logs))
-        if not np.isfinite(val):
-            raise NumericalOverflow(f"objective overflowed (logdet={float(logs.sum()):.6g})")
+            quad = np.sum((W @ y_inv) * W, axis=(-2, -1))
+            val = -0.5 * self.n * logdet - 0.5 * quad + self.c * np.vecdot(logs, logs)
+        bad = ~np.isfinite(val)
+        if bad.any():
+            raise NumericalOverflow(f"objective overflowed (logdet={_first(logdet, bad):.6g})")
         return val
 
     def _grad_x(self, x: np.ndarray, y: np.ndarray, idx: np.ndarray | None = None, rng=None) -> np.ndarray:
         w, Q = self.my.point_spectrum(y)
-        g = ((Q / w) @ Q.T) @ self._quad_rows(x, idx).sum(axis=0)
-        return self.mx._project(x, g if idx is None else (self.n / idx.size) * g)
+        g = np.matvec((Q / w[..., None, :]) @ Q.mT, self._quad_rows(x, idx).sum(axis=-2))
+        return self.mx._project(x, g if idx is None else (self.n / idx.shape[-1]) * g)
 
     def _grad_y(self, x: np.ndarray, y: np.ndarray, idx: np.ndarray | None = None, rng=None) -> np.ndarray:
         # Riemannian gradient under the affine-invariant metric: sandwiching
@@ -210,11 +221,10 @@ class RobustMleProblem(MinimaxProblem):
         # the regularizer contributes 2c * Y logm(Y).
         w, Q = self.my.point_spectrum(y)
         W = self._quad_rows(x, idx)
-        quad = W.T @ W if idx is None else (self.n / idx.size) * (W.T @ W)
-        reg = (Q * (w * np.log(w))) @ Q.T
-        Y = y.reshape(self.d + 1, self.d + 1)
-        M = -0.5 * self.n * Y + 0.5 * quad + (2.0 * self.c) * reg
-        return (0.5 * (M + M.T)).reshape(-1)
+        quad = W.mT @ W if idx is None else (self.n / idx.shape[-1]) * (W.mT @ W)
+        reg = (Q * (w * np.log(w))[..., None, :]) @ Q.mT
+        M = -0.5 * self.n * self.my._mat(y) + 0.5 * quad + (2.0 * self.c) * reg
+        return (0.5 * (M + M.mT)).reshape(y.shape)
 
     _stoch_grad_x, _stoch_grad_y = _grad_x, _grad_y
 
@@ -248,6 +258,7 @@ class SyntheticQuadratic(MinimaxProblem):
             raise ProblemError("noise sigma must be nonnegative")
         self.a_mat = A.copy()
         self.a_mat.setflags(write=False)
+        self._a_t = self.a_mat.T  # one view for every A^T y
         self.mu = float(mu)
         self.b = b.copy()
         self.b.setflags(write=False)
@@ -257,26 +268,28 @@ class SyntheticQuadratic(MinimaxProblem):
         self.my: Euclidean = Euclidean(self.m)
         self.sample_count = 1
 
-    def _value(self, x: np.ndarray, y: np.ndarray) -> float:
-        val = float(y @ (self.a_mat @ x)) - 0.5 * self.mu * float(y @ y)
-        val += float(self.b @ x)
-        if not np.isfinite(val):
+    def _value(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        # Huge finite y can overflow y @ y where A^T y does not: that reads as inf here.
+        with np.errstate(over="ignore", invalid="ignore"):
+            val = np.vecdot(y, np.matvec(self.a_mat, x)) - 0.5 * self.mu * np.vecdot(y, y)
+            val = val + np.vecdot(self.b, x)
+        if not np.isfinite(val).all():
             raise NumericalOverflow("objective overflowed")
         return val
 
     def _grad_x(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return self.mx._project(x, self.a_mat.T @ y + self.b)
+        return self.mx._project(x, np.matvec(self._a_t, y) + self.b)
 
     def _grad_y(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return self.a_mat @ x - self.mu * y
+        return np.matvec(self.a_mat, x) - self.mu * y
 
     def _noisy(self, g: np.ndarray, idx: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         if self.noise_sigma > 0.0:
-            g = g + (self.noise_sigma / math.sqrt(idx.size)) * rng.standard_normal(g.size)
+            g = g + (self.noise_sigma / math.sqrt(idx.shape[-1])) * rng.standard_normal(g.shape)
         return g
 
     def _stoch_grad_x(self, x: np.ndarray, y: np.ndarray, idx: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        return self.mx._project(x, self._noisy(self.a_mat.T @ y + self.b, idx, rng))
+        return self.mx._project(x, self._noisy(np.matvec(self._a_t, y) + self.b, idx, rng))
 
     def _stoch_grad_y(self, x: np.ndarray, y: np.ndarray, idx: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         return self._noisy(self._grad_y(x, y), idx, rng)

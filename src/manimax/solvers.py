@@ -12,12 +12,18 @@ The accumulators are updated before the stepsizes are formed; the stepsizes
 of step t therefore already include the gradients of step t. The stochastic
 variant draws the batches of the two sides from two generators that ``run``
 derives once from the seed. Every method steps through one array kernel, ``_step``.
+
+``run_seeds`` runs one config from several seeds as one computation: the
+iterates of all seeds are the rows of stacked arrays, and every kernel works
+row by row, so that a row's bits do not depend on the other rows. ``run`` is
+its single-seed case, and the *_step functions step a single row.
 """
 from __future__ import annotations
 
+import functools
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
@@ -40,6 +46,7 @@ __all__ = [
     "tsgda_step",
     "stationarity",
     "run",
+    "run_seeds",
     "running_min_checkpoints",
 ]
 
@@ -200,51 +207,187 @@ def running_min_checkpoints(trace: Trace, budgets, squared: bool = False) -> lis
     return out
 
 
-def _step(problem: MinimaxProblem, cfg: SolverConfig, x: np.ndarray, y: np.ndarray, vx: float, vy: float,
-          rngs: tuple[np.random.Generator, np.random.Generator] | None, full: np.ndarray):
-    """One step of cfg.method at the point arrays (x, y) with accumulators (vx, vy).
+_FAILURES = (GeometryError, NumericalOverflow, NumericalError, FloatingPointError)
 
-    Exact gradients when rngs is None, else each side draws its batch and
-    noise from its own generator; a batch that covers the dataset is ``full``.
+# Standard normals are drawn this many calls ahead, per row; see _Draws.
+_NORMAL_BLOCK = 256
+
+
+class _Draws:
+    """The random stream of one side of a batch of rows: one generator per row.
+
+    A draw of shape (R, ...) takes row i from generator i, as the stochastic
+    kernels expect. Standard normals come from a block drawn _NORMAL_BLOCK
+    calls ahead, which gives the values that drawing them call by call would,
+    as long as the generator draws nothing else; integers are drawn as asked.
+    ``row(i)`` replays the current step on row i alone: it serves row i of
+    the step's draws again, then goes on drawing for row i.
+    """
+
+    def __init__(self, gens, block: np.ndarray | None = None, pos: int = 0, ints=()) -> None:
+        self.gens = list(gens)
+        self.block = np.empty((len(self.gens), 0)) if block is None else block
+        self.pos = self.begun = pos
+        self.ints: list[np.ndarray] = []  # integer draws of the step
+        self.queued = list(ints)  # integer draws to serve again
+
+    def begin(self) -> None:
+        """Start a step: the draws from here on are the step's."""
+        self.begun = self.pos
+        self.ints = []
+
+    def standard_normal(self, shape: tuple[int, ...]) -> np.ndarray:
+        start = self.pos
+        end = start + (shape[1] if len(shape) == 2 else math.prod(shape[1:]))
+        if end > self.block.shape[1]:
+            fresh = [g.standard_normal(_NORMAL_BLOCK * (end - start)) for g in self.gens]
+            self.block = np.concatenate([self.block[:, self.begun:], np.stack(fresh)], axis=1)
+            start, end = start - self.begun, end - self.begun
+            self.begun = 0
+        self.pos = end
+        out = self.block[:, start:end]
+        return out if len(shape) == 2 else out.reshape(shape)
+
+    def integers(self, low: int, high: int, shape: tuple[int, ...]) -> np.ndarray:
+        if self.queued:
+            out = self.queued.pop(0)
+        else:
+            out = np.stack([g.integers(low, high, size=shape[1:], dtype=np.int64) for g in self.gens])
+        self.ints.append(out)
+        return out
+
+    def row(self, i: int) -> "_Draws":
+        return _Draws([self.gens[i]], self.block[i:i + 1], self.begun, [d[i:i + 1] for d in self.ints])
+
+    def keep(self, rows: list[int]) -> None:
+        self.gens = [self.gens[i] for i in rows]
+        self.block = self.block[rows]
+
+    @classmethod
+    def joined(cls, parts: list["_Draws"]) -> "_Draws":
+        """The stream of the rows that replayed a step, each from its own ``row``."""
+        return cls([p.gens[0] for p in parts], np.concatenate([p.block for p in parts]), parts[0].pos)
+
+
+def _step(problem: MinimaxProblem, cfg: SolverConfig, x: np.ndarray, y: np.ndarray, vx: list[float],
+          vy: list[float], draws: tuple[_Draws, _Draws] | None, full: np.ndarray):
+    """One step of cfg.method for each row of the stacked point arrays (x, y),
+    shape (R, n), with accumulators (vx, vy), R floats each.
+
+    Exact gradients when draws is None, else each side draws its batches and
+    noise from its own stream; a batch that covers the dataset is ``full``.
     Returns the next (x, y, vx, vy), the stepsizes (eta, gamma) and the
-    squared gradient norms (nx2, ny2). GDA uses eta_x on both sides, TSGDA
-    (eta_x, eta_y); the adaptive methods use the law in the module docstring.
+    squared gradient norms (nx2, ny2), the last six as lists of R floats.
+    GDA uses eta_x on both sides, TSGDA (eta_x, eta_y); the adaptive methods
+    use the law in the module docstring. The per-row scalars are Python
+    floats: cheaper than numpy for a few rows, and numpy's ** rounds some
+    powers differently.
     """
     mx, my = problem.mx, problem.my
-    if rngs is None:
-        gx, gy = problem._grad_x(x, y), problem._grad_y(x, y)
-    else:
-        n, size = full.size, cfg.batch_size
-        idx_x = full if size >= n else rngs[0].integers(0, n, size=size, dtype=np.int64)
-        idx_y = full if size >= n else rngs[1].integers(0, n, size=size, dtype=np.int64)
-        gx = problem._stoch_grad_x(x, y, idx_x, rngs[0])
-        gy = problem._stoch_grad_y(x, y, idx_y, rngs[1])
-    mx.check_tangent(x, gx)
-    my.check_tangent(y, gy)
-    # An overflow of the norms or of the scaled steps reads as inf: a NumericalError.
-    with np.errstate(over="ignore", invalid="ignore"):
+    rows = len(x)
+    # Overflow, invalid results and division by zero read as inf or nan here,
+    # never as warnings: a non-finite oracle output fails its tangent check,
+    # non-finite norms (an SPD metric whose eigenvalue products underflow to
+    # 0 among them) or scaled steps raise NumericalError, and a retraction's
+    # own guard or ``_frozen`` reports the rest.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        if draws is None:
+            gx, gy = problem._grad_x(x, y), problem._grad_y(x, y)
+        else:
+            n, size = full.size, cfg.batch_size
+            for side in draws:
+                side.begin()
+            if size >= n:
+                idx_x = idx_y = full
+            else:
+                idx_x, idx_y = (side.integers(0, n, (rows, size)) for side in draws)
+            gx = problem._stoch_grad_x(x, y, idx_x, draws[0])
+            gy = problem._stoch_grad_y(x, y, idx_y, draws[1])
+        mx.check_tangent(x, gx)
+        my.check_tangent(y, gy)
         nx2, ny2 = _sq_norms(problem, x, y, gx, gy)
         if cfg.method in (Method.RAGDA, Method.RSAGDA):
-            vx += nx2
-            vy += ny2
-            eta = cfg.eta_x / max(vx, vy) ** cfg.alpha
-            gamma = cfg.eta_y / vy**cfg.beta
+            ex, ey, alpha, beta = cfg.eta_x, cfg.eta_y, cfg.alpha, cfg.beta
+            vx = [a + b for a, b in zip(vx, nx2)]
+            vy = [a + b for a, b in zip(vy, ny2)]
+            eta = [ex / (a if a > b else b) ** alpha for a, b in zip(vx, vy)]
+            gamma = [ey / b**beta for b in vy]
         else:
-            eta = cfg.eta_x
-            gamma = cfg.eta_x if cfg.method is Method.GDA else cfg.eta_y
-        ux, uy = -eta * gx, gamma * gy
-    if not (np.isfinite(ux).all() and np.isfinite(uy).all()):
-        raise NumericalError("a scaled gradient step overflowed")
-    return mx._move(mx._retract, x, ux), my._move(my._retract, y, uy), vx, vy, eta, gamma, nx2, ny2
+            eta = [cfg.eta_x] * rows
+            gamma = [cfg.eta_x if cfg.method is Method.GDA else cfg.eta_y] * rows
+        ux, uy = _row_scaled([-e for e in eta], gx), _row_scaled(gamma, gy)
+        if not (np.isfinite(ux).all() and np.isfinite(uy).all()):
+            raise NumericalError("a scaled gradient step overflowed")
+        return mx._move(mx._retract, x, ux), my._move(my._retract, y, uy), vx, vy, eta, gamma, nx2, ny2
+
+
+def _row_scaled(coeffs: list[float], g: np.ndarray) -> np.ndarray:
+    """Row i of g times coeffs[i]; a single row takes the cheaper scalar product, with the same bits."""
+    return g * coeffs[0] if len(coeffs) == 1 else np.array(coeffs)[:, None] * g
 
 
 def _sq_norms(problem: MinimaxProblem, x: np.ndarray, y: np.ndarray,
-              gx: np.ndarray, gy: np.ndarray) -> tuple[float, float]:
-    nx2 = problem.mx._inner_data(x, gx, gx)
-    ny2 = problem.my._inner_data(y, gy, gy)
-    if not (math.isfinite(nx2) and math.isfinite(ny2)):
+              gx: np.ndarray, gy: np.ndarray) -> tuple[list[float], list[float]]:
+    """The squared Riemannian norms of the rows of gx and gy, as lists."""
+    nx2 = problem.mx._inner_data(x, gx, gx).tolist()
+    ny2 = problem.my._inner_data(y, gy, gy).tolist()
+    if not all(map(math.isfinite, nx2 + ny2)):
         raise NumericalError("non-finite gradient norm")
     return nx2, ny2
+
+
+def _advance(problem: MinimaxProblem, cfg: SolverConfig, x: np.ndarray, y: np.ndarray, vx: list[float],
+             vy: list[float], draws: tuple[_Draws, _Draws] | None, full: np.ndarray, evaluate: bool, record: bool):
+    """``_step`` from iterate t, plus, when iterate t is evaluated, the exact
+    gradient norms (sx, sy) there and the values f of the rows that record it
+    (those of the others may be nan), as lists; else (sx, sy, f) are None."""
+    out = _step(problem, cfg, x, y, vx, vy, draws, full)
+    if not evaluate:
+        return out + (None, None, None)
+    if draws is None:
+        nx2, ny2 = out[6], out[7]
+    else:
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            nx2, ny2 = _sq_norms(problem, x, y, problem._grad_x(x, y), problem._grad_y(x, y))
+    sx, sy = [math.sqrt(v) for v in nx2], [math.sqrt(v) for v in ny2]
+    if record or any(a + b <= cfg.grad_tol for a, b in zip(sx, sy)):
+        f = problem._value(x, y).tolist()
+    else:
+        f = [math.nan] * len(sx)
+    return out + (sx, sy, f)
+
+
+def _replayed(fn, arrays: tuple[np.ndarray, ...], draws: tuple[_Draws, _Draws] | None):
+    """``fn(*arrays, draws)`` on each row alone, after it failed on the stack:
+    the stacked results of the rows that pass it (None if none does), their
+    draws, and the error text of each row that fails it."""
+    results, streams, failed = [], [], {}
+    for j in range(len(arrays[0])):
+        own = draws and tuple(side.row(j) for side in draws)
+        try:
+            results.append(fn(*(a[j:j + 1] for a in arrays), own))
+            streams.append(own)
+        except _FAILURES as err:
+            failed[j] = f"{type(err).__name__}: {err}"
+    if not results:
+        return None, None, failed
+    stacked = tuple(_stacked(parts) for parts in zip(*results))
+    return stacked, draws and tuple(_Draws.joined(list(parts)) for parts in zip(*streams)), failed
+
+
+def _stacked(parts: tuple) -> np.ndarray | list | None:
+    """The per-row results of a replay as one result: a frozen stack of arrays, or one list."""
+    if parts[0] is None:
+        return None
+    if isinstance(parts[0], list):
+        return [v for part in parts for v in part]
+    return _frozen_rows(np.concatenate(parts))
+
+
+def _frozen_rows(arr: np.ndarray) -> np.ndarray:
+    # Read-only, so that the SPD spectrum memo serves the stack.
+    arr.setflags(write=False)
+    return arr
 
 
 def _state(problem: MinimaxProblem, x: np.ndarray, y: np.ndarray, vx: float, vy: float, t: int) -> AdaptiveState:
@@ -252,13 +395,14 @@ def _state(problem: MinimaxProblem, x: np.ndarray, y: np.ndarray, vx: float, vy:
 
 
 def _state_step(problem: MinimaxProblem, state: AdaptiveState, cfg: SolverConfig, method: Method,
-                rngs: tuple[np.random.Generator, np.random.Generator] | None = None) -> AdaptiveState:
-    """The boundary of the *_step functions: one ``_step`` from and to an AdaptiveState."""
+                draws: tuple[_Draws, _Draws] | None = None) -> AdaptiveState:
+    """The boundary of the *_step functions: one ``_step`` of a single row from and to an AdaptiveState."""
     if cfg.method is not method:
         raise ConfigError(f"{method.value}_step needs method {method.value!r}, got {cfg.method.value!r}")
     full = np.arange(problem.sample_count, dtype=np.int64)
-    x, y, vx, vy = _step(problem, cfg, *problem._arrays(state.x, state.y), state.vx, state.vy, rngs, full)[:4]
-    return _state(problem, x, y, vx, vy, state.t + 1)
+    x, y = (a[None] for a in problem._arrays(state.x, state.y))
+    x, y, vx, vy = _step(problem, cfg, x, y, [state.vx], [state.vy], draws, full)[:4]
+    return _state(problem, x[0], y[0], vx[0], vy[0], state.t + 1)
 
 
 def ragda_step(problem: MinimaxProblem, state: AdaptiveState, cfg: SolverConfig) -> AdaptiveState:
@@ -277,7 +421,7 @@ def rsagda_step(
     Each call spawns one fresh substream per side from ``rng``; ``run`` keeps
     one stream per side for the whole run, so the two sample paths differ.
     """
-    return _state_step(problem, state, cfg, Method.RSAGDA, tuple(rng.spawn(2)))
+    return _state_step(problem, state, cfg, Method.RSAGDA, tuple(_Draws([side]) for side in rng.spawn(2)))
 
 
 def gda_step(problem: MinimaxProblem, state: AdaptiveState, cfg: SolverConfig) -> AdaptiveState:
@@ -299,109 +443,150 @@ def run(
     x0: Point | None = None,
     y0: Point | None = None,
 ) -> Trace:
-    """Iterate the configured method and collect a trace.
+    """Iterate the configured method from cfg.seed and collect a trace.
 
     Stops when the sum of exact gradient norms drops to grad_tol (checked
     every eval_stride steps for the stochastic method, every step otherwise)
     or after max_iters steps. Records are written every step up to 10^4
     total, then strided; the running minimum of the stationarity measure is
     maintained over every evaluated step regardless of the record stride.
-    Geometry errors and overflow stop the run with a partial trace.
+    Geometry errors and overflow stop the run with a partial trace. This is
+    ``run_seeds`` for the one seed, from x0 and y0 when given, with each
+    record handed to the callbacks.
     """
+    return _run_rows(problem, cfg, [cfg.seed], eval_stride, x0, y0, callbacks)[0]
+
+
+def run_seeds(problem: MinimaxProblem, cfg: SolverConfig, seeds, *, eval_stride: int = 50) -> list[Trace]:
+    """``run`` once per seed, as one computation whose rows are the seeds.
+
+    Trace i is the trace ``run`` gives for ``replace(cfg, seed=seeds[i])``,
+    bit for bit but for the clocks: every row reads the batch's shared
+    clock. A row that converges or fails leaves the batch; the others go on.
+    """
+    return _run_rows(problem, cfg, seeds, eval_stride)
+
+
+def _run_rows(problem: MinimaxProblem, cfg: SolverConfig, seeds, eval_stride: int,
+              x0: Point | None = None, y0: Point | None = None, callbacks: tuple = ()) -> list[Trace]:
     if eval_stride < 1:
         raise ConfigError("eval_stride must be >= 1")
-    ss = np.random.SeedSequence(cfg.seed)
-    init_ss, step_ss = ss.spawn(2)
-
-    x_init, y_init = problem.default_start(np.random.default_rng(init_ss))
+    configs = [replace(cfg, seed=seed) for seed in seeds]
+    if not configs:
+        raise ConfigError("need at least one seed")
     for manifold, given in ((problem.mx, x0), (problem.my, y0)):
         if given is not None:
             manifold._require_point(given)
             manifold.check_point(given.data)
-    # Read-only point arrays, so that the SPD spectrum memo hits at each iterate.
-    x, y = (x0 or x_init).data, (y0 or y_init).data
-    vx, vy, done = cfg.v0_x, cfg.v0_y, 0
 
     stochastic = cfg.method is Method.RSAGDA
-    rngs = tuple(np.random.default_rng(s) for s in step_ss.spawn(2)) if stochastic else None
+    starts, gens = [], []
+    for row in configs:
+        init_ss, step_ss = np.random.SeedSequence(row.seed).spawn(2)
+        x_init, y_init = problem.default_start(np.random.default_rng(init_ss))
+        starts.append(((x0 or x_init).data, (y0 or y_init).data))
+        gens.append([np.random.default_rng(s) for s in step_ss.spawn(2)])
+    # Read-only point stacks, so that the SPD spectrum memo hits at each iterate.
+    x, y = (_frozen_rows(np.stack(points)) for points in zip(*starts))
+    vx, vy = [cfg.v0_x] * len(configs), [cfg.v0_y] * len(configs)
+    draws = tuple(_Draws(row[side] for row in gens) for side in (0, 1)) if stochastic else None
     full = np.arange(problem.sample_count, dtype=np.int64)
     record_stride = 1 if cfg.max_iters <= RECORD_CAP else math.ceil(cfg.max_iters / RECORD_CAP)
 
-    records: list[IterationRecord] = []
-    min_stat = math.inf
-    max_step_grad = 0.0
-    calls = {"value": 0, "grad": 0, "stoch_grad": 0}
-    stop = StopReason.MAX_ITERS
+    # Row j of the stacks, and of the per-row lists, is the run of
+    # configs[live[j]]. The rows step in lockstep, so the counts of steps and
+    # exact evaluations are shared.
+    live = list(range(len(configs)))
+    records: list[list[IterationRecord]] = [[] for _ in configs]
+    traces: list[Trace | None] = [None] * len(configs)
+    # Running min of the stationarity measure, running max of the squared step gradient norms.
+    low, peak = [math.inf] * len(configs), [0.0] * len(configs)
+    steps = evals = 0
     start = time.perf_counter()
 
-    def emit(t: int, sx: float, sy: float, eta: float, gamma: float) -> None:
-        calls["value"] += 1
-        rec = IterationRecord(
-            t=t,
-            grad_x_norm=sx,
-            grad_y_norm=sy,
-            eta_t=eta,
-            gamma_t=gamma,
-            f_value=problem._value(x, y),
-            wall_s=time.perf_counter() - start,
+    def close(j: int, done: int, stop: StopReason, error: str | None = None) -> None:
+        """End row j at iterate ``done``; a failing step adds nothing to its trace."""
+        i = live[j]
+        calls = {"value": len(records[i]), "grad": 2 * (evals if stochastic else steps),
+                 "stoch_grad": 2 * steps if stochastic else 0}
+        traces[i] = Trace(
+            config=configs[i],
+            records=records[i],
+            stop_reason=stop,
+            min_stationarity=low[j],
+            final_state=_state(problem, x[j], y[j], vx[j], vy[j], done),
+            metadata={
+                "seed": configs[i].seed,
+                "method": cfg.method.value,
+                "regime_flags": cfg.regime_flags(),
+                "eval_stride": eval_stride,
+                "record_stride": record_stride,
+                "oracle_calls": calls,
+                "max_step_grad_norm": math.sqrt(peak[j]),
+                "wall_s": time.perf_counter() - start,
+            },
         )
-        records.append(rec)
-        for cb in callbacks:
-            cb(rec)
+        if error is not None:
+            traces[i].metadata["error"] = error
 
-    try:
-        for t in range(cfg.max_iters):
-            x1, y1, vx1, vy1, eta, gamma, nx2, ny2 = _step(problem, cfg, x, y, vx, vy, rngs, full)
-            calls["stoch_grad" if stochastic else "grad"] += 2
-            max_step_grad = max(max_step_grad, math.sqrt(nx2), math.sqrt(ny2))
+    for t in range(cfg.max_iters):
+        last = t == cfg.max_iters - 1
+        evaluate = not stochastic or t % eval_stride == 0 or last
+        record = t % record_stride == 0 or last
+        try:
+            out = _advance(problem, cfg, x, y, vx, vy, draws, full, evaluate, record)
+        except _FAILURES:
+            # Find the rows that fail, and their errors, one row at a time.
+            advance = functools.partial(_advance, problem, cfg, full=full, evaluate=evaluate, record=record)
+            out, draws, failed = _replayed(advance, (x, y, vx, vy), draws)
+            for j, error in failed.items():
+                close(j, t, StopReason.NUMERICAL_ERROR, error)
+            keep = [j for j in range(len(live)) if j not in failed]
+            if not keep:
+                live = []
+                break
+            live, x, y, vx, vy, low, peak = _rows(keep, live, x, y, vx, vy, low, peak)
+        x1, y1, vx1, vy1, eta, gamma, nx2, ny2, sx, sy, f = out
+        steps += 1
+        peak = [max(p, a, b) for p, a, b in zip(peak, nx2, ny2)]
 
-            last = t == cfg.max_iters - 1
-            if stochastic:
-                evaluate = t % eval_stride == 0 or last
-                if evaluate:
-                    with np.errstate(over="ignore", invalid="ignore"):
-                        ex2, ey2 = _sq_norms(problem, x, y, problem._grad_x(x, y), problem._grad_y(x, y))
-                    sx, sy = math.sqrt(ex2), math.sqrt(ey2)
-                    calls["grad"] += 2
-            else:
-                evaluate = True
-                sx, sy = math.sqrt(nx2), math.sqrt(ny2)
-
-            # Iterate t is evaluated and recorded with the stepsizes of step
-            # t; a converged iterate stops the run and is kept as final.
-            if evaluate:
-                stat = sx + sy
-                min_stat = min(min_stat, stat)
-                converged = stat <= cfg.grad_tol
-                if t % record_stride == 0 or last or converged:
-                    emit(t, sx, sy, eta, gamma)
-                if converged:
-                    stop = StopReason.CONVERGED
+        # Iterate t is evaluated and recorded with the stepsizes of step t; a
+        # converged iterate ends its row and is kept as its final state.
+        if sx is not None:
+            evals += 1
+            converged = []
+            wall = None
+            for j, i in enumerate(live):
+                stat = sx[j] + sy[j]
+                if stat < low[j]:
+                    low[j] = stat
+                if stat <= cfg.grad_tol:
+                    converged.append(j)
+                elif not record:
+                    continue
+                if wall is None:
+                    wall = time.perf_counter() - start
+                rec = IterationRecord(t, sx[j], sy[j], eta[j], gamma[j], f[j], wall)
+                records[i].append(rec)
+                for cb in callbacks:
+                    cb(rec)
+            if converged:
+                for j in converged:
+                    close(j, t, StopReason.CONVERGED)
+                keep = [j for j in range(len(live)) if j not in converged]
+                if not keep:
+                    live = []
                     break
-            x, y, vx, vy, done = x1, y1, vx1, vy1, t + 1
-    except (GeometryError, NumericalOverflow, NumericalError, FloatingPointError) as err:
-        stop = StopReason.NUMERICAL_ERROR
-        metadata_error = f"{type(err).__name__}: {err}"
-    else:
-        metadata_error = None
+                live, x1, y1, vx1, vy1, low, peak = _rows(keep, live, x1, y1, vx1, vy1, low, peak)
+                if draws:
+                    for side in draws:
+                        side.keep(keep)
+        x, y, vx, vy = x1, y1, vx1, vy1
+    for j in range(len(live)):
+        close(j, cfg.max_iters, StopReason.MAX_ITERS)
+    return traces
 
-    trace = Trace(
-        config=cfg,
-        records=records,
-        stop_reason=stop,
-        min_stationarity=min_stat,
-        final_state=_state(problem, x, y, vx, vy, done),
-        metadata={
-            "seed": cfg.seed,
-            "method": cfg.method.value,
-            "regime_flags": cfg.regime_flags(),
-            "eval_stride": eval_stride,
-            "record_stride": record_stride,
-            "oracle_calls": calls,
-            "max_step_grad_norm": max_step_grad,
-            "wall_s": time.perf_counter() - start,
-        },
-    )
-    if metadata_error is not None:
-        trace.metadata["error"] = metadata_error
-    return trace
+
+def _rows(keep: list[int], *rows):
+    """Each stack or per-row list cut down to the rows in keep."""
+    return [[a[j] for j in keep] if isinstance(a, list) else _frozen_rows(a[keep]) for a in rows]

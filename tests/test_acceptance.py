@@ -24,6 +24,7 @@ from manimax import (
     generate_multiscale_instance,
     generate_quadratic_instance,
     run,
+    run_seeds,
     running_min_checkpoints,
 )
 from manimax.cli import main as cli_main
@@ -132,15 +133,13 @@ def test_criterion_4_stochastic_regimes():
     budgets = [1000, 10_000, 100_000]
 
     def mean_running_min_sq(alpha, beta):
-        rows = []
-        for seed in range(10):
-            cfg = SolverConfig(
-                method=Method.RSAGDA, eta_x=0.5, eta_y=5.0, alpha=alpha, beta=beta,
-                v0_x=1e-6, v0_y=1e-6, max_iters=100_000, seed=seed, batch_size=1,
-            )
-            trace = run(prob, cfg, eval_stride=50)
-            rows.append(running_min_checkpoints(trace, budgets, squared=True))
-        return np.mean(rows, axis=0)
+        # Seeds 0-9 as one batch; each row equals the solo run of its seed.
+        cfg = SolverConfig(
+            method=Method.RSAGDA, eta_x=0.5, eta_y=5.0, alpha=alpha, beta=beta,
+            v0_x=1e-6, v0_y=1e-6, max_iters=100_000, batch_size=1,
+        )
+        traces = run_seeds(prob, cfg, range(10), eval_stride=50)
+        return np.mean([running_min_checkpoints(trace, budgets, squared=True) for trace in traces], axis=0)
 
     two_thirds = mean_running_min_sq(2.0 / 3.0, 1.0 / 3.0)
     halves = mean_running_min_sq(0.5, 0.5)

@@ -107,6 +107,22 @@ def test_repeats_have_distinct_seeds(tmp_path):
     assert "repeat2.stop_reason" in summary
 
 
+@pytest.mark.parametrize("preset", ["synthetic-rsagda", "robust-mle-ragda"])
+def test_repeat_outputs_do_not_depend_on_the_repeat_count(tmp_path, preset):
+    # The repeats run as one batch; repeat i writes the same bytes (clocks
+    # aside) whether the batch holds 1, 2 or 4 of them.
+    small = ["--d", "5", "--n", "12"] if preset == "robust-mle-ragda" else []
+    for repeats in (1, 2, 4):
+        code = main(["run", "--preset", preset, "--max-iters", "120", *small, "--repeats", str(repeats),
+                     "--label", "b", "--out", str(tmp_path / str(repeats))])
+        assert code == 0
+    for i, repeats in ((0, 1), (0, 2), (1, 2), (0, 4), (1, 4), (3, 4)):
+        last = tmp_path / "4"
+        for name in (f"b_rep{i}_x.point", f"b_rep{i}_y.point"):
+            assert (tmp_path / str(repeats) / name).read_bytes() == (last / name).read_bytes()
+        assert strip_wall(tmp_path / str(repeats) / f"b_rep{i}.csv") == strip_wall(last / f"b_rep{i}.csv")
+
+
 @pytest.mark.parametrize("argv", [["run", "--preset", "synthetic-ragda", "--max-iters", "3"],
                                   ["verify", "--suite", "adaptive-sum"]])
 def test_rm_seed_not_an_integer_is_a_config_error(tmp_path, monkeypatch, capsys, argv):

@@ -766,3 +766,58 @@ def test_stiefel_retraction_stays_feasible(seed):
     z = man.retract(x, u)
     X = z.data.reshape(6, 3)
     assert np.linalg.norm(X.T @ X - np.eye(3)) <= 1e-12
+
+
+# -- row-wise kernels ----------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "man",
+    [Euclidean(3), Sphere(4, radius=2.0), Sphere(5), Stiefel(5, 2), SPD(3),
+     ProductManifold([Sphere(3), SPD(2), Euclidean(2)]), ProductManifold([Stiefel(4, 2), Sphere(3)])],
+    ids=repr,
+)
+def test_kernels_on_a_stack_equal_the_single_rows(man):
+    # The kernels a solver step calls treat each row of a stack on its own:
+    # row i has the bits of the kernel on row i alone, and a row whose
+    # tangent is zero keeps its point exactly.
+    rng = np.random.default_rng(11)
+    points = [man.random_point(rng) for _ in range(4)]
+    tangents = [man.random_tangent(p, rng, 0.3) for p in points]
+    tangents[2] = man.zero_tangent(points[2])
+    xs = np.stack([p.data for p in points])
+    us = np.stack([u.data for u in tangents])
+    ambient = rng.standard_normal(xs.shape)
+    man.check_tangent(xs, us)
+    kernels = [man._retract] + ([man._exp] if man.has_exp else [])
+    with np.errstate(over="ignore", invalid="ignore"):
+        moved = [man._move(k, xs, us) for k in kernels]
+    inner = man._inner_data(xs, us, us)
+    projected = man._project(xs, ambient)
+    for row, (p, u) in enumerate(zip(points, tangents)):
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k, stack in zip(kernels, moved):
+                assert stack[row].tobytes() == man._move(k, p.data, u.data).tobytes()
+        assert inner[row] == man._inner_data(p.data, u.data, u.data)
+        assert projected[row].tobytes() == man._project(p.data, ambient[row]).tobytes()
+    assert all(stack[2].tobytes() == xs[2].tobytes() for stack in moved)
+    assert man._move(man._retract, xs, np.zeros_like(us)) is xs
+
+
+@pytest.mark.parametrize("man", [Sphere(4), SPD(3), Stiefel(5, 2)], ids=repr)
+def test_stacked_tangent_check_rejects_a_bad_row(man):
+    rng = np.random.default_rng(12)
+    points = [man.random_point(rng) for _ in range(3)]
+    xs = np.stack([p.data for p in points])
+    us = np.stack([man.random_tangent(p, rng).data for p in points])
+    man.check_tangent(xs, us)
+    bad = us.copy()
+    bad[1] += rng.standard_normal(us.shape[1])
+    with pytest.raises(InvalidGeometry):
+        man.check_tangent(xs, bad)
+    with pytest.raises(InvalidGeometry):
+        man.check_tangent(xs, us[:2])
+    bad = us.copy()
+    bad[2, 0] = np.nan
+    with pytest.raises(InvalidGeometry):
+        man.check_tangent(xs, bad)

@@ -10,6 +10,7 @@ from numpy.testing import assert_allclose
 from manimax import (
     Batch,
     EmptyBatch,
+    NumericalOverflow,
     Point,
     ProblemError,
     RobustMleProblem,
@@ -398,3 +399,56 @@ def test_overflow_guard():
     y = Point(prob.my, np.eye(3).ravel())
     with pytest.raises(Exception):
         prob.value(x, y)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scale", [1e154, 1e300])
+def test_quadratic_value_overflow_is_typed_not_a_warning(scale):
+    # y @ y overflows where A^T y does not: a NumericalOverflow, no warning.
+    prob = generate_quadratic_instance(20, 10, 1.0, 0)
+    x = prob.mx.random_point(RNG).data
+    with pytest.raises(NumericalOverflow):
+        prob._value(x, np.full(10, scale))
+    with pytest.raises(NumericalOverflow):
+        prob._value(np.stack([x, x]), np.stack([np.zeros(10), np.full(10, scale)]))
+
+
+# -- row-wise kernels --------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "prob",
+    [generate_gaussian_instance(4, 9, -5.0, seed=1), generate_quadratic_instance(7, 5, 1.0, 2, noise_sigma=0.3)],
+    ids=["robust-mle", "quadratic"],
+)
+def test_kernels_on_a_stack_equal_the_single_rows(prob):
+    # Row i of every kernel on a stack of points has the bits of the kernel on
+    # point i alone, the stochastic ones included: per-row batches, one shared
+    # batch, and noise drawn row by row from the generator of each row.
+    rng = np.random.default_rng(3)
+    pairs = [random_pair(prob, rng) for _ in range(5)]
+    xs = np.stack([x.data for x, _ in pairs])
+    ys = np.stack([y.data for _, y in pairs])
+    for row, (x, y) in enumerate(pairs):
+        assert prob._value(xs, ys)[row] == prob._value(x.data, y.data)
+        for kernel in (prob._grad_x, prob._grad_y):
+            assert kernel(xs, ys)[row].tobytes() == kernel(x.data, y.data).tobytes()
+
+    class Rows:
+        """Noise of row i from generator i, as the solver's streams draw it."""
+
+        def __init__(self, seeds):
+            self.gens = [np.random.default_rng(s) for s in seeds]
+
+        def standard_normal(self, shape):
+            return np.stack([g.standard_normal(shape[1:]) for g in self.gens])
+
+    n = prob.sample_count
+    per_row = np.random.default_rng(4).integers(0, n, size=(5, 3))
+    for kernel in (prob._stoch_grad_x, prob._stoch_grad_y):
+        for idx in (per_row, np.arange(n)):
+            stacked = kernel(xs, ys, idx, Rows(range(5)))
+            for row, (x, y) in enumerate(pairs):
+                one = idx[row] if idx.ndim == 2 else idx
+                alone = kernel(x.data, y.data, one, np.random.default_rng(row))
+                assert stacked[row].tobytes() == alone.tobytes()

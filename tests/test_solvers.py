@@ -24,6 +24,7 @@ from manimax import (
     ragda_step,
     rsagda_step,
     run,
+    run_seeds,
     running_min_checkpoints,
     stationarity,
     tsgda_step,
@@ -38,14 +39,15 @@ class SaddleToy(MinimaxProblem):
         self.my = Euclidean(1)
         self.sample_count = 1
 
+    # Row-wise kernels: x and y are single points (1,) or stacks (R, 1).
     def _value(self, x, y):
-        return float(x[0] * y[0] - 0.5 * y[0] ** 2)
+        return x[..., 0] * y[..., 0] - 0.5 * y[..., 0] ** 2
 
     def _grad_x(self, x, y):
-        return np.array([y[0]])
+        return y.copy()
 
     def _grad_y(self, x, y):
-        return np.array([x[0] - y[0]])
+        return x - y
 
     def default_start(self, rng):
         return Point(self.mx, [1.0]), Point(self.my, [0.0])
@@ -311,6 +313,61 @@ def test_robust_mle_step_decomposes_twice(monkeypatch, method):
         count[0] = 0
         trace = run(prob, SolverConfig(method=method, max_iters=steps, seed=1, eta_x=5e-4, eta_y=5e-4))
         assert trace.final_state.t == steps
+        seen[steps] = count[0]
+    assert seen[20] - seen[0] == 2 * 20
+
+
+@pytest.mark.parametrize(
+    "prob, method",
+    [(generate_gaussian_instance(4, 12, -5.0, seed=0), Method.RAGDA),
+     (generate_quadratic_instance(6, 4, 1.0, 0, 0.1), Method.RSAGDA)],
+    ids=["robust-mle-ragda", "quadratic-rsagda"],
+)
+def test_batched_step_checks_two_stacked_tangents(monkeypatch, prob, method):
+    # A step of a batch of 3 seeds validates the two stacked oracle outputs,
+    # one check_tangent call each, and no point.
+    counts = {"point": 0, "tangent": 0}
+    check_point, check_tangent = Manifold.check_point, Manifold.check_tangent
+
+    def counted_point(self, data):
+        counts["point"] += 1
+        check_point(self, data)
+
+    def counted_tangent(self, base, data):
+        counts["tangent"] += 1
+        assert base.shape == data.shape == (3, self.ambient_size)
+        check_tangent(self, base, data)
+
+    monkeypatch.setattr(Manifold, "check_point", counted_point)
+    monkeypatch.setattr(Manifold, "check_tangent", counted_tangent)
+    seen = {}
+    for steps in (0, 20):
+        counts.update(point=0, tangent=0)
+        traces = run_seeds(prob, SolverConfig(method=method, max_iters=steps), [1, 5, 9], eval_stride=5)
+        assert [t.final_state.t for t in traces] == [steps] * 3
+        seen[steps] = dict(counts)
+    assert seen[20]["point"] - seen[0]["point"] == 0
+    assert seen[20]["tangent"] - seen[0]["tangent"] == 2 * 20
+
+
+@pytest.mark.parametrize("method", [Method.RAGDA, Method.GDA])
+def test_robust_mle_batched_step_decomposes_twice(monkeypatch, method):
+    # One stacked eigh of the 3 iterates serves the values, both oracles,
+    # the metric and exp's whitening; the second is exp's stacked inner matrix.
+    count = [0]
+    for name in ("eigh", "eigvalsh"):
+        def counted(*args, _original=getattr(np.linalg, name), **kwargs):
+            count[0] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    prob = generate_gaussian_instance(4, 12, -5.0, seed=0)
+    seen = {}
+    for steps in (0, 20):
+        count[0] = 0
+        cfg = SolverConfig(method=method, max_iters=steps, eta_x=5e-4, eta_y=5e-4)
+        traces = run_seeds(prob, cfg, [1, 5, 9])
+        assert [t.final_state.t for t in traces] == [steps] * 3
         seen[steps] = count[0]
     assert seen[20] - seen[0] == 2 * 20
 

@@ -12,9 +12,8 @@ tangents, derived from validated values, are checked for finiteness only, by
 ``_frozen``, and wrapped by ``_trusted``.
 
 The kernels a solver step calls (``_retract``, ``_exp``, ``_inner_data``,
-``_project``, ``check_tangent`` and ``_move``) are row-wise: they take one flat
-array of shape (n,) or a stack of R of them, shape (R, n), and treat every row
-on its own, with the same bits whatever R is.
+``_project``, ``check_tangent``, ``_move``) take one flat array (n,) or a stack
+of them (R, n), and give each row the same bits whatever R is.
 """
 from __future__ import annotations
 
@@ -157,11 +156,17 @@ class Tangent:
         return f"Tangent(base={self.base!r})"
 
 
+def _all_finite(a: np.ndarray) -> bool:
+    # count_nonzero skips the Python layer of ndarray.all, which costs as much
+    # as the test itself on the small arrays of a solver step.
+    return np.count_nonzero(np.isfinite(a)) == a.size
+
+
 def _frozen(data: np.ndarray, what: str, owner) -> np.ndarray:
     """Derived data, whose membership holds by construction, checked for
     finiteness only and frozen in place: pass fresh arrays or read-only views."""
     arr = np.asarray(data, dtype=np.float64)
-    if not np.isfinite(arr).all():
+    if not _all_finite(arr):
         raise InvalidGeometry(f"{what} on {owner!r} contains non-finite entries")
     arr.setflags(write=False)
     return arr
@@ -174,16 +179,6 @@ def _trusted(cls: type, owner, arr: np.ndarray):
     object.__setattr__(obj, "manifold" if cls is Point else "base", owner)
     object.__setattr__(obj, "data", arr)
     return obj
-
-
-def _norm(a: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row; the bits of ``np.linalg.norm`` on that row."""
-    return np.sqrt(np.vecdot(a, a))
-
-
-def _first(values: np.ndarray, bad: np.ndarray) -> float:
-    """The entry of ``values`` at the first row flagged ``bad``, for an error message."""
-    return float(np.ravel(values)[np.argmax(np.ravel(bad))])
 
 
 def _still_rows_kept(kernel, x: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -247,22 +242,27 @@ class Manifold:
     # -- validation -------------------------------------------------------
 
     # The invariant checks run under an errstate: a huge finite array can
-    # overflow inside them, and then fails the check instead of warning.
+    # overflow inside them, and then fails the check instead of warning. A
+    # manifold whose only invariants are shape and finiteness has none to run.
+    _has_invariants = True
+
     def check_point(self, data: np.ndarray) -> None:
         self._check_array(data, "point")
-        with np.errstate(over="ignore", invalid="ignore"):
-            self._check_point(data)
+        if self._has_invariants:
+            with np.errstate(over="ignore", invalid="ignore"):
+                self._check_point(data)
 
     def check_tangent(self, base: np.ndarray, data: np.ndarray) -> None:
         """Tangent data at base; a stack of rows is checked row by row."""
         self._check_array(data, "tangent", base.shape)
-        with np.errstate(over="ignore", invalid="ignore"):
-            self._check_tangent(base, data)
+        if self._has_invariants:
+            with np.errstate(over="ignore", invalid="ignore"):
+                self._check_tangent(base, data)
 
     def _check_array(self, data: np.ndarray, what: str, shape: tuple | None = None) -> None:
         if data.shape != (shape or (self.ambient_size,)):
             raise InvalidGeometry(f"{self.kind} {what} needs {self.ambient_size} entries, got {data.shape}")
-        if not np.isfinite(data).all():
+        if not _all_finite(data):
             raise InvalidGeometry(f"{self.kind} {what} contains non-finite entries")
 
     def _require_point(self, *points: Point) -> None:
@@ -321,12 +321,11 @@ class Manifold:
 
     def _move(self, kernel, x: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Retract and exp on arrays: x itself for a zero u, else ``kernel(x, u)``
-        with the rows of x kept where u is zero. Callers run it under an
-        errstate that ignores overflow and invalid results: an overflow then
-        yields inf or nan, not a warning, and then a GeometryError from the
-        kernel's own guard or from ``_frozen``."""
+        with the rows of x kept where u is zero. Run under an errstate that
+        ignores overflow and invalid results, an overflow gives a GeometryError
+        from the kernel's own guard or from ``_frozen``, not a warning."""
         # No zero entry at all (the rule for noisy gradients) is the cheap test.
-        z = kernel(x, u) if u.all() else _still_rows_kept(kernel, x, u)
+        z = kernel(x, u) if np.count_nonzero(u) == u.size else _still_rows_kept(kernel, x, u)
         return x if z is x else _frozen(z, "point", self)
 
     def log(self, x: Point, y: Point) -> Tangent:
@@ -387,6 +386,7 @@ class Euclidean(Manifold):
     """Flat R^m with the usual inner product."""
 
     kind = "euclidean"
+    _has_invariants = False
 
     def __init__(self, dim: int) -> None:
         self.dim = _size(dim, "Euclidean dimension", 1)
@@ -467,7 +467,7 @@ class Sphere(Manifold):
         return (self.radius / ns) * s
 
     def _exp(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-        nu = _norm(u)[..., None]
+        nu = np.sqrt(np.vecdot(u, u, keepdims=True))
         t = nu / self.radius
         z = np.cos(t) * x + (self.radius * np.sin(t) / nu) * u
         # A nonzero u whose squared entries all underflow has norm 0.
@@ -572,10 +572,10 @@ class Stiefel(Manifold):
     def _check_tangent(self, base: np.ndarray, data: np.ndarray) -> None:
         X = self._mat(base)
         U = self._mat(data)
-        skew_err = _norm((X.mT @ U + U.mT @ X).reshape(*data.shape[:-1], -1))
-        ok = skew_err <= _STIEFEL_TANGENT
-        if not ok.all():
-            raise InvalidGeometry(f"X^T U not skew (||X^T U + U^T X|| = {_first(skew_err, ~ok):.3e})")
+        skew = (X.mT @ U + U.mT @ X).reshape(*data.shape[:-1], -1)
+        skew_err = np.sqrt(np.vecdot(skew, skew))  # the bits of np.linalg.norm
+        if not np.all(skew_err <= _STIEFEL_TANGENT):
+            raise InvalidGeometry(f"X^T U not skew (||X^T U + U^T X|| = {np.max(skew_err):.3e})")
 
     @property
     def has_exp(self) -> bool:
@@ -650,9 +650,8 @@ class SPD(Manifold):
         return data.reshape(*data.shape[:-1], self.order, self.order)
 
     def _check_sym(self, M: np.ndarray, what: str) -> None:
-        entries = (-2, -1)
-        scale = np.maximum(1.0, np.abs(M).max(axis=entries, initial=0.0))
-        if np.any(np.abs(M - M.mT).max(axis=entries, initial=0.0) > _SPD_SYMMETRY * scale):
+        scale = np.maximum(1.0, np.abs(M).max(axis=(-2, -1), initial=0.0))
+        if np.any(np.abs(M - M.mT).max(axis=(-2, -1), initial=0.0) > _SPD_SYMMETRY * scale):
             raise InvalidGeometry(f"{what} is not symmetric")
 
     def _check_point(self, data: np.ndarray) -> None:
@@ -668,7 +667,7 @@ class SPD(Manifold):
     def spectrum(self, M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Eigendecomposition of a symmetric matrix, or of each in a stack, with the clamp policy."""
         w, Q = np.linalg.eigh(_sym(M))
-        if not np.all(np.isfinite(w)):
+        if not _all_finite(w):
             raise InvalidGeometry("eigendecomposition produced non-finite values")
         floor = _EIG_FLOOR_REL * w[..., -1:]
         low = (w < floor) & (floor > 0.0)
@@ -706,7 +705,7 @@ class SPD(Manifold):
         """X^1/2 expm(X^-1/2 U X^-1/2) X^1/2 via eigendecompositions."""
         rt, _, S = self._whitened(x, u)
         ws, Qs = np.linalg.eigh(S)
-        if not np.all(np.isfinite(ws)):
+        if not _all_finite(ws):
             raise InvalidGeometry("exp map inner matrix is not finite")
         ew = np.exp(ws)  # under the errstate around Manifold._move
         if not np.all(ew[..., -1] < np.inf):

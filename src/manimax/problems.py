@@ -24,7 +24,7 @@ from .manifolds import (
     Sphere,
     Tangent,
     UnsupportedOperation,
-    _first,
+    _all_finite,
 )
 
 __all__ = [
@@ -96,13 +96,11 @@ class MinimaxProblem:
     arguments; the public oracles here check the points and the batch, and
     return validated Tangents.
 
-    Kernels are row-wise, like the manifold kernels: x and y are single
-    points (n,) or stacks of R points (R, n), and the results are stacked the
-    same way (the values as an (R,) array). For a stack, idx is either one
-    batch shared by every row or one batch per row, (R, b), and
-    ``rng.standard_normal(shape)`` draws row i of its (R, ...) result from
-    the generator of row i. Row i of a result must not depend on the other
-    rows, to the bit, which rules out one matrix product over all rows.
+    Kernels are row-wise: x and y are points (n,) or stacks of them (R, n),
+    results stack the same way, idx is one batch or one per row (R, b), and
+    ``rng.standard_normal(shape)`` draws row i of an (R, ...) result from row
+    i's generator. Row i must have the same bits whatever the other rows are,
+    which rules out one matrix product over all rows.
     """
 
     mx: Manifold
@@ -205,9 +203,8 @@ class RobustMleProblem(MinimaxProblem):
         with np.errstate(over="ignore", invalid="ignore"):
             quad = np.sum((W @ y_inv) * W, axis=(-2, -1))
             val = -0.5 * self.n * logdet - 0.5 * quad + self.c * np.vecdot(logs, logs)
-        bad = ~np.isfinite(val)
-        if bad.any():
-            raise NumericalOverflow(f"objective overflowed (logdet={_first(logdet, bad):.6g})")
+        if not _all_finite(val):
+            raise NumericalOverflow(f"objective overflowed (logdet={np.min(logdet):.6g})")
         return val
 
     def _grad_x(self, x: np.ndarray, y: np.ndarray, idx: np.ndarray | None = None, rng=None) -> np.ndarray:
@@ -273,7 +270,7 @@ class SyntheticQuadratic(MinimaxProblem):
         with np.errstate(over="ignore", invalid="ignore"):
             val = np.vecdot(y, np.matvec(self.a_mat, x)) - 0.5 * self.mu * np.vecdot(y, y)
             val = val + np.vecdot(self.b, x)
-        if not np.isfinite(val).all():
+        if not _all_finite(val):
             raise NumericalOverflow("objective overflowed")
         return val
 

@@ -13,10 +13,9 @@ of step t therefore already include the gradients of step t. The stochastic
 variant draws the batches of the two sides from two generators that ``run``
 derives once from the seed. Every method steps through one array kernel, ``_step``.
 
-``run_seeds`` runs one config from several seeds as one computation: the
-iterates of all seeds are the rows of stacked arrays, and every kernel works
-row by row, so that a row's bits do not depend on the other rows. ``run`` is
-its single-seed case, and the *_step functions step a single row.
+``run_seeds`` runs several seeds as one computation on stacked arrays, one
+row per seed, whose bits do not depend on the other rows; ``run`` is its
+single-seed case, and the *_step functions step a single row.
 """
 from __future__ import annotations
 
@@ -28,7 +27,7 @@ from enum import Enum
 
 import numpy as np
 
-from .manifolds import GeometryError, Point, _trusted
+from .manifolds import GeometryError, Point, _all_finite, _trusted
 from .problems import MinimaxProblem, NumericalOverflow
 
 __all__ = [
@@ -208,51 +207,41 @@ def running_min_checkpoints(trace: Trace, budgets, squared: bool = False) -> lis
 
 
 _FAILURES = (GeometryError, NumericalOverflow, NumericalError, FloatingPointError)
-
-# Standard normals are drawn this many calls ahead, per row; see _Draws.
-_NORMAL_BLOCK = 256
+_NORMAL_BLOCK = 64  # standard normals drawn ahead per row, in calls
 
 
 class _Draws:
-    """The random stream of one side of a batch of rows: one generator per row.
+    """One side's random stream for a stack of rows, one generator per row.
 
-    A draw of shape (R, ...) takes row i from generator i, as the stochastic
-    kernels expect. Standard normals come from a block drawn _NORMAL_BLOCK
-    calls ahead, which gives the values that drawing them call by call would,
-    as long as the generator draws nothing else; integers are drawn as asked.
-    ``row(i)`` replays the current step on row i alone: it serves row i of
-    the step's draws again, then goes on drawing for row i.
+    A draw of shape (R, ...) takes row i from generator i. Standard normals
+    come from a block drawn _NORMAL_BLOCK calls ahead, which yields what
+    drawing call by call would while the generator draws nothing else.
+    ``row(i)`` replays the step on row i alone from the step's own draws.
     """
 
     def __init__(self, gens, block: np.ndarray | None = None, pos: int = 0, ints=()) -> None:
         self.gens = list(gens)
         self.block = np.empty((len(self.gens), 0)) if block is None else block
         self.pos = self.begun = pos
-        self.ints: list[np.ndarray] = []  # integer draws of the step
+        self.ints: list[np.ndarray] = []  # the step's integer draws
         self.queued = list(ints)  # integer draws to serve again
 
     def begin(self) -> None:
-        """Start a step: the draws from here on are the step's."""
-        self.begun = self.pos
-        self.ints = []
+        self.begun, self.ints = self.pos, []
 
     def standard_normal(self, shape: tuple[int, ...]) -> np.ndarray:
-        start = self.pos
-        end = start + (shape[1] if len(shape) == 2 else math.prod(shape[1:]))
+        start, end = self.pos, self.pos + math.prod(shape[1:])
         if end > self.block.shape[1]:
-            fresh = [g.standard_normal(_NORMAL_BLOCK * (end - start)) for g in self.gens]
-            self.block = np.concatenate([self.block[:, self.begun:], np.stack(fresh)], axis=1)
-            start, end = start - self.begun, end - self.begun
-            self.begun = 0
+            fresh = np.stack([g.standard_normal(_NORMAL_BLOCK * (end - start)) for g in self.gens])
+            self.block = np.concatenate([self.block[:, self.begun:], fresh], axis=1)
+            start, end, self.begun = start - self.begun, end - self.begun, 0
         self.pos = end
         out = self.block[:, start:end]
         return out if len(shape) == 2 else out.reshape(shape)
 
     def integers(self, low: int, high: int, shape: tuple[int, ...]) -> np.ndarray:
-        if self.queued:
-            out = self.queued.pop(0)
-        else:
-            out = np.stack([g.integers(low, high, size=shape[1:], dtype=np.int64) for g in self.gens])
+        out = self.queued.pop(0) if self.queued else np.stack(
+            [g.integers(low, high, size=shape[1:], dtype=np.int64) for g in self.gens])
         self.ints.append(out)
         return out
 
@@ -260,33 +249,33 @@ class _Draws:
         return _Draws([self.gens[i]], self.block[i:i + 1], self.begun, [d[i:i + 1] for d in self.ints])
 
     def keep(self, rows: list[int]) -> None:
-        self.gens = [self.gens[i] for i in rows]
-        self.block = self.block[rows]
+        self.gens, self.block = [self.gens[i] for i in rows], self.block[rows]
 
     @classmethod
-    def joined(cls, parts: list["_Draws"]) -> "_Draws":
-        """The stream of the rows that replayed a step, each from its own ``row``."""
-        return cls([p.gens[0] for p in parts], np.concatenate([p.block for p in parts]), parts[0].pos)
+    def joined(cls, rows: list["_Draws"]) -> "_Draws":
+        return cls([r.gens[0] for r in rows], np.concatenate([r.block for r in rows]), rows[0].pos)
 
 
 def _step(problem: MinimaxProblem, cfg: SolverConfig, x: np.ndarray, y: np.ndarray, vx: list[float],
-          vy: list[float], draws: tuple[_Draws, _Draws] | None, full: np.ndarray):
-    """One step of cfg.method for each row of the stacked point arrays (x, y),
-    shape (R, n), with accumulators (vx, vy), R floats each.
+          vy: list[float], draws: tuple[_Draws, _Draws] | None, full: np.ndarray,
+          evaluate: bool = False, record: bool = False):
+    """One step of cfg.method for each row of the point stacks (x, y), shape
+    (R, n), with accumulators (vx, vy), R floats each.
 
     Exact gradients when draws is None, else each side draws its batches and
     noise from its own stream; a batch that covers the dataset is ``full``.
-    Returns the next (x, y, vx, vy), the stepsizes (eta, gamma) and the
-    squared gradient norms (nx2, ny2), the last six as lists of R floats.
-    GDA uses eta_x on both sides, TSGDA (eta_x, eta_y); the adaptive methods
-    use the law in the module docstring. The per-row scalars are Python
-    floats: cheaper than numpy for a few rows, and numpy's ** rounds some
-    powers differently.
+    Returns the next (x, y, vx, vy), the stepsizes (eta, gamma), the squared
+    gradient norms (nx2, ny2), and (sx, sy, f) at iterate t if ``evaluate``:
+    the exact gradient norms and the values of the rows that record it (nan
+    for the others); else None. Per-row scalars are lists of Python floats,
+    cheaper than arrays for a few rows, and numpy's ** rounds some powers
+    differently. GDA uses eta_x on both sides, TSGDA (eta_x, eta_y); the
+    adaptive methods use the law in the module docstring.
     """
     mx, my = problem.mx, problem.my
     rows = len(x)
     # Overflow, invalid results and division by zero read as inf or nan here,
-    # never as warnings: a non-finite oracle output fails its tangent check,
+    # not as warnings: a non-finite oracle output fails its tangent check,
     # non-finite norms (an SPD metric whose eigenvalue products underflow to
     # 0 among them) or scaled steps raise NumericalError, and a retraction's
     # own guard or ``_frozen`` reports the rest.
@@ -308,27 +297,36 @@ def _step(problem: MinimaxProblem, cfg: SolverConfig, x: np.ndarray, y: np.ndarr
         nx2, ny2 = _sq_norms(problem, x, y, gx, gy)
         if cfg.method in (Method.RAGDA, Method.RSAGDA):
             ex, ey, alpha, beta = cfg.eta_x, cfg.eta_y, cfg.alpha, cfg.beta
-            vx = [a + b for a, b in zip(vx, nx2)]
-            vy = [a + b for a, b in zip(vy, ny2)]
-            eta = [ex / (a if a > b else b) ** alpha for a, b in zip(vx, vy)]
-            gamma = [ey / b**beta for b in vy]
+            vxs, vys, eta, gamma = vx, vy, [], []
+            vx, vy = [], []
+            for a, b, sx2, sy2 in zip(vxs, vys, nx2, ny2):
+                a, b = a + sx2, b + sy2
+                vx.append(a)
+                vy.append(b)
+                eta.append(ex / (a if a > b else b) ** alpha)
+                gamma.append(ey / b**beta)
         else:
             eta = [cfg.eta_x] * rows
             gamma = [cfg.eta_x if cfg.method is Method.GDA else cfg.eta_y] * rows
-        ux, uy = _row_scaled([-e for e in eta], gx), _row_scaled(gamma, gy)
-        if not (np.isfinite(ux).all() and np.isfinite(uy).all()):
+        # A single row takes the cheaper scalar product, with the same bits.
+        if rows == 1:
+            ux, uy = gx * -eta[0], gy * gamma[0]
+        else:
+            ux, uy = np.array([-e for e in eta])[:, None] * gx, np.array(gamma)[:, None] * gy
+        if not (_all_finite(ux) and _all_finite(uy)):
             raise NumericalError("a scaled gradient step overflowed")
-        return mx._move(mx._retract, x, ux), my._move(my._retract, y, uy), vx, vy, eta, gamma, nx2, ny2
-
-
-def _row_scaled(coeffs: list[float], g: np.ndarray) -> np.ndarray:
-    """Row i of g times coeffs[i]; a single row takes the cheaper scalar product, with the same bits."""
-    return g * coeffs[0] if len(coeffs) == 1 else np.array(coeffs)[:, None] * g
+        out = mx._move(mx._retract, x, ux), my._move(my._retract, y, uy), vx, vy, eta, gamma, nx2, ny2
+        if not evaluate:
+            return out + (None, None, None)
+        if draws is not None:
+            nx2, ny2 = _sq_norms(problem, x, y, problem._grad_x(x, y), problem._grad_y(x, y))
+        sx, sy = [math.sqrt(v) for v in nx2], [math.sqrt(v) for v in ny2]
+        recording = record or any(a + b <= cfg.grad_tol for a, b in zip(sx, sy))
+        return out + (sx, sy, problem._value(x, y).tolist() if recording else [math.nan] * rows)
 
 
 def _sq_norms(problem: MinimaxProblem, x: np.ndarray, y: np.ndarray,
               gx: np.ndarray, gy: np.ndarray) -> tuple[list[float], list[float]]:
-    """The squared Riemannian norms of the rows of gx and gy, as lists."""
     nx2 = problem.mx._inner_data(x, gx, gx).tolist()
     ny2 = problem.my._inner_data(y, gy, gy).tolist()
     if not all(map(math.isfinite, nx2 + ny2)):
@@ -336,58 +334,33 @@ def _sq_norms(problem: MinimaxProblem, x: np.ndarray, y: np.ndarray,
     return nx2, ny2
 
 
-def _advance(problem: MinimaxProblem, cfg: SolverConfig, x: np.ndarray, y: np.ndarray, vx: list[float],
-             vy: list[float], draws: tuple[_Draws, _Draws] | None, full: np.ndarray, evaluate: bool, record: bool):
-    """``_step`` from iterate t, plus, when iterate t is evaluated, the exact
-    gradient norms (sx, sy) there and the values f of the rows that record it
-    (those of the others may be nan), as lists; else (sx, sy, f) are None."""
-    out = _step(problem, cfg, x, y, vx, vy, draws, full)
-    if not evaluate:
-        return out + (None, None, None)
-    if draws is None:
-        nx2, ny2 = out[6], out[7]
-    else:
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            nx2, ny2 = _sq_norms(problem, x, y, problem._grad_x(x, y), problem._grad_y(x, y))
-    sx, sy = [math.sqrt(v) for v in nx2], [math.sqrt(v) for v in ny2]
-    if record or any(a + b <= cfg.grad_tol for a, b in zip(sx, sy)):
-        f = problem._value(x, y).tolist()
-    else:
-        f = [math.nan] * len(sx)
-    return out + (sx, sy, f)
-
-
-def _replayed(fn, arrays: tuple[np.ndarray, ...], draws: tuple[_Draws, _Draws] | None):
-    """``fn(*arrays, draws)`` on each row alone, after it failed on the stack:
-    the stacked results of the rows that pass it (None if none does), their
-    draws, and the error text of each row that fails it."""
+def _replayed(fn, stacks: tuple, draws: tuple[_Draws, _Draws] | None):
+    """``fn(*stacks, draws)`` on each row alone, after it failed on all rows:
+    the stacked results and the draws of the rows that pass it (None if none
+    does), and the error text of each row that fails it."""
     results, streams, failed = [], [], {}
-    for j in range(len(arrays[0])):
+    for j in range(len(stacks[0])):
         own = draws and tuple(side.row(j) for side in draws)
         try:
-            results.append(fn(*(a[j:j + 1] for a in arrays), own))
+            results.append(fn(*(a[j:j + 1] for a in stacks), own))
             streams.append(own)
         except _FAILURES as err:
             failed[j] = f"{type(err).__name__}: {err}"
     if not results:
         return None, None, failed
-    stacked = tuple(_stacked(parts) for parts in zip(*results))
-    return stacked, draws and tuple(_Draws.joined(list(parts)) for parts in zip(*streams)), failed
-
-
-def _stacked(parts: tuple) -> np.ndarray | list | None:
-    """The per-row results of a replay as one result: a frozen stack of arrays, or one list."""
-    if parts[0] is None:
-        return None
-    if isinstance(parts[0], list):
-        return [v for part in parts for v in part]
-    return _frozen_rows(np.concatenate(parts))
+    stacked = tuple(None if parts[0] is None else [v for part in parts for v in part]
+                    if isinstance(parts[0], list) else _frozen_rows(np.concatenate(parts)) for parts in zip(*results))
+    return stacked, draws and tuple(_Draws.joined(list(rows)) for rows in zip(*streams)), failed
 
 
 def _frozen_rows(arr: np.ndarray) -> np.ndarray:
-    # Read-only, so that the SPD spectrum memo serves the stack.
-    arr.setflags(write=False)
+    arr.setflags(write=False)  # so that the SPD spectrum memo serves the stack
     return arr
+
+
+def _rows(keep: list[int], *rows):
+    """Each stack or per-row list cut down to the rows in keep."""
+    return [[a[j] for j in keep] if isinstance(a, list) else _frozen_rows(a[keep]) for a in rows]
 
 
 def _state(problem: MinimaxProblem, x: np.ndarray, y: np.ndarray, vx: float, vy: float, t: int) -> AdaptiveState:
@@ -451,18 +424,18 @@ def run(
     total, then strided; the running minimum of the stationarity measure is
     maintained over every evaluated step regardless of the record stride.
     Geometry errors and overflow stop the run with a partial trace. This is
-    ``run_seeds`` for the one seed, from x0 and y0 when given, with each
+    ``run_seeds`` for one seed, started at x0 and y0 when given, with each
     record handed to the callbacks.
     """
     return _run_rows(problem, cfg, [cfg.seed], eval_stride, x0, y0, callbacks)[0]
 
 
 def run_seeds(problem: MinimaxProblem, cfg: SolverConfig, seeds, *, eval_stride: int = 50) -> list[Trace]:
-    """``run`` once per seed, as one computation whose rows are the seeds.
+    """``run`` for each seed, as one computation whose rows are the seeds.
 
-    Trace i is the trace ``run`` gives for ``replace(cfg, seed=seeds[i])``,
-    bit for bit but for the clocks: every row reads the batch's shared
-    clock. A row that converges or fails leaves the batch; the others go on.
+    Trace i equals ``run`` for ``replace(cfg, seed=seeds[i])`` but for the
+    clocks, which are the batch's. A row that converges or fails leaves the
+    batch; the others go on.
     """
     return _run_rows(problem, cfg, seeds, eval_stride)
 
@@ -486,16 +459,15 @@ def _run_rows(problem: MinimaxProblem, cfg: SolverConfig, seeds, eval_stride: in
         x_init, y_init = problem.default_start(np.random.default_rng(init_ss))
         starts.append(((x0 or x_init).data, (y0 or y_init).data))
         gens.append([np.random.default_rng(s) for s in step_ss.spawn(2)])
-    # Read-only point stacks, so that the SPD spectrum memo hits at each iterate.
     x, y = (_frozen_rows(np.stack(points)) for points in zip(*starts))
     vx, vy = [cfg.v0_x] * len(configs), [cfg.v0_y] * len(configs)
     draws = tuple(_Draws(row[side] for row in gens) for side in (0, 1)) if stochastic else None
     full = np.arange(problem.sample_count, dtype=np.int64)
     record_stride = 1 if cfg.max_iters <= RECORD_CAP else math.ceil(cfg.max_iters / RECORD_CAP)
 
-    # Row j of the stacks, and of the per-row lists, is the run of
-    # configs[live[j]]. The rows step in lockstep, so the counts of steps and
-    # exact evaluations are shared.
+    # Row j of the stacks and of the per-row lists is the run of
+    # configs[live[j]]. The rows step in lockstep, so they share the counts
+    # of steps and of exact evaluations.
     live = list(range(len(configs)))
     records: list[list[IterationRecord]] = [[] for _ in configs]
     traces: list[Trace | None] = [None] * len(configs)
@@ -509,43 +481,30 @@ def _run_rows(problem: MinimaxProblem, cfg: SolverConfig, seeds, eval_stride: in
         i = live[j]
         calls = {"value": len(records[i]), "grad": 2 * (evals if stochastic else steps),
                  "stoch_grad": 2 * steps if stochastic else 0}
-        traces[i] = Trace(
-            config=configs[i],
-            records=records[i],
-            stop_reason=stop,
-            min_stationarity=low[j],
-            final_state=_state(problem, x[j], y[j], vx[j], vy[j], done),
-            metadata={
-                "seed": configs[i].seed,
-                "method": cfg.method.value,
-                "regime_flags": cfg.regime_flags(),
-                "eval_stride": eval_stride,
-                "record_stride": record_stride,
-                "oracle_calls": calls,
-                "max_step_grad_norm": math.sqrt(peak[j]),
-                "wall_s": time.perf_counter() - start,
-            },
-        )
+        metadata = {"seed": configs[i].seed, "method": cfg.method.value, "regime_flags": cfg.regime_flags(),
+                    "eval_stride": eval_stride, "record_stride": record_stride, "oracle_calls": calls,
+                    "max_step_grad_norm": math.sqrt(peak[j]), "wall_s": time.perf_counter() - start}
         if error is not None:
-            traces[i].metadata["error"] = error
+            metadata["error"] = error
+        traces[i] = Trace(configs[i], records[i], stop, low[j], _state(problem, x[j], y[j], vx[j], vy[j], done),
+                          metadata)
 
     for t in range(cfg.max_iters):
         last = t == cfg.max_iters - 1
         evaluate = not stochastic or t % eval_stride == 0 or last
         record = t % record_stride == 0 or last
         try:
-            out = _advance(problem, cfg, x, y, vx, vy, draws, full, evaluate, record)
+            out = _step(problem, cfg, x, y, vx, vy, draws, full, evaluate, record)
         except _FAILURES:
             # Find the rows that fail, and their errors, one row at a time.
-            advance = functools.partial(_advance, problem, cfg, full=full, evaluate=evaluate, record=record)
-            out, draws, failed = _replayed(advance, (x, y, vx, vy), draws)
+            step = functools.partial(_step, problem, cfg, full=full, evaluate=evaluate, record=record)
+            out, draws, failed = _replayed(step, (x, y, vx, vy), draws)
             for j, error in failed.items():
                 close(j, t, StopReason.NUMERICAL_ERROR, error)
             keep = [j for j in range(len(live)) if j not in failed]
-            if not keep:
-                live = []
-                break
             live, x, y, vx, vy, low, peak = _rows(keep, live, x, y, vx, vy, low, peak)
+            if not live:
+                break
         x1, y1, vx1, vy1, eta, gamma, nx2, ny2, sx, sy, f = out
         steps += 1
         peak = [max(p, a, b) for p, a, b in zip(peak, nx2, ny2)]
@@ -554,18 +513,15 @@ def _run_rows(problem: MinimaxProblem, cfg: SolverConfig, seeds, eval_stride: in
         # converged iterate ends its row and is kept as its final state.
         if sx is not None:
             evals += 1
-            converged = []
-            wall = None
+            converged, wall = [], None
             for j, i in enumerate(live):
                 stat = sx[j] + sy[j]
-                if stat < low[j]:
-                    low[j] = stat
+                low[j] = min(low[j], stat)
                 if stat <= cfg.grad_tol:
                     converged.append(j)
                 elif not record:
                     continue
-                if wall is None:
-                    wall = time.perf_counter() - start
+                wall = time.perf_counter() - start if wall is None else wall
                 rec = IterationRecord(t, sx[j], sy[j], eta[j], gamma[j], f[j], wall)
                 records[i].append(rec)
                 for cb in callbacks:
@@ -574,19 +530,12 @@ def _run_rows(problem: MinimaxProblem, cfg: SolverConfig, seeds, eval_stride: in
                 for j in converged:
                     close(j, t, StopReason.CONVERGED)
                 keep = [j for j in range(len(live)) if j not in converged]
-                if not keep:
-                    live = []
-                    break
                 live, x1, y1, vx1, vy1, low, peak = _rows(keep, live, x1, y1, vx1, vy1, low, peak)
-                if draws:
-                    for side in draws:
-                        side.keep(keep)
+                for side in draws or ():
+                    side.keep(keep)
+                if not live:
+                    break
         x, y, vx, vy = x1, y1, vx1, vy1
     for j in range(len(live)):
         close(j, cfg.max_iters, StopReason.MAX_ITERS)
     return traces
-
-
-def _rows(keep: list[int], *rows):
-    """Each stack or per-row list cut down to the rows in keep."""
-    return [[a[j] for j in keep] if isinstance(a, list) else _frozen_rows(a[keep]) for a in rows]

@@ -510,14 +510,11 @@ class Sphere(Manifold):
         return self.radius * float(np.arccos(c))
 
     def _project(self, x: np.ndarray, ambient: np.ndarray) -> np.ndarray:
-        # Dividing by 1 changes no bit, so the unit sphere skips it.
         r2 = self.radius**2
-        c = np.vecdot(x, ambient, keepdims=True)
-        out = ambient - (c if r2 == 1.0 else c / r2) * x
+        out = ambient - (np.vecdot(x, ambient, keepdims=True) / r2) * x
         # Second pass scrubs the residual normal component left by cancellation
         # when the input is nearly parallel to x.
-        c = np.vecdot(x, out, keepdims=True)
-        out -= (c if r2 == 1.0 else c / r2) * x
+        out -= (np.vecdot(x, out, keepdims=True) / r2) * x
         return out
 
     def _random_point(self, rng: np.random.Generator) -> np.ndarray:
@@ -651,7 +648,7 @@ class SPD(Manifold):
 
     def _check_sym(self, M: np.ndarray, what: str) -> None:
         scale = np.maximum(1.0, np.abs(M).max(axis=(-2, -1), initial=0.0))
-        if np.any(np.abs(M - M.mT).max(axis=(-2, -1), initial=0.0) > _SPD_SYMMETRY * scale):
+        if np.count_nonzero(np.abs(M - M.mT).max(axis=(-2, -1), initial=0.0) > _SPD_SYMMETRY * scale):
             raise InvalidGeometry(f"{what} is not symmetric")
 
     def _check_point(self, data: np.ndarray) -> None:
@@ -671,9 +668,10 @@ class SPD(Manifold):
             raise InvalidGeometry("eigendecomposition produced non-finite values")
         floor = _EIG_FLOOR_REL * w[..., -1:]
         low = (w < floor) & (floor > 0.0)
-        if np.any(low):
+        clamped = np.count_nonzero(low)
+        if clamped:
             if self.clamp_counter is not None:
-                self.clamp_counter.bump(int(low.sum()))
+                self.clamp_counter.bump(clamped)
             w = np.where(low, floor, w)
         return w, Q
 
@@ -708,9 +706,9 @@ class SPD(Manifold):
         if not _all_finite(ws):
             raise InvalidGeometry("exp map inner matrix is not finite")
         ew = np.exp(ws)  # under the errstate around Manifold._move
-        if not np.all(ew[..., -1] < np.inf):
+        if not _all_finite(ew[..., -1]):
             raise DegenerateRetraction("exp map overflowed")
-        if not np.all(ew[..., 0] > 0.0):
+        if np.count_nonzero(ew[..., 0]) < ew[..., 0].size:
             raise DegenerateRetraction("exp map underflowed to a singular matrix")
         E = (Qs * ew[..., None, :]) @ Qs.mT
         return _sym(rt @ E @ rt.mT).reshape(x.shape)

@@ -287,13 +287,19 @@ class Manifold:
     # -- metric -----------------------------------------------------------
 
     def inner(self, u: Tangent, v: Tangent) -> float:
-        """Riemannian inner product of two tangents at the same base."""
+        """Riemannian inner product of two tangents at the same base. It runs
+        under the solver step's errstate: a non-finite value, as where the
+        eigenvalue products of an SPD metric underflow to 0, raises
+        InvalidGeometry instead of a warning."""
         self._require_same_base(u, v)
-        return float(self._inner_data(u.base.data, u.data, v.data))
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            value = float(self._inner_data(u.base.data, u.data, v.data))
+        if not math.isfinite(value):
+            raise InvalidGeometry(f"metric on {self!r} is not finite")
+        return value
 
     def norm(self, u: Tangent) -> float:
-        self._require_point(u.base)
-        return float(np.sqrt(self._inner_data(u.base.data, u.data, u.data)))
+        return math.sqrt(self.inner(u, u))
 
     def _inner_data(self, base: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         # Ambient (Frobenius) metric; SPD overrides with the affine-invariant one.

@@ -15,11 +15,12 @@ derives once from the seed. Every method steps through one array kernel, ``_step
 
 ``run_seeds`` runs several seeds as one computation on stacked arrays, one
 row per seed, whose bits do not depend on the other rows; ``run`` is its
-single-seed case, and the *_step functions step a single row.
+single-seed case, and the *_step functions step a single row. A step that
+fails on a batch of several rows reruns each half of them from the start,
+until each failing row fails alone.
 """
 from __future__ import annotations
 
-import functools
 import math
 import time
 from dataclasses import dataclass, field, replace
@@ -216,44 +217,26 @@ class _Draws:
     A draw of shape (R, ...) takes row i from generator i. Standard normals
     come from a block drawn _NORMAL_BLOCK calls ahead, which yields what
     drawing call by call would while the generator draws nothing else.
-    ``row(i)`` replays the step on row i alone from the step's own draws.
     """
 
-    def __init__(self, gens, block: np.ndarray | None = None, pos: int = 0, ints=()) -> None:
-        self.gens = list(gens)
-        self.block = np.empty((len(self.gens), 0)) if block is None else block
-        self.pos = self.begun = pos
-        self.ints: list[np.ndarray] = []  # the step's integer draws
-        self.queued = list(ints)  # integer draws to serve again
-
-    def begin(self) -> None:
-        self.begun, self.ints = self.pos, []
+    def __init__(self, gens) -> None:
+        self.gens, self.pos = list(gens), 0
+        self.block = np.empty((len(self.gens), 0))
 
     def standard_normal(self, shape: tuple[int, ...]) -> np.ndarray:
-        start, end = self.pos, self.pos + math.prod(shape[1:])
-        if end > self.block.shape[1]:
-            fresh = np.stack([g.standard_normal(_NORMAL_BLOCK * (end - start)) for g in self.gens])
-            self.block = np.concatenate([self.block[:, self.begun:], fresh], axis=1)
-            start, end, self.begun = start - self.begun, end - self.begun, 0
-        self.pos = end
-        out = self.block[:, start:end]
+        size = math.prod(shape[1:])
+        if self.pos + size > self.block.shape[1]:
+            fresh = np.stack([g.standard_normal(_NORMAL_BLOCK * size) for g in self.gens])
+            self.block, self.pos = np.concatenate([self.block[:, self.pos:], fresh], axis=1), 0
+        out = self.block[:, self.pos:self.pos + size]
+        self.pos += size
         return out if len(shape) == 2 else out.reshape(shape)
 
     def integers(self, low: int, high: int, shape: tuple[int, ...]) -> np.ndarray:
-        out = self.queued.pop(0) if self.queued else np.stack(
-            [g.integers(low, high, size=shape[1:], dtype=np.int64) for g in self.gens])
-        self.ints.append(out)
-        return out
-
-    def row(self, i: int) -> "_Draws":
-        return _Draws([self.gens[i]], self.block[i:i + 1], self.begun, [d[i:i + 1] for d in self.ints])
+        return np.stack([g.integers(low, high, size=shape[1:], dtype=np.int64) for g in self.gens])
 
     def keep(self, rows: list[int]) -> None:
         self.gens, self.block = [self.gens[i] for i in rows], self.block[rows]
-
-    @classmethod
-    def joined(cls, rows: list["_Draws"]) -> "_Draws":
-        return cls([r.gens[0] for r in rows], np.concatenate([r.block for r in rows]), rows[0].pos)
 
 
 def _step(problem: MinimaxProblem, cfg: SolverConfig, x: np.ndarray, y: np.ndarray, vx: list[float],
@@ -284,8 +267,6 @@ def _step(problem: MinimaxProblem, cfg: SolverConfig, x: np.ndarray, y: np.ndarr
             gx, gy = problem._grad_x(x, y), problem._grad_y(x, y)
         else:
             n, size = full.size, cfg.batch_size
-            for side in draws:
-                side.begin()
             if size >= n:
                 idx_x = idx_y = full
             else:
@@ -332,25 +313,6 @@ def _sq_norms(problem: MinimaxProblem, x: np.ndarray, y: np.ndarray,
     if not all(map(math.isfinite, nx2 + ny2)):
         raise NumericalError("non-finite gradient norm")
     return nx2, ny2
-
-
-def _replayed(fn, stacks: tuple, draws: tuple[_Draws, _Draws] | None):
-    """``fn(*stacks, draws)`` on each row alone, after it failed on all rows:
-    the stacked results and the draws of the rows that pass it (None if none
-    does), and the error text of each row that fails it."""
-    results, streams, failed = [], [], {}
-    for j in range(len(stacks[0])):
-        own = draws and tuple(side.row(j) for side in draws)
-        try:
-            results.append(fn(*(a[j:j + 1] for a in stacks), own))
-            streams.append(own)
-        except _FAILURES as err:
-            failed[j] = f"{type(err).__name__}: {err}"
-    if not results:
-        return None, None, failed
-    stacked = tuple(None if parts[0] is None else [v for part in parts for v in part]
-                    if isinstance(parts[0], list) else _frozen_rows(np.concatenate(parts)) for parts in zip(*results))
-    return stacked, draws and tuple(_Draws.joined(list(rows)) for rows in zip(*streams)), failed
 
 
 def _frozen_rows(arr: np.ndarray) -> np.ndarray:
@@ -434,8 +396,9 @@ def run_seeds(problem: MinimaxProblem, cfg: SolverConfig, seeds, *, eval_stride:
     """``run`` for each seed, as one computation whose rows are the seeds.
 
     Trace i equals ``run`` for ``replace(cfg, seed=seeds[i])`` but for the
-    clocks, which are the batch's. A row that converges or fails leaves the
-    batch; the others go on.
+    clocks, which are those of the batch that ends the row. A row that
+    converges leaves the batch and the others go on; when a step fails, each
+    half of the live rows reruns from the start as its own batch.
     """
     return _run_rows(problem, cfg, seeds, eval_stride)
 
@@ -495,16 +458,18 @@ def _run_rows(problem: MinimaxProblem, cfg: SolverConfig, seeds, eval_stride: in
         record = t % record_stride == 0 or last
         try:
             out = _step(problem, cfg, x, y, vx, vy, draws, full, evaluate, record)
-        except _FAILURES:
-            # Find the rows that fail, and their errors, one row at a time.
-            step = functools.partial(_step, problem, cfg, full=full, evaluate=evaluate, record=record)
-            out, draws, failed = _replayed(step, (x, y, vx, vy), draws)
-            for j, error in failed.items():
-                close(j, t, StopReason.NUMERICAL_ERROR, error)
-            keep = [j for j in range(len(live)) if j not in failed]
-            live, x, y, vx, vy, low, peak = _rows(keep, live, x, y, vx, vy, low, peak)
-            if not live:
-                break
+        except _FAILURES as err:
+            if len(live) == 1:
+                close(0, t, StopReason.NUMERICAL_ERROR, f"{type(err).__name__}: {err}")
+                return traces
+            # Rows do not depend on the batch, so each half of the live rows,
+            # rerun from the start, finds its failing rows with solo traces.
+            half = len(live) // 2
+            for part in (live[:half], live[half:]):
+                reruns = _run_rows(problem, cfg, [configs[i].seed for i in part], eval_stride, x0, y0, callbacks)
+                for i, trace in zip(part, reruns):
+                    traces[i] = trace
+            return traces
         x1, y1, vx1, vy1, eta, gamma, nx2, ny2, sx, sy, f = out
         steps += 1
         peak = [max(p, a, b) for p, a, b in zip(peak, nx2, ny2)]

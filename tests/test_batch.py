@@ -130,16 +130,22 @@ def test_overflow_sweep_ends_cleanly_or_typed(name, method, eta_x, eta_y):
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("eta", [0.12, 0.3])
-def test_failing_rows_leave_the_batch_and_the_others_go_on(eta):
+@pytest.mark.parametrize("eta, tol", [(0.12, 0.0), (0.3, 0.0), (0.12, 0.6)], ids=["0.12", "0.3", "0.12-tol0.6"])
+def test_failing_rows_leave_the_batch_and_the_others_go_on(eta, tol):
     # GDA on robust-mle with too large a stepsize: at 0.12 some seeds blow up,
     # each at its own step, and the rest finish; at 0.3 the rows fail with
-    # different errors (exp overflow and underflow, non-finite norms).
+    # different errors (exp overflow and underflow, non-finite norms). With
+    # tol 0.6, two rows converge before the first row fails, and only the
+    # rows still in the batch are rerun to find the failing ones.
     problem = PROBLEMS["robust-mle"]
-    cfg = SolverConfig(method=Method.GDA, eta_x=eta, max_iters=60)
+    cfg = SolverConfig(method=Method.GDA, eta_x=eta, max_iters=60, grad_tol=tol)
     seeds = list(range(12))
     batch = run_seeds(problem, cfg, seeds)
     assert len({t.final_state.t for t in batch if t.stop_reason is StopReason.NUMERICAL_ERROR}) > 2
+    if tol > 0:
+        converged = [t.final_state.t for t in batch if t.stop_reason is StopReason.CONVERGED]
+        failed = [t.final_state.t for t in batch if t.stop_reason is StopReason.NUMERICAL_ERROR]
+        assert converged and max(converged) < min(failed), "the rows should converge before any row fails"
     for seed, row in zip(seeds, batch):
         assert fingerprint(row) == fingerprint(solo(problem, cfg, seed, 50))
 
@@ -161,9 +167,11 @@ class BrittleQuadratic(SyntheticQuadratic):
     ids=["quadratic-noise", "robust-mle-batches"],
 )
 def test_stochastic_rows_that_fail_mid_step_replay_their_draws(problem, cfg):
-    # The failing step of a row is replayed on that row alone from the draws
-    # the batch made for it; the rows that pass go on with their own streams
-    # (past a refill of the noise block, in the quadratic case).
+    # A row that fails after drawing some of its step's noise fails the
+    # batch's step; each half of the live rows is rerun from the start with
+    # fresh streams until the failing row fails alone, and the rows that pass
+    # draw what their solo runs draw (past a refill of the noise block, in
+    # the quadratic case).
     seeds = list(range(10))
     batch = run_seeds(problem, cfg, seeds, eval_stride=5)
     assert len({t.final_state.t for t in batch if t.stop_reason is StopReason.NUMERICAL_ERROR}) > 1

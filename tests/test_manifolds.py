@@ -723,6 +723,18 @@ def test_derived_values_are_checked_for_finiteness():
     assert u.scaled(0.5).data.flags.writeable is False
 
 
+@pytest.mark.filterwarnings("error")
+def test_spd_metric_that_underflows_raises_instead_of_warning():
+    # At 1e-170 * I the eigenvalue products w_i w_j underflow to 0.
+    man = SPD(2)
+    x = Point(man, 1e-170 * np.eye(2).ravel())
+    u = Tangent(x, np.eye(2).ravel())
+    with pytest.raises(InvalidGeometry):
+        man.inner(u, u)
+    with pytest.raises(InvalidGeometry):
+        man.norm(u)
+
+
 def test_spd_exp_rejects_underflow_to_singular():
     man = SPD(2)
     x = Point(man, np.eye(2).ravel())

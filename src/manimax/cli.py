@@ -239,6 +239,15 @@ def write_trace_csv(path: Path, trace: Trace) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _blas() -> str:
+    """Name and version of the BLAS numpy was built against, or ``unknown``."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        return f"{blas['name']} {blas['version']}"
+    except (KeyError, TypeError):
+        return "unknown"
+
+
 def write_summary(path: Path, cfg: ExperimentConfig, traces: list[Trace]) -> None:
     lines = [
         f"label = {cfg.label}",
@@ -246,6 +255,9 @@ def write_summary(path: Path, cfg: ExperimentConfig, traces: list[Trace]) -> Non
         f"solver = {cfg.solver.method.value}",
         f"seed = {cfg.solver.seed}",
         f"repeats = {cfg.repeats}",
+        f"env.numpy = {np.__version__}",
+        f"env.blas = {_blas()}",
+        *(f"env.{name} = {os.environ.get(name, 'unset')}" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")),
     ]
     for i, trace in enumerate(traces):
         calls = trace.metadata["oracle_calls"]

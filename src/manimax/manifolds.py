@@ -17,6 +17,7 @@ of them (R, n), and give each row the same bits whatever R is.
 """
 from __future__ import annotations
 
+import bisect
 import json
 import math
 from dataclasses import dataclass
@@ -48,6 +49,12 @@ _ANTIPODAL_MARGIN = 1e-10
 # SPD matrix functions clamp eigenvalues below _EIG_FLOOR_REL * lambda_max
 # before inverting or taking logs.
 _EIG_FLOOR_REL = 1e-14
+# SPD exp sums the Taylor series of expm(S) when ||S||_1 <= _TAYLOR_THETA. The
+# degree of a row is the least m whose reach covers its ||S||_1: the reach of
+# degree m is the theta at which theta^(m+1)/(m+1)! = 2^-53, which bounds the
+# truncation error. Degree 14 reaches past 1/2.
+_TAYLOR_THETA = 0.5
+_TAYLOR_REACH = tuple((2.0**-53 * math.factorial(m + 1)) ** (1.0 / (m + 1)) for m in range(1, 15))
 
 __all__ = [
     "GeometryError",
@@ -292,8 +299,11 @@ class Manifold:
         eigenvalue products of an SPD metric underflow to 0, raises
         InvalidGeometry instead of a warning."""
         self._require_same_base(u, v)
+        return self._metric(u.base.data, u.data, v.data)
+
+    def _metric(self, base: np.ndarray, u: np.ndarray, v: np.ndarray) -> float:
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            value = float(self._inner_data(u.base.data, u.data, v.data))
+            value = float(self._inner_data(base, u, v))
         if not math.isfinite(value):
             raise InvalidGeometry(f"metric on {self!r} is not finite")
         return value
@@ -382,7 +392,7 @@ class Manifold:
             return self.zero_tangent(x)
         for _ in range(64):
             raw = self._random_tangent_data(x.data, rng)
-            scale = float(np.sqrt(self._inner_data(x.data, raw, raw)))
+            scale = math.sqrt(self._metric(x.data, raw, raw))
             if scale > 1e-12:
                 return Tangent(x, (norm / scale) * raw)
         raise InvalidGeometry("failed to draw a nonzero tangent")
@@ -541,6 +551,48 @@ def _sym(mat: np.ndarray) -> np.ndarray:
     return 0.5 * (mat + mat.mT)
 
 
+def _taylor_expm(S: np.ndarray, m: int) -> np.ndarray:
+    """sum_{k<=m} S^k / k! for a stack of matrices, by Paterson-Stockmeyer.
+
+    With s = ceil(sqrt(m)) it forms I, S, .., S^(s-1) and S^s, the blocks
+    B_j = sum_{i<s} S^i / (js + i)! as one small product, and runs Horner's
+    rule in S^s over them: s - 1 + m // s matrix products, none at degree 1.
+    Each matrix of the stack takes its own products, so it gets the bits it
+    gets alone."""
+    R, k = S.shape[0], S.shape[-1]
+    if m == 1:
+        return S + np.eye(k)
+    s = math.ceil(math.sqrt(m))
+    powers = np.empty((R, s, k, k))
+    powers[:, 0] = np.eye(k)
+    powers[:, 1] = S
+    for i in range(2, s):
+        np.matmul(powers[:, i - 1], S, out=powers[:, i])
+    top = powers[:, -1] @ S
+    coef = np.reshape([1.0 / math.factorial(i) if i <= m else 0.0 for i in range((m // s + 1) * s)], (-1, s))
+    blocks = (coef @ powers.reshape(R, s, k * k)).reshape(R, -1, k, k)
+    E = blocks[:, -1]
+    for j in range(blocks.shape[1] - 2, -1, -1):
+        E = E @ top + blocks[:, j]
+    return E
+
+
+def _eigh_expm(S: np.ndarray) -> np.ndarray:
+    """expm of a stack of symmetric matrices from their eigendecompositions.
+    Under the errstate of ``Manifold._move``, which ignores overflow, an
+    overflow or an underflow to a singular matrix raises DegenerateRetraction
+    instead of a warning."""
+    ws, Qs = np.linalg.eigh(S)
+    if not _all_finite(ws):
+        raise InvalidGeometry("exp map inner matrix is not finite")
+    ew = np.exp(ws)
+    if not _all_finite(ew[..., -1]):
+        raise DegenerateRetraction("exp map overflowed")
+    if np.count_nonzero(ew[..., 0]) < ew[..., 0].size:
+        raise DegenerateRetraction("exp map underflowed to a singular matrix")
+    return (Qs * ew[..., None, :]) @ Qs.mT
+
+
 class Stiefel(Manifold):
     """Matrices with orthonormal columns, embedded metric, QR retraction.
 
@@ -621,13 +673,17 @@ class SPD(Manifold):
     <U, V>_X = trace(X^-1 U X^-1 V). The exponential map doubles as the
     retraction. Matrix functions go through symmetric eigendecompositions with
     eigenvalues clamped below at _EIG_FLOOR_REL * lambda_max; clamp events bump
-    the attached ClampCounter when one is present.
+    the attached ClampCounter when one is present. The one exception is expm
+    of a whitened step S with ||S||_1 <= 1/2 inside ``exp``: its Taylor series
+    is exact to roundoff there and costs a few matrix products, not an
+    eigendecomposition.
 
     The spectrum of a point is memoised: the manifold keeps one entry, the
     clamped (w, Q) of the last read-only flat point array it decomposed, and
     serves it again when ``point_spectrum`` is handed that same array object.
     A solver step therefore decomposes its SPD iterate once for the metric,
-    the maps and the problem oracles. Point arrays are private copies frozen
+    the maps and the problem oracles, and nothing more when its whitened step
+    is small. Point arrays are private copies frozen
     at construction, so a hit cannot be stale; a writable array is decomposed
     on every call and never stored. Clamp events count once per
     decomposition, not once per use of a spectrum.
@@ -706,17 +762,25 @@ class SPD(Manifold):
         return rt, irt, _sym(irt.mT @ self._mat(m) @ irt)
 
     def _exp(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """X^1/2 expm(X^-1/2 U X^-1/2) X^1/2 via eigendecompositions."""
+        """X^1/2 expm(S) X^1/2 with S = X^-1/2 U X^-1/2.
+
+        A row with ||S||_1 <= 1/2 sums the Taylor series of expm(S) to the
+        least degree whose truncation error is below 2^-53; the spectrum of
+        such an S lies in [-1/2, 1/2], so it can neither overflow nor
+        underflow. Other rows take expm(S) from the eigendecomposition of S.
+        Each row picks its path and degree from its own S, so its bits do not
+        depend on the stack."""
         rt, _, S = self._whitened(x, u)
-        ws, Qs = np.linalg.eigh(S)
-        if not _all_finite(ws):
-            raise InvalidGeometry("exp map inner matrix is not finite")
-        ew = np.exp(ws)  # under the errstate around Manifold._move
-        if not _all_finite(ew[..., -1]):
-            raise DegenerateRetraction("exp map overflowed")
-        if np.count_nonzero(ew[..., 0]) < ew[..., 0].size:
-            raise DegenerateRetraction("exp map underflowed to a singular matrix")
-        E = (Qs * ew[..., None, :]) @ Qs.mT
+        k = self.order
+        rt, S = rt.reshape(-1, k, k), S.reshape(-1, k, k)
+        # The Taylor degree of each row, or 0 for the eigendecomposition; a
+        # NaN norm fails the test and meets the eigendecomposition's check.
+        degrees = [bisect.bisect_left(_TAYLOR_REACH, theta) + 1 if theta <= _TAYLOR_THETA else 0
+                   for theta in np.abs(S).sum(axis=-2).max(axis=-1).tolist()]
+        E = np.empty_like(S)
+        for m in set(degrees):
+            rows = [r for r, d in enumerate(degrees) if d == m]
+            E[rows] = _taylor_expm(S[rows], m) if m else _eigh_expm(S[rows])
         return _sym(rt @ E @ rt.mT).reshape(x.shape)
 
     def _log(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -23,7 +23,9 @@ def strip_wall(path):
     return "\n".join(",".join(r[:1] + r[2:]) for r in rows)
 
 
-def test_run_preset_writes_outputs(tmp_path):
+def test_run_preset_writes_outputs(tmp_path, monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
     code = main([
         "run", "--preset", "synthetic-ragda", "--max-iters", "60",
         "--label", "t", "--out", str(tmp_path),
@@ -40,6 +42,14 @@ def test_run_preset_writes_outputs(tmp_path):
     # largest norm in the CSV.
     fields = dict(line.split(" = ", 1) for line in summary.splitlines())
     assert float(fields["repeat0.max_step_grad_norm"]) == max(float(v) for r in rows for v in r[2:4])
+    # The numerical environment, once per summary.
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert fields["env.numpy"] == np.__version__
+    assert fields["env.blas"] == f"{blas['name']} {blas['version']}"
+    assert (fields["env.OPENBLAS_NUM_THREADS"], fields["env.OMP_NUM_THREADS"]) == ("1", "unset")
+    assert sum(line.startswith("env.") for line in summary.splitlines()) == 4
+    monkeypatch.setattr(np, "show_config", lambda mode: {})
+    assert cli._blas() == "unknown"
     x = deserialize_point((tmp_path / "t_rep0_x.point").read_bytes())
     y = deserialize_point((tmp_path / "t_rep0_y.point").read_bytes())
     assert x.manifold.spec_key() == Sphere(20).spec_key()

@@ -200,6 +200,43 @@ def test_spd_exp_matches_series():
     assert_allclose(got, want, rtol=1e-12, atol=1e-15)
 
 
+def spd_exp_by_eigh(x, u, theta):
+    """The tangent u rescaled so that the whitened step S = X^-1/2 U X^-1/2,
+    formed as SPD does it, has ||S||_1 = theta, and exp_x of it from the
+    eigendecomposition of S, in SPD's order of operations."""
+    n = x.manifold.order
+    X = x.data.reshape(n, n)
+    w, Q = np.linalg.eigh(0.5 * (X + X.T))
+    rt, irt = Q * np.sqrt(w), Q / np.sqrt(w)
+
+    def whitened(U):
+        A = irt.T @ U @ irt
+        return 0.5 * (A + A.T)
+
+    U = u.data.reshape(n, n) * (theta / np.abs(whitened(u.data.reshape(n, n))).sum(axis=0).max())
+    ws, Qs = np.linalg.eigh(whitened(U))
+    Z = rt @ ((Qs * np.exp(ws)) @ Qs.T) @ rt.T
+    return Tangent(x, U.reshape(-1)), 0.5 * (Z + Z.T)
+
+
+@pytest.mark.parametrize("order", [2, 3, 31])
+def test_spd_exp_of_a_small_step_matches_the_eigendecomposition(order):
+    # At ||S||_1 <= 1/2 exp sums the Taylor series of expm(S); it agrees with
+    # the eigendecomposition to roundoff. 0.5 is scaled a hair below, so that
+    # the rounding of the rescaled tangent keeps it on the series side.
+    man = SPD(order)
+    rng = np.random.default_rng(order)
+    for theta in (1e-14, 1e-6, 0.05, 0.5 * (1 - 1e-12)):
+        x = man.random_point(rng)
+        u, want = spd_exp_by_eigh(x, man.random_tangent(x, rng), theta)
+        got = man.exp(x, u).data.reshape(order, order)
+        assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
+    # Just above 1/2 exp takes the eigendecomposition, bit for bit.
+    x = man.random_point(rng)
+    u, want = spd_exp_by_eigh(x, man.random_tangent(x, rng), 0.5 * (1 + 1e-12))
+    assert man.exp(x, u).data.tobytes() == want.tobytes()
+
+
 # -- round trips and isometries ----------------------------------------------
 
 
@@ -733,6 +770,8 @@ def test_spd_metric_that_underflows_raises_instead_of_warning():
         man.inner(u, u)
     with pytest.raises(InvalidGeometry):
         man.norm(u)
+    with pytest.raises(InvalidGeometry):
+        man.random_tangent(x, np.random.default_rng(0), 1.0)
 
 
 def test_spd_exp_rejects_underflow_to_singular():
@@ -784,18 +823,21 @@ def test_stiefel_retraction_stays_feasible(seed):
 
 
 @pytest.mark.parametrize(
-    "man",
-    [Euclidean(3), Sphere(4, radius=2.0), Sphere(5), Stiefel(5, 2), SPD(3),
-     ProductManifold([Sphere(3), SPD(2), Euclidean(2)]), ProductManifold([Stiefel(4, 2), Sphere(3)])],
-    ids=repr,
+    "man, norms",
+    [pytest.param(man, (0.3,) * 4, id=repr(man))
+     for man in [Euclidean(3), Sphere(4, radius=2.0), Sphere(5), Stiefel(5, 2), SPD(3),
+                 ProductManifold([Sphere(3), SPD(2), Euclidean(2)]), ProductManifold([Stiefel(4, 2), Sphere(3)])]]
+    # ||S||_1 <= sqrt(3) * norm and >= norm / sqrt(3): SPD exp sums Taylor
+    # series of two degrees on rows 0 and 3 and decomposes row 1.
+    + [pytest.param(SPD(3), (0.05, 2.0, 0.3, 1e-9), id="SPD(3)-both-sides-of-one-half")],
 )
-def test_kernels_on_a_stack_equal_the_single_rows(man):
+def test_kernels_on_a_stack_equal_the_single_rows(man, norms):
     # The kernels a solver step calls treat each row of a stack on its own:
     # row i has the bits of the kernel on row i alone, and a row whose
     # tangent is zero keeps its point exactly.
     rng = np.random.default_rng(11)
     points = [man.random_point(rng) for _ in range(4)]
-    tangents = [man.random_tangent(p, rng, 0.3) for p in points]
+    tangents = [man.random_tangent(p, rng, norm) for p, norm in zip(points, norms)]
     tangents[2] = man.zero_tangent(points[2])
     xs = np.stack([p.data for p in points])
     us = np.stack([u.data for u in tangents])

@@ -296,10 +296,7 @@ def test_geometry_checked_only_at_the_boundary(monkeypatch, prob, method):
     assert seen[20]["tangent"] - seen[0]["tangent"] <= 2 * 20
 
 
-@pytest.mark.parametrize("method", [Method.RAGDA, Method.GDA])
-def test_robust_mle_step_decomposes_twice(monkeypatch, method):
-    # One spectrum of the iterate Y_t serves the value, both oracles, the
-    # metric and exp's whitening; the second is exp's inner matrix.
+def _count_decompositions(monkeypatch) -> list[int]:
     count = [0]
     for name in ("eigh", "eigvalsh"):
         def counted(*args, _original=getattr(np.linalg, name), **kwargs):
@@ -307,6 +304,15 @@ def test_robust_mle_step_decomposes_twice(monkeypatch, method):
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted)
+    return count
+
+
+@pytest.mark.parametrize("method", [Method.RAGDA, Method.GDA])
+def test_robust_mle_small_step_decomposes_once(monkeypatch, method):
+    # One spectrum of the iterate Y_t serves the value, both oracles, the
+    # metric and exp's whitening; at eta 5e-4 every whitened step has
+    # ||S||_1 <= 1/2, so exp sums its Taylor series and decomposes nothing.
+    count = _count_decompositions(monkeypatch)
     prob = generate_gaussian_instance(4, 12, -5.0, seed=0)
     seen = {}
     for steps in (0, 20):
@@ -314,7 +320,7 @@ def test_robust_mle_step_decomposes_twice(monkeypatch, method):
         trace = run(prob, SolverConfig(method=method, max_iters=steps, seed=1, eta_x=5e-4, eta_y=5e-4))
         assert trace.final_state.t == steps
         seen[steps] = count[0]
-    assert seen[20] - seen[0] == 2 * 20
+    assert seen[20] - seen[0] == 20
 
 
 @pytest.mark.parametrize(
@@ -350,26 +356,28 @@ def test_batched_step_checks_two_stacked_tangents(monkeypatch, prob, method):
     assert seen[20]["tangent"] - seen[0]["tangent"] == 2 * 20
 
 
-@pytest.mark.parametrize("method", [Method.RAGDA, Method.GDA])
-def test_robust_mle_batched_step_decomposes_twice(monkeypatch, method):
+@pytest.mark.parametrize(
+    "method, eta, per_step",
+    [(Method.RAGDA, 5e-4, 1), (Method.GDA, 5e-4, 1), (Method.GDA, 0.2, 2)],
+    ids=["ragda-small", "gda-small", "gda-large"],
+)
+def test_robust_mle_batched_step_decompositions(monkeypatch, method, eta, per_step):
     # One stacked eigh of the 3 iterates serves the values, both oracles,
-    # the metric and exp's whitening; the second is exp's stacked inner matrix.
-    count = [0]
-    for name in ("eigh", "eigvalsh"):
-        def counted(*args, _original=getattr(np.linalg, name), **kwargs):
-            count[0] += 1
-            return _original(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, name, counted)
+    # the metric and exp's whitening. At eta 5e-4 every row's whitened step
+    # has ||S||_1 <= 1/2 and takes the Taylor series; at eta 0.2 every row's
+    # lies between 1.29 and 255, so exp decomposes the stacked inner matrices
+    # once more.
+    count = _count_decompositions(monkeypatch)
     prob = generate_gaussian_instance(4, 12, -5.0, seed=0)
+    steps = 20 if per_step == 1 else 5
     seen = {}
-    for steps in (0, 20):
+    for n in (0, steps):
         count[0] = 0
-        cfg = SolverConfig(method=method, max_iters=steps, eta_x=5e-4, eta_y=5e-4)
+        cfg = SolverConfig(method=method, max_iters=n, eta_x=eta, eta_y=eta)
         traces = run_seeds(prob, cfg, [1, 5, 9])
-        assert [t.final_state.t for t in traces] == [steps] * 3
-        seen[steps] = count[0]
-    assert seen[20] - seen[0] == 2 * 20
+        assert [t.final_state.t for t in traces] == [n] * 3
+        seen[n] = count[0]
+    assert seen[steps] - seen[0] == per_step * steps
 
 
 @pytest.mark.parametrize(

@@ -189,13 +189,13 @@ def load_preset(name: str) -> dict[str, object]:
 
 
 def build_problem(cfg: ExperimentConfig) -> MinimaxProblem:
-    """The configured instance; a size or parameter it rejects is a ConfigError."""
+    """The configured instance; a size or parameter it rejects, or a size it cannot allocate, is a ConfigError."""
     try:
         if cfg.problem == "robust-mle":
             return generate_gaussian_instance(cfg.d, cfg.n, cfg.c, cfg.data_seed)
         return generate_quadratic_instance(cfg.k, cfg.m, cfg.mu, cfg.data_seed, cfg.sigma)
-    except (ProblemError, InvalidGeometry, ValueError) as err:
-        # numpy raises ValueError for negative dimensions.
+    except (ProblemError, InvalidGeometry, ValueError, MemoryError) as err:
+        # numpy raises ValueError for negative dimensions, MemoryError for sizes it cannot allocate.
         raise ConfigError(f"{cfg.problem} instance: {err}") from None
 
 

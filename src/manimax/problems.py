@@ -385,3 +385,5 @@ def load_instance(path: str | Path) -> RobustMleProblem:
         raise ProblemError(f"instance file is missing field {missing}") from None
     except ValueError as err:
         raise ProblemError(f"malformed instance file: {err}") from None
+    except MemoryError as err:
+        raise ProblemError(f"instance file asks for more memory than can be allocated: {err}") from None

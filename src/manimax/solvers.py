@@ -15,9 +15,11 @@ derives once from the seed. Every method steps through one array kernel, ``_step
 
 ``run_seeds`` runs several seeds as one computation on stacked arrays, one
 row per seed, whose bits do not depend on the other rows; ``run`` is its
-single-seed case, and the *_step functions step a single row. A step that
+single-seed case, and the two are the only ways into ``_step``. A step that
 fails on a batch of several rows reruns each half of them from the start,
-until each failing row fails alone.
+until each failing row fails alone. One step of a deterministic method from
+a state s is ``run`` with max_iters=1, grad_tol=0, v0_x=s.vx, v0_y=s.vy,
+x0=s.x and y0=s.y.
 """
 from __future__ import annotations
 
@@ -40,10 +42,6 @@ __all__ = [
     "AdaptiveState",
     "IterationRecord",
     "Trace",
-    "ragda_step",
-    "rsagda_step",
-    "gda_step",
-    "tsgda_step",
     "stationarity",
     "run",
     "run_seeds",
@@ -241,7 +239,7 @@ class _Draws:
 
 def _step(problem: MinimaxProblem, cfg: SolverConfig, x: np.ndarray, y: np.ndarray, vx: list[float],
           vy: list[float], draws: tuple[_Draws, _Draws] | None, full: np.ndarray,
-          evaluate: bool = False, record: bool = False):
+          evaluate: bool, record: bool):
     """One step of cfg.method for each row of the point stacks (x, y), shape
     (R, n), with accumulators (vx, vy), R floats each.
 
@@ -329,50 +327,9 @@ def _state(problem: MinimaxProblem, x: np.ndarray, y: np.ndarray, vx: float, vy:
     return AdaptiveState(x=_trusted(Point, problem.mx, x), y=_trusted(Point, problem.my, y), vx=vx, vy=vy, t=t)
 
 
-def _state_step(problem: MinimaxProblem, state: AdaptiveState, cfg: SolverConfig, method: Method,
-                draws: tuple[_Draws, _Draws] | None = None) -> AdaptiveState:
-    """The boundary of the *_step functions: one ``_step`` of a single row from and to an AdaptiveState."""
-    if cfg.method is not method:
-        raise ConfigError(f"{method.value}_step needs method {method.value!r}, got {cfg.method.value!r}")
-    full = np.arange(problem.sample_count, dtype=np.int64)
-    x, y = (a[None] for a in problem._arrays(state.x, state.y))
-    x, y, vx, vy = _step(problem, cfg, x, y, [state.vx], [state.vy], draws, full)[:4]
-    return _state(problem, x[0], y[0], vx[0], vy[0], state.t + 1)
-
-
-def ragda_step(problem: MinimaxProblem, state: AdaptiveState, cfg: SolverConfig) -> AdaptiveState:
-    """One adaptive descent-ascent step with exact gradients."""
-    return _state_step(problem, state, cfg, Method.RAGDA)
-
-
-def rsagda_step(
-    problem: MinimaxProblem,
-    state: AdaptiveState,
-    cfg: SolverConfig,
-    rng: np.random.Generator,
-) -> AdaptiveState:
-    """One adaptive step with stochastic gradients on independent batches.
-
-    Each call spawns one fresh substream per side from ``rng``; ``run`` keeps
-    one stream per side for the whole run, so the two sample paths differ.
-    """
-    return _state_step(problem, state, cfg, Method.RSAGDA, tuple(_Draws([side]) for side in rng.spawn(2)))
-
-
-def gda_step(problem: MinimaxProblem, state: AdaptiveState, cfg: SolverConfig) -> AdaptiveState:
-    """Fixed-stepsize descent ascent with the same stepsize on both sides."""
-    return _state_step(problem, state, cfg, Method.GDA)
-
-
-def tsgda_step(problem: MinimaxProblem, state: AdaptiveState, cfg: SolverConfig) -> AdaptiveState:
-    """Fixed-stepsize descent ascent on two timescales (eta_x, eta_y)."""
-    return _state_step(problem, state, cfg, Method.TSGDA)
-
-
 def run(
     problem: MinimaxProblem,
     cfg: SolverConfig,
-    callbacks: tuple = (),
     *,
     eval_stride: int = 50,
     x0: Point | None = None,
@@ -386,10 +343,9 @@ def run(
     total, then strided; the running minimum of the stationarity measure is
     maintained over every evaluated step regardless of the record stride.
     Geometry errors and overflow stop the run with a partial trace. This is
-    ``run_seeds`` for one seed, started at x0 and y0 when given, with each
-    record handed to the callbacks.
+    ``run_seeds`` for one seed, started at x0 and y0 when given.
     """
-    return _run_rows(problem, cfg, [cfg.seed], eval_stride, x0, y0, callbacks)[0]
+    return _run_rows(problem, cfg, [cfg.seed], eval_stride, x0, y0)[0]
 
 
 def run_seeds(problem: MinimaxProblem, cfg: SolverConfig, seeds, *, eval_stride: int = 50) -> list[Trace]:
@@ -404,7 +360,7 @@ def run_seeds(problem: MinimaxProblem, cfg: SolverConfig, seeds, *, eval_stride:
 
 
 def _run_rows(problem: MinimaxProblem, cfg: SolverConfig, seeds, eval_stride: int,
-              x0: Point | None = None, y0: Point | None = None, callbacks: tuple = ()) -> list[Trace]:
+              x0: Point | None = None, y0: Point | None = None) -> list[Trace]:
     if eval_stride < 1:
         raise ConfigError("eval_stride must be >= 1")
     configs = [replace(cfg, seed=seed) for seed in seeds]
@@ -466,7 +422,7 @@ def _run_rows(problem: MinimaxProblem, cfg: SolverConfig, seeds, eval_stride: in
             # rerun from the start, finds its failing rows with solo traces.
             half = len(live) // 2
             for part in (live[:half], live[half:]):
-                reruns = _run_rows(problem, cfg, [configs[i].seed for i in part], eval_stride, x0, y0, callbacks)
+                reruns = _run_rows(problem, cfg, [configs[i].seed for i in part], eval_stride, x0, y0)
                 for i, trace in zip(part, reruns):
                     traces[i] = trace
             return traces
@@ -487,10 +443,7 @@ def _run_rows(problem: MinimaxProblem, cfg: SolverConfig, seeds, eval_stride: in
                 elif not record:
                     continue
                 wall = time.perf_counter() - start if wall is None else wall
-                rec = IterationRecord(t, sx[j], sy[j], eta[j], gamma[j], f[j], wall)
-                records[i].append(rec)
-                for cb in callbacks:
-                    cb(rec)
+                records[i].append(IterationRecord(t, sx[j], sy[j], eta[j], gamma[j], f[j], wall))
             if converged:
                 for j in converged:
                     close(j, t, StopReason.CONVERGED)

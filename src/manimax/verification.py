@@ -218,9 +218,10 @@ def audit_transport_isometry(
     """Worst relative defect of <Gu, Gv> against <u, v> over random transports.
 
     Raises UnsupportedOperation when the manifold's transport is not an
-    isometry by construction (projection transport on Stiefel).
+    isometry by construction: projection transport on Stiefel, alone or as a
+    factor of a product, the manifolds without exp.
     """
-    if manifold.kind == "stiefel":
+    if not manifold.has_exp:
         raise UnsupportedOperation("projection transport on Stiefel is not an isometry")
     if trials < 1:
         raise InvalidInput("trials must be >= 1")

@@ -332,6 +332,10 @@ def assert_config_error(argv, capsys):
     ["--problem", "synthetic-quadratic", "--mu", "-1"],
     ["--problem", "synthetic-quadratic", "--k", "1"],
     ["--problem", "synthetic-quadratic", "--m", "0"],
+    # 100 rows of 10^12 ask for 728 TiB, more than the 128 TiB of a user
+    # address space, so the allocation fails at once under any overcommit policy.
+    ["--problem", "robust-mle", "--d", "1000000000000", "--n", "100"],
+    ["--problem", "synthetic-quadratic", "--k", "1000000000000", "--m", "100"],
 ], ids=" ".join)
 @pytest.mark.parametrize("command", ["run", "verify"])
 def test_bad_problem_size_is_a_config_error(tmp_path, capsys, command, flags):

@@ -356,6 +356,8 @@ def _matrix_blob(d=3, n=4, c=-2.5):
         pytest.param(_matrix_blob(c=float("inf")), id="c-inf"),
         pytest.param(b"d = 3\nn = 4\nc = nan\nseed = 0\n", id="text-c-nan"),
         pytest.param(b"d = 3\nn = 4\nc = -inf\nseed = 0\n", id="text-c-inf"),
+        # 100 rows of 10^12 ask for 728 TiB, more than a 128 TiB user address space.
+        pytest.param(b"d = 1000000000000\nn = 100\nc = -5\nseed = 0\n", id="text-too-large-to-allocate"),
     ],
 )
 def test_load_instance_malformed_raises_problem_error(tmp_path, blob):

@@ -4,10 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
 
 from manimax import (
-    AdaptiveState,
     ConfigError,
     Euclidean,
     InvalidGeometry,
@@ -18,16 +16,12 @@ from manimax import (
     SolverConfig,
     Sphere,
     StopReason,
-    gda_step,
     generate_gaussian_instance,
     generate_quadratic_instance,
-    ragda_step,
-    rsagda_step,
     run,
     run_seeds,
     running_min_checkpoints,
     stationarity,
-    tsgda_step,
 )
 
 
@@ -53,11 +47,11 @@ class SaddleToy(MinimaxProblem):
         return Point(self.mx, [1.0]), Point(self.my, [0.0])
 
 
-def toy_state():
+def toy_steps(cfg, x=1.0, y=0.0):
+    """The final state of cfg.max_iters steps on the toy from (x, y), with
+    cfg.v0_x and cfg.v0_y as the starting accumulators."""
     toy = SaddleToy()
-    x = Point(toy.mx, [1.0])
-    y = Point(toy.my, [0.0])
-    return toy, AdaptiveState(x=x, y=y, vx=1.0, vy=1.0, t=0)
+    return run(toy, cfg, x0=Point(toy.mx, [x]), y0=Point(toy.my, [y])).final_state
 
 
 # -- hand-computed adaptive steps -----------------------------------------------
@@ -67,10 +61,9 @@ def test_adaptive_step_by_hand():
     # Starting from x=1, y=0 with unit stepsizes and v0=1:
     # gradients (0, 1), accumulators then (1, 2), so eta = 1/max(1,2)^0.5
     # and gamma = 1/2^0.5; the update leaves x alone and lifts y by gamma.
-    toy, state = toy_state()
     cfg = SolverConfig(method=Method.RAGDA, eta_x=1.0, eta_y=1.0, alpha=0.5,
-                       beta=0.5, v0_x=1.0, v0_y=1.0, max_iters=10)
-    s1 = ragda_step(toy, state, cfg)
+                       beta=0.5, v0_x=1.0, v0_y=1.0, max_iters=1)
+    s1 = toy_steps(cfg)
     assert s1.vx == 1.0
     assert s1.vy == 2.0
     assert s1.x.data[0] == 1.0
@@ -84,7 +77,7 @@ def test_adaptive_step_by_hand():
     vy = 2.0 + gy * gy
     eta = 1.0 / max(vx, vy) ** 0.5
     gamma = 1.0 / vy**0.5
-    s2 = ragda_step(toy, s1, cfg)
+    s2 = toy_steps(replace(cfg, max_iters=2))
     assert s2.vx == vx
     assert s2.vy == vy
     assert s2.x.data[0] == s1.x.data[0] - eta * gx
@@ -94,10 +87,9 @@ def test_adaptive_step_by_hand():
 def test_accumulators_update_before_stepsize():
     # If stepsizes were computed from the pre-update accumulators, the first
     # recorded eta would be eta_x / v0^alpha = 1.0. It must be 2^-0.5.
-    toy, _ = toy_state()
     cfg = SolverConfig(method=Method.RAGDA, eta_x=1.0, eta_y=1.0, alpha=0.5,
                        beta=0.5, v0_x=1.0, v0_y=1.0, max_iters=1)
-    trace = run(toy, cfg)
+    trace = run(SaddleToy(), cfg)
     assert trace.records[0].eta_t == 1.0 / 2.0**0.5
     assert trace.records[0].gamma_t == 1.0 / 2.0**0.5
 
@@ -105,12 +97,9 @@ def test_accumulators_update_before_stepsize():
 def test_max_coupling_uses_larger_accumulator():
     # Make the y gradient dominate: eta must shrink with vy even though vx
     # stays small, while gamma ignores vx entirely.
-    toy, state = toy_state()
-    big = AdaptiveState(x=Point(toy.mx, [100.0]), y=Point(toy.my, [0.0]),
-                        vx=1.0, vy=1.0, t=0)
     cfg = SolverConfig(method=Method.RAGDA, eta_x=1.0, eta_y=1.0, alpha=0.5,
-                       beta=0.5, v0_x=1.0, v0_y=1.0, max_iters=10)
-    s1 = ragda_step(toy, big, cfg)
+                       beta=0.5, v0_x=1.0, v0_y=1.0, max_iters=1)
+    s1 = toy_steps(cfg, x=100.0)
     vy = 1.0 + 100.0**2
     assert s1.vy == vy
     assert s1.x.data[0] == 100.0  # gx = y = 0
@@ -118,16 +107,15 @@ def test_max_coupling_uses_larger_accumulator():
 
 
 def test_fixed_step_by_hand():
-    toy, state = toy_state()
-    cfg = SolverConfig(method=Method.GDA, eta_x=0.25, eta_y=99.0, max_iters=10)
-    s1 = gda_step(toy, state, cfg)
+    cfg = SolverConfig(method=Method.GDA, eta_x=0.25, eta_y=99.0, v0_x=1.0, v0_y=1.0, max_iters=1)
+    s1 = toy_steps(cfg)
     # gda ignores eta_y and uses eta_x on both sides
     assert s1.x.data[0] == 1.0
     assert s1.y.data[0] == 0.25
     assert s1.vx == 1.0 and s1.vy == 1.0  # accumulators untouched
 
-    cfg2 = SolverConfig(method=Method.TSGDA, eta_x=0.25, eta_y=0.5, max_iters=10)
-    s2 = tsgda_step(toy, state, cfg2)
+    cfg2 = SolverConfig(method=Method.TSGDA, eta_x=0.25, eta_y=0.5, v0_x=1.0, v0_y=1.0, max_iters=1)
+    s2 = toy_steps(cfg2)
     assert s2.y.data[0] == 0.5
 
 
@@ -382,23 +370,21 @@ def test_robust_mle_batched_step_decompositions(monkeypatch, method, eta, per_st
 
 @pytest.mark.parametrize(
     "prob, cfg",
-    [(generate_quadratic_instance(6, 4, 1.0, 0, 0.0), SolverConfig(max_iters=30, seed=2)),
-     (generate_gaussian_instance(4, 12, -5.0, seed=0), SolverConfig(max_iters=30, seed=1, eta_x=5e-3, eta_y=5e-3))],
+    [(generate_quadratic_instance(6, 4, 1.0, 0, 0.0), SolverConfig(max_iters=3, seed=2)),
+     (generate_gaussian_instance(4, 12, -5.0, seed=0), SolverConfig(max_iters=3, seed=1, eta_x=5e-3, eta_y=5e-3))],
     ids=["quadratic", "robust-mle"],
 )
-@pytest.mark.parametrize("step, method", [(ragda_step, Method.RAGDA), (gda_step, Method.GDA),
-                                          (tsgda_step, Method.TSGDA)])
-def test_step_functions_replay_run(prob, cfg, step, method):
-    # The step functions and run share one kernel: stepping by hand from
-    # run's start point ends where run does, bit for bit.
+@pytest.mark.parametrize("method", [Method.RAGDA, Method.GDA, Method.TSGDA])
+def test_one_step_from_a_state_continues_run(prob, cfg, method):
+    # The README's recipe for one step from a state: a run of one step from
+    # it, with its accumulators as v0, ends where one more step of run does.
     cfg = replace(cfg, method=method)
-    state = run(prob, replace(cfg, max_iters=0)).final_state
-    for _ in range(cfg.max_iters):
-        state = step(prob, state, cfg)
-    final = run(prob, cfg).final_state
-    assert np.array_equal(state.x.data, final.x.data)
-    assert np.array_equal(state.y.data, final.y.data)
-    assert (state.vx, state.vy, state.t) == (final.vx, final.vy, final.t)
+    s = run(prob, cfg).final_state
+    step = run(prob, replace(cfg, max_iters=1, grad_tol=0.0, v0_x=s.vx, v0_y=s.vy), x0=s.x, y0=s.y).final_state
+    final = run(prob, replace(cfg, max_iters=cfg.max_iters + 1)).final_state
+    assert np.array_equal(step.x.data, final.x.data)
+    assert np.array_equal(step.y.data, final.y.data)
+    assert (step.vx, step.vy, step.t) == (final.vx, final.vy, 1)
 
 
 def test_record_stride_caps_trace_length():
@@ -433,15 +419,6 @@ def test_rsagda_eval_stride_records():
     trace = run(prob, SolverConfig(method=Method.RSAGDA, max_iters=100, seed=0),
                 eval_stride=25)
     assert [r.t for r in trace.records] == [0, 25, 50, 75, 99]
-
-
-def test_callbacks_see_every_record():
-    prob = generate_quadratic_instance(4, 3, 1.0, 0, 0.0)
-    seen = []
-    trace = run(prob, SolverConfig(method=Method.RAGDA, max_iters=12, seed=0),
-                callbacks=(seen.append,))
-    assert len(seen) == len(trace.records)
-    assert seen[0].t == 0
 
 
 def test_numerical_blowup_reported():
@@ -560,33 +537,3 @@ def test_run_rejects_bad_eval_stride():
     prob = generate_quadratic_instance(4, 3, 1.0, 0, 0.0)
     with pytest.raises(ConfigError):
         run(prob, SolverConfig(method=Method.RAGDA, max_iters=5), eval_stride=0)
-
-
-@pytest.mark.parametrize(
-    "step, own",
-    [(ragda_step, Method.RAGDA), (gda_step, Method.GDA), (tsgda_step, Method.TSGDA),
-     (rsagda_step, Method.RSAGDA)],
-)
-def test_step_functions_reject_other_methods(step, own):
-    prob = generate_quadratic_instance(4, 3, 1.0, 0, 0.1)
-    x, y = prob.default_start(np.random.default_rng(0))
-    state = AdaptiveState(x=x, y=y, vx=1e-6, vy=1e-6, t=0)
-    extra = (np.random.default_rng(0),) if step is rsagda_step else ()
-    for method in Method:
-        cfg = SolverConfig(method=method, max_iters=1)
-        if method is own:
-            assert step(prob, state, cfg, *extra).t == 1
-        else:
-            with pytest.raises(ConfigError):
-                step(prob, state, cfg, *extra)
-
-
-def test_rsagda_step_signature_needs_rng():
-    prob = generate_gaussian_instance(3, 8, -5.0, seed=0)
-    rng = np.random.default_rng(0)
-    x, y = prob.default_start(np.random.default_rng(1))
-    state = AdaptiveState(x=x, y=y, vx=1e-6, vy=1e-6, t=0)
-    cfg = SolverConfig(method=Method.RSAGDA, batch_size=2, max_iters=1)
-    s1 = rsagda_step(prob, state, cfg, rng)
-    assert s1.t == 1
-    assert s1.vx > state.vx and s1.vy > state.vy

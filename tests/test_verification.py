@@ -1,4 +1,5 @@
 """Tests for the verification toolbox itself: fits, batteries, audits."""
+import inspect
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from manimax import (
     InsufficientData,
     InvalidInput,
     Point,
+    ProductManifold,
     Sphere,
     Stiefel,
     Tangent,
@@ -223,6 +225,19 @@ def test_transport_audit_clean_manifolds(man):
 def test_transport_audit_rejects_stiefel():
     with pytest.raises(UnsupportedOperation):
         audit_transport_isometry(Stiefel(4, 2))
+
+
+def test_transport_audit_rejects_a_product_with_a_stiefel_factor():
+    with pytest.raises(UnsupportedOperation):
+        audit_transport_isometry(ProductManifold([Sphere(3), Stiefel(4, 2)]), trials=20, rng=np.random.default_rng(0))
+
+
+def test_package_exports_every_public_name():
+    # The audit's UnsupportedOperation among them, so that a star import can catch it.
+    import manimax
+
+    public = {name for name, value in vars(manimax).items() if not name.startswith("_") and not inspect.ismodule(value)}
+    assert public == set(manimax.__all__)
 
 
 def test_transport_audit_validation():

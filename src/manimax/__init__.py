@@ -7,128 +7,12 @@ matrices, Euclidean space, and products of these). Stepsizes are set
 from accumulated squared gradient norms, so no curvature or smoothness
 constants need to be known in advance.
 """
-from .manifolds import (
-    SPD,
-    AntipodalPoints,
-    BaseMismatch,
-    ClampCounter,
-    DegenerateRetraction,
-    Euclidean,
-    GeometryError,
-    GeometryReport,
-    InvalidGeometry,
-    Manifold,
-    Point,
-    ProductManifold,
-    Sphere,
-    Stiefel,
-    Tangent,
-    UnsupportedOperation,
-    deserialize_point,
-    deserialize_tangent,
-    manifold_from_header,
-    manifold_to_header,
-    serialize_point,
-    serialize_tangent,
-)
-from .problems import (
-    Batch,
-    EmptyBatch,
-    MinimaxProblem,
-    NumericalOverflow,
-    ProblemError,
-    RobustMleProblem,
-    SyntheticQuadratic,
-    generate_gaussian_instance,
-    generate_multiscale_instance,
-    generate_quadratic_instance,
-    load_instance,
-    save_instance_config,
-    save_instance_matrix,
-)
-from .solvers import (
-    AdaptiveState,
-    ConfigError,
-    IterationRecord,
-    Method,
-    NumericalError,
-    SolverConfig,
-    StopReason,
-    Trace,
-    run,
-    run_seeds,
-    running_min_checkpoints,
-    stationarity,
-)
-from .verification import (
-    GAP_FLOOR,
-    InsufficientData,
-    InvalidInput,
-    SlopeFit,
-    audit_transport_isometry,
-    check_adaptive_sum_inequality,
-    estimate_retraction_constants,
-    finite_diff_directional,
-    fit_rate,
-)
+from . import manifolds, problems, solvers, verification
+from .manifolds import *
+from .problems import *
+from .solvers import *
+from .verification import *
 
-__version__ = "0.10.0"
+__version__ = "0.11.0"
 
-__all__ = [
-    "SPD",
-    "AntipodalPoints",
-    "BaseMismatch",
-    "Batch",
-    "ClampCounter",
-    "ConfigError",
-    "DegenerateRetraction",
-    "EmptyBatch",
-    "Euclidean",
-    "GAP_FLOOR",
-    "GeometryError",
-    "GeometryReport",
-    "InsufficientData",
-    "InvalidGeometry",
-    "InvalidInput",
-    "IterationRecord",
-    "Manifold",
-    "Method",
-    "MinimaxProblem",
-    "NumericalError",
-    "NumericalOverflow",
-    "Point",
-    "ProblemError",
-    "ProductManifold",
-    "RobustMleProblem",
-    "SlopeFit",
-    "SolverConfig",
-    "Sphere",
-    "StopReason",
-    "Stiefel",
-    "SyntheticQuadratic",
-    "Tangent",
-    "Trace",
-    "UnsupportedOperation",
-    "AdaptiveState",
-    "audit_transport_isometry",
-    "check_adaptive_sum_inequality",
-    "deserialize_point",
-    "deserialize_tangent",
-    "estimate_retraction_constants",
-    "finite_diff_directional",
-    "fit_rate",
-    "generate_gaussian_instance",
-    "generate_multiscale_instance",
-    "generate_quadratic_instance",
-    "load_instance",
-    "manifold_from_header",
-    "manifold_to_header",
-    "run",
-    "run_seeds",
-    "running_min_checkpoints",
-    "save_instance_config",
-    "save_instance_matrix",
-    "serialize_point",
-    "serialize_tangent",
-    "stationarity",
-]
+__all__ = manifolds.__all__ + problems.__all__ + solvers.__all__ + verification.__all__

@@ -72,7 +72,6 @@ __all__ = [
     "Stiefel",
     "SPD",
     "ProductManifold",
-    "GeometryReport",
     "manifold_to_header",
     "manifold_from_header",
     "serialize_point",
@@ -887,25 +886,6 @@ class ProductManifold(Manifold):
 
     def _random_tangent_data(self, base: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         return np.concatenate([f._random_tangent_data(b, rng) for f, b in self._split(base)])
-
-
-@dataclass(frozen=True)
-class GeometryReport:
-    """Empirical retraction-accuracy constants for one manifold.
-
-    cbar_hat bounds d(x, retract(x,u))^2 / ||u||^2, cr_hat bounds
-    ||log(x, retract(x,u)) - u|| / ||u||^2, gap_slope is the fitted log-log
-    exponent of that numerator in the step scale t, and dist_sq_slope is the
-    fitted exponent of d(x, retract(x, t u))^2 in t. Slopes are NaN when the
-    underlying quantity sits at roundoff level (retraction equal to exp).
-    """
-
-    manifold: str
-    cbar_hat: float
-    cr_hat: float
-    gap_slope: float
-    dist_sq_slope: float
-    samples: int
 
 
 # -- serialization ----------------------------------------------------------

@@ -13,7 +13,6 @@ import numpy as np
 
 from .manifolds import (
     AntipodalPoints,
-    GeometryReport,
     Manifold,
     Point,
     Tangent,
@@ -24,7 +23,9 @@ from .problems import MinimaxProblem
 __all__ = [
     "InvalidInput",
     "InsufficientData",
+    "GAP_FLOOR",
     "SlopeFit",
+    "GeometryReport",
     "fit_rate",
     "finite_diff_directional",
     "estimate_retraction_constants",
@@ -53,6 +54,25 @@ class SlopeFit:
     intercept: float
     r2: float
     points: tuple[tuple[float, float], ...]
+
+
+@dataclass(frozen=True)
+class GeometryReport:
+    """Empirical retraction-accuracy constants for one manifold.
+
+    cbar_hat bounds d(x, retract(x,u))^2 / ||u||^2, cr_hat bounds
+    ||log(x, retract(x,u)) - u|| / ||u||^2, gap_slope is the fitted log-log
+    exponent of that numerator in the step scale t, and dist_sq_slope is the
+    fitted exponent of d(x, retract(x, t u))^2 in t. Slopes are NaN when the
+    underlying quantity sits at roundoff level (retraction equal to exp).
+    """
+
+    manifold: str
+    cbar_hat: float
+    cr_hat: float
+    gap_slope: float
+    dist_sq_slope: float
+    samples: int
 
 
 def _loglog_fit(ts: np.ndarray, vals: np.ndarray) -> SlopeFit:

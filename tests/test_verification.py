@@ -1,6 +1,8 @@
 """Tests for the verification toolbox itself: fits, batteries, audits."""
 import inspect
 import math
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -238,6 +240,26 @@ def test_package_exports_every_public_name():
 
     public = {name for name, value in vars(manimax).items() if not name.startswith("_") and not inspect.ismodule(value)}
     assert public == set(manimax.__all__)
+
+
+def test_package_names_each_public_name_once():
+    import manimax
+    from manimax import manifolds, problems, solvers, verification
+
+    modules = manifolds.__all__ + problems.__all__ + solvers.__all__ + verification.__all__
+    assert manimax.__all__ == modules
+    assert len(set(modules)) == len(modules)
+
+
+def test_pyproject_version_is_the_package_version():
+    import manimax
+    from setuptools.config.pyprojecttoml import read_configuration
+
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", message=r"Support for `\[tool\.setuptools\]`")
+        project = read_configuration(pyproject)["project"]
+    assert project["version"] == manimax.__version__
 
 
 def test_transport_audit_validation():

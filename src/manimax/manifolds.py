@@ -227,13 +227,16 @@ class Manifold:
 
     # -- identity ---------------------------------------------------------
 
-    @property
-    def ambient_size(self) -> int:
-        raise NotImplementedError
+    def __init__(self, ambient_size: int, *identity) -> None:
+        """Each concrete constructor calls this once, with the size of its flat
+        arrays and its identity: the dimensions its header writes, then the
+        sphere's radius or the product's factor identities."""
+        self.ambient_size = ambient_size
+        self._key = (self.kind, *identity)
 
     def spec_key(self) -> tuple:
         """Geometry identity: kind plus dimensions."""
-        raise NotImplementedError
+        return self._key
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Manifold) and self.spec_key() == other.spec_key()
@@ -405,13 +408,7 @@ class Euclidean(Manifold):
 
     def __init__(self, dim: int) -> None:
         self.dim = _size(dim, "Euclidean dimension", 1)
-
-    @property
-    def ambient_size(self) -> int:
-        return self.dim
-
-    def spec_key(self) -> tuple:
-        return ("euclidean", self.dim)
+        super().__init__(self.dim, self.dim)
 
     def _check_point(self, data: np.ndarray) -> None:
         pass
@@ -448,13 +445,7 @@ class Sphere(Manifold):
         if isinstance(radius, bool) or not isinstance(radius, Real) or not 0 < radius < np.inf:
             raise InvalidGeometry(f"sphere radius must be positive and finite, got {radius!r}")
         self.radius = float(radius)
-
-    @property
-    def ambient_size(self) -> int:
-        return self.dim
-
-    def spec_key(self) -> tuple:
-        return ("sphere", self.dim, self.radius)
+        super().__init__(self.dim, self.dim, self.radius)
 
     def _check_point(self, data: np.ndarray) -> None:
         r = self.radius
@@ -606,13 +597,7 @@ class Stiefel(Manifold):
         self.cols = _size(cols, "Stiefel columns", 1)
         if self.cols > self.rows:
             raise InvalidGeometry("Stiefel needs rows >= cols >= 1")
-
-    @property
-    def ambient_size(self) -> int:
-        return self.rows * self.cols
-
-    def spec_key(self) -> tuple:
-        return ("stiefel", self.rows, self.cols)
+        super().__init__(self.rows * self.cols, self.rows, self.cols)
 
     def _mat(self, data: np.ndarray) -> np.ndarray:
         return data.reshape(*data.shape[:-1], self.rows, self.cols)
@@ -696,13 +681,7 @@ class SPD(Manifold):
         # (array, w, Q) of the last read-only point decomposed; replaced whole,
         # so a reader sees one consistent entry.
         self._memo: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-
-    @property
-    def ambient_size(self) -> int:
-        return self.order * self.order
-
-    def spec_key(self) -> tuple:
-        return ("spd", self.order)
+        super().__init__(self.order * self.order, self.order)
 
     def _mat(self, data: np.ndarray) -> np.ndarray:
         return data.reshape(*data.shape[:-1], self.order, self.order)
@@ -828,18 +807,12 @@ class ProductManifold(Manifold):
     kind = "product"
 
     def __init__(self, factors: tuple[Manifold, ...] | list[Manifold]) -> None:
-        if not factors:
-            raise InvalidGeometry("product needs at least one factor")
         self.factors = tuple(factors)
+        if not self.factors or not all(isinstance(f, Manifold) for f in self.factors):
+            raise InvalidGeometry(f"product needs one or more Manifold factors, got {factors!r}")
         sizes = [f.ambient_size for f in self.factors]
         self._offsets = np.concatenate([[0], np.cumsum(sizes)]).astype(int)
-
-    @property
-    def ambient_size(self) -> int:
-        return int(self._offsets[-1])
-
-    def spec_key(self) -> tuple:
-        return ("product",) + tuple(f.spec_key() for f in self.factors)
+        super().__init__(int(self._offsets[-1]), *(f.spec_key() for f in self.factors))
 
     def _split(self, *arrays: np.ndarray):
         """Per factor: the factor, then its slice of each array."""
@@ -894,48 +867,44 @@ class ProductManifold(Manifold):
 # by a newline, then the flat little-endian float64 payload. Tangents store
 # base followed by data, giving a payload of twice the ambient size.
 
+# The reader's table: every concrete manifold, by its kind.
+_CLASSES = {cls.kind: cls for cls in (Euclidean, Sphere, Stiefel, SPD, ProductManifold)}
+
 
 def manifold_to_header(m: Manifold) -> dict:
-    if isinstance(m, Euclidean):
-        return {"kind": "euclidean", "dims": [m.dim], "radius": None}
-    if isinstance(m, Sphere):
-        return {"kind": "sphere", "dims": [m.dim], "radius": m.radius}
-    if isinstance(m, Stiefel):
-        return {"kind": "stiefel", "dims": [m.rows, m.cols], "radius": None}
-    if isinstance(m, SPD):
-        return {"kind": "spd", "dims": [m.order], "radius": None}
+    """The header of m, from its identity: a sphere's radius goes apart from its
+    dims, and a product writes its size as dims beside its factors' headers."""
+    if not isinstance(m, _CLASSES.get(m.kind, ())):
+        raise UnsupportedOperation(f"cannot serialize manifold {m!r}")
+    kind, *dims = m.spec_key()
     if isinstance(m, ProductManifold):
-        return {
-            "kind": "product",
-            "dims": [m.ambient_size],
-            "radius": None,
-            "factors": [manifold_to_header(f) for f in m.factors],
-        }
-    raise UnsupportedOperation(f"cannot serialize manifold {m!r}")
+        return {"kind": kind, "dims": [m.ambient_size], "radius": None,
+                "factors": [manifold_to_header(f) for f in m.factors]}
+    radius = dims.pop() if isinstance(m, Sphere) else None
+    return {"kind": kind, "dims": dims, "radius": radius}
 
 
 def manifold_from_header(header: dict) -> Manifold:
+    """The manifold whose header is exactly ``header``: anything else that
+    ``manifold_to_header`` would not write raises InvalidGeometry."""
     if not isinstance(header, dict):
         raise InvalidGeometry(f"manifold header must be an object, got {header!r}")
     kind = header.get("kind")
-    dims = header.get("dims", [])
+    if not isinstance(kind, str) or kind not in _CLASSES:
+        raise InvalidGeometry(f"unknown manifold kind {kind!r}")
+    cls = _CLASSES[kind]
     try:
-        if kind == "euclidean":
-            return Euclidean(dims[0])
-        if kind == "sphere":
-            return Sphere(dims[0], header["radius"])
-        if kind == "stiefel":
-            return Stiefel(dims[0], dims[1])
-        if kind == "spd":
-            return SPD(dims[0])
-        if kind == "product":
+        if cls is ProductManifold:
             m = ProductManifold([manifold_from_header(h) for h in header["factors"]])
-            if len(dims) != 1 or _size(dims[0], "product size", 1) != m.ambient_size:
-                raise InvalidGeometry(f"product dims {dims!r} != [{m.ambient_size}], the summed factor sizes")
-            return m
+            # dims must be an int, which == cannot tell from a float: 5.0 == 5.
+            _size(header["dims"][0], "product size", 1)
+        else:
+            m = cls(*header["dims"], header["radius"]) if cls is Sphere else cls(*header["dims"])
     except (KeyError, IndexError, TypeError, ValueError, OverflowError) as err:
         raise InvalidGeometry(f"malformed {kind} header: {type(err).__name__}: {err}") from None
-    raise InvalidGeometry(f"unknown manifold kind {kind!r}")
+    if manifold_to_header(m) != header:
+        raise InvalidGeometry(f"{kind} header {header!r} is not the one {m!r} writes")
+    return m
 
 
 def _pack(header: dict, payload: np.ndarray) -> bytes:

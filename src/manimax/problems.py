@@ -17,7 +17,6 @@ import numpy as np
 
 from .manifolds import (
     Euclidean,
-    ClampCounter,
     Manifold,
     Point,
     SPD,
@@ -167,7 +166,7 @@ class RobustMleProblem(MinimaxProblem):
     exactly unbiased.
     """
 
-    def __init__(self, data: np.ndarray, c: float, clamp_counter: ClampCounter | None = None) -> None:
+    def __init__(self, data: np.ndarray, c: float) -> None:
         A = np.asarray(data, dtype=np.float64)
         if A.ndim != 2 or A.shape[0] < 1 or A.shape[1] < 1:
             raise ProblemError("data must be a nonempty 2-d array")
@@ -182,7 +181,7 @@ class RobustMleProblem(MinimaxProblem):
         self.z = np.hstack([self.a, np.ones((self.n, 1))])
         self.z.setflags(write=False)
         self.mx: Sphere = Sphere(self.d + 1, 1.0)
-        self.my: SPD = SPD(self.d + 1, clamp_counter=clamp_counter)
+        self.my: SPD = SPD(self.d + 1)
         self.sample_count = self.n
 
     # The kernels hand the manifold the point array y itself, not a reshaped
@@ -305,11 +304,10 @@ class SyntheticQuadratic(MinimaxProblem):
         return x0, y0
 
 
-def generate_gaussian_instance(d: int, n: int, c: float, seed: int,
-                               clamp_counter: ClampCounter | None = None) -> RobustMleProblem:
+def generate_gaussian_instance(d: int, n: int, c: float, seed: int) -> RobustMleProblem:
     """Robust MLE instance with rows a_i drawn i.i.d. standard normal."""
     rng = np.random.default_rng(seed)
-    return RobustMleProblem(rng.standard_normal((n, d)), c, clamp_counter=clamp_counter)
+    return RobustMleProblem(rng.standard_normal((n, d)), c)
 
 
 def generate_quadratic_instance(k: int, m: int, mu: float, seed: int,

@@ -27,6 +27,7 @@ from manimax import (
     serialize_point,
     serialize_tangent,
 )
+from manimax import manifolds
 
 RNG = np.random.default_rng(20260816)
 
@@ -445,9 +446,10 @@ def test_invalid_constructions():
     "make",
     [lambda: Sphere(3.7), lambda: Sphere(3.0), lambda: Euclidean(True), lambda: Euclidean("3"),
      lambda: Stiefel(4, 2.0), lambda: SPD(np.float64(2)), lambda: SPD(np.True_),
-     lambda: Sphere(3, radius=True), lambda: Sphere(3, radius="1")],
+     lambda: Sphere(3, radius=True), lambda: Sphere(3, radius="1"),
+     lambda: ProductManifold([Sphere(3), 5])],
     ids=["sphere-3.7", "sphere-3.0", "euclidean-true", "euclidean-str", "stiefel-float-cols",
-         "spd-float64", "spd-numpy-bool", "radius-true", "radius-str"],
+         "spd-float64", "spd-numpy-bool", "radius-true", "radius-str", "product-non-manifold-factor"],
 )
 def test_constructors_reject_non_integer_sizes_and_non_numeric_radius(make):
     with pytest.raises(InvalidGeometry):
@@ -658,11 +660,32 @@ def test_tangent_serialization_round_trip(man):
     assert np.array_equal(back.data, u.data)
 
 
+# The header lines of the 0.11.0 writer, byte for byte.
+_WIRE_HEADERS = [
+    (Sphere(5, radius=1.5), b'{"dims": [5], "kind": "sphere", "radius": 1.5}'),
+    (SPD(4), b'{"dims": [4], "kind": "spd", "radius": null}'),
+    (Stiefel(6, 3), b'{"dims": [6, 3], "kind": "stiefel", "radius": null}'),
+    (Euclidean(2), b'{"dims": [2], "kind": "euclidean", "radius": null}'),
+    (ProductManifold([Sphere(3), SPD(2)]),
+     b'{"dims": [7], "factors": [{"dims": [3], "kind": "sphere", "radius": 1.0}, '
+     b'{"dims": [2], "kind": "spd", "radius": null}], "kind": "product", "radius": null}'),
+]
+
+
 def test_manifold_header_round_trip():
-    for man in (Sphere(5, radius=1.5), SPD(4), Stiefel(6, 3), Euclidean(2),
-                ProductManifold([Sphere(3), SPD(2)])):
+    for man, line in _WIRE_HEADERS:
         again = manifold_from_header(manifold_to_header(man))
         assert again.spec_key() == man.spec_key()
+        head, _, _ = serialize_point(man.random_point(RNG)).partition(b"\n")
+        assert head == line
+
+
+def test_header_reader_knows_every_concrete_manifold():
+    # A new manifold cannot ship without a way to read its points back.
+    concrete = {cls for cls in vars(manifolds).values()
+                if isinstance(cls, type) and issubclass(cls, Manifold) and cls is not Manifold}
+    assert set(manifolds._CLASSES.values()) == concrete
+    assert all(manifolds._CLASSES[cls.kind] is cls for cls in concrete)
 
 
 def test_deserialize_rejects_garbage():
@@ -673,6 +696,8 @@ def test_deserialize_rejects_garbage():
 _SPHERE_HEADER = b'{"dims": [3], "kind": "sphere", "radius": 1.0}\n'
 # A valid point payload of Sphere(3), so that only the header is at fault.
 _NORTH = np.array([0.0, 0.0, 1.0]).tobytes()
+# A valid point payload of SPD(2).
+_EYE2 = np.eye(2).tobytes()
 # Sphere(3) x Euclidean(2), whose dims must be [5].
 _PRODUCT_HEADER = (b'{"kind": "product", "dims": %s, "radius": null, "factors": ['
                    b'{"kind": "sphere", "dims": [3], "radius": 1.0}, '
@@ -707,6 +732,13 @@ _PRODUCT_HEADER = (b'{"kind": "product", "dims": %s, "radius": null, "factors": 
         pytest.param(_PRODUCT_HEADER % b"[5, 1]" + _NORTH + _NORTH[:16], id="product-dims-extra-entry"),
         pytest.param(_PRODUCT_HEADER % b"[5.0]" + _NORTH + _NORTH[:16], id="product-dims-not-integer"),
         pytest.param(_PRODUCT_HEADER % b"[]" + _NORTH + _NORTH[:16], id="product-dims-empty"),
+        pytest.param(b'{"kind": "euclidean", "dims": [3, 99], "radius": null}\n' + _NORTH, id="euclidean-extra-dim"),
+        pytest.param(b'{"kind": "spd", "dims": [2, "junk"], "radius": 7}\n' + _EYE2, id="spd-junk-dim-and-radius"),
+        pytest.param(b'{"kind": "sphere", "dims": [3, 5], "radius": 1.0}\n' + _NORTH, id="sphere-extra-dim"),
+        pytest.param(b'{"kind": "stiefel", "dims": [3, 1, 1], "radius": null}\n' + _NORTH, id="stiefel-extra-dims"),
+        pytest.param(b'{"kind": "euclidean", "dims": [3], "radius": null, "factors": []}\n' + _NORTH,
+                     id="euclidean-with-factors"),
+        pytest.param(b'{"kind": "spd", "dims": [2], "radius": 7}\n' + _EYE2, id="spd-with-radius"),
     ],
 )
 def test_deserialize_malformed_blob_raises_invalid_geometry(load, blob):

@@ -16,7 +16,7 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from importlib import resources
 from pathlib import Path
 from typing import Callable
@@ -125,7 +125,6 @@ class ExperimentConfig:
     problem: str = "robust-mle"
     solver: SolverConfig = field(default_factory=SolverConfig)
     repeats: int = 1
-    eval_stride: int = run.__kwdefaults__["eval_stride"]  # the default of solvers.run
     label: str = ""
     d: int = 30
     n: int = 100
@@ -141,8 +140,6 @@ class ExperimentConfig:
             raise ConfigError(f"unknown problem {self.problem!r}; choose from {_PROBLEMS}")
         if self.repeats < 1:
             raise ConfigError("repeats must be >= 1")
-        if self.eval_stride < 1:
-            raise ConfigError("eval-stride must be >= 1")
         if self.data_seed < 0:
             raise ConfigError("data-seed must be nonnegative")
         self.label = self.label or f"{self.problem}-{self.solver.method.value}"
@@ -207,8 +204,7 @@ def _repeat_seed(base_seed: int, index: int) -> int:
 def run_experiment(cfg: ExperimentConfig) -> list[Trace]:
     """Every repeat, as the rows of one batched run."""
     problem = build_problem(cfg)
-    seeds = [_repeat_seed(cfg.solver.seed, i) for i in range(cfg.repeats)]
-    return run_seeds(problem, cfg.solver, seeds, eval_stride=cfg.eval_stride)
+    return run_seeds(problem, [replace(cfg.solver, seed=_repeat_seed(cfg.solver.seed, i)) for i in range(cfg.repeats)])
 
 
 _CSV_HEADER = "iter,wall_s,grad_x_norm,grad_y_norm,eta_t,gamma_t,f_value"

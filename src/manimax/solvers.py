@@ -13,10 +13,10 @@ of step t therefore already include the gradients of step t. The stochastic
 variant draws the batches of the two sides from two generators that ``run``
 derives once from the seed. Every method steps through one array kernel, ``_step``.
 
-``run_seeds`` runs several seeds as one computation on stacked arrays, one
-row per seed, whose bits do not depend on the other rows; ``run`` is its
-single-seed case, and the two are the only ways into ``_step``. A step that
-fails on a batch of several rows reruns each half of them from the start,
+``run_seeds`` runs several configs as one computation on stacked arrays, one
+row per config, whose bits do not depend on the other rows; ``run`` is its
+single-config case, and ``run_seeds`` is the only way into ``_step``. A step
+that fails on a batch of several rows reruns each half of them from the start,
 until each failing row fails alone. One step of a deterministic method from
 a state s is ``run`` with max_iters=1, grad_tol=0, v0_x=s.vx, v0_y=s.vy,
 x0=s.x and y0=s.y.
@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -85,6 +85,7 @@ class SolverConfig:
     grad_tol: float = 0.0
     batch_size: int = 1
     seed: int = 0
+    eval_stride: int = 50
 
     def __post_init__(self) -> None:
         try:
@@ -109,6 +110,8 @@ class SolverConfig:
             raise ConfigError("batch_size must be >= 1")
         if self.seed < 0:
             raise ConfigError("seed must be nonnegative")
+        if self.eval_stride < 1:
+            raise ConfigError("eval_stride must be >= 1")
 
     def regime_flags(self) -> list[str]:
         """Notes on where (alpha, beta) sits relative to the known rate regimes."""
@@ -206,6 +209,8 @@ def running_min_checkpoints(trace: Trace, budgets, squared: bool = False) -> lis
 
 
 _FAILURES = (GeometryError, NumericalOverflow, NumericalError, FloatingPointError)
+# The settings that the rows of one batch share; the others may differ by row.
+_SHARED = ("method", "max_iters", "grad_tol", "batch_size", "eval_stride")
 _NORMAL_BLOCK = 64  # standard normals drawn ahead per row, in calls
 
 
@@ -237,11 +242,11 @@ class _Draws:
         self.gens, self.block = [self.gens[i] for i in rows], self.block[rows]
 
 
-def _step(problem: MinimaxProblem, cfg: SolverConfig, x: np.ndarray, y: np.ndarray, vx: list[float],
+def _step(problem: MinimaxProblem, configs: list[SolverConfig], x: np.ndarray, y: np.ndarray, vx: list[float],
           vy: list[float], draws: tuple[_Draws, _Draws] | None, full: np.ndarray,
           evaluate: bool, record: bool):
-    """One step of cfg.method for each row of the point stacks (x, y), shape
-    (R, n), with accumulators (vx, vy), R floats each.
+    """One step of the batch's method for each row of the point stacks (x, y),
+    shape (R, n), with the rows' configs and accumulators (vx, vy), R of each.
 
     Exact gradients when draws is None, else each side draws its batches and
     noise from its own stream; a batch that covers the dataset is ``full``.
@@ -254,7 +259,7 @@ def _step(problem: MinimaxProblem, cfg: SolverConfig, x: np.ndarray, y: np.ndarr
     adaptive methods use the law in the module docstring.
     """
     mx, my = problem.mx, problem.my
-    rows = len(x)
+    cfg, rows = configs[0], len(x)
     # Overflow, invalid results and division by zero read as inf or nan here,
     # not as warnings: a non-finite oracle output fails its tangent check,
     # non-finite norms (an SPD metric whose eigenvalue products underflow to
@@ -275,18 +280,17 @@ def _step(problem: MinimaxProblem, cfg: SolverConfig, x: np.ndarray, y: np.ndarr
         my.check_tangent(y, gy)
         nx2, ny2 = _sq_norms(problem, x, y, gx, gy)
         if cfg.method in (Method.RAGDA, Method.RSAGDA):
-            ex, ey, alpha, beta = cfg.eta_x, cfg.eta_y, cfg.alpha, cfg.beta
             vxs, vys, eta, gamma = vx, vy, [], []
             vx, vy = [], []
-            for a, b, sx2, sy2 in zip(vxs, vys, nx2, ny2):
+            for c, a, b, sx2, sy2 in zip(configs, vxs, vys, nx2, ny2):
                 a, b = a + sx2, b + sy2
                 vx.append(a)
                 vy.append(b)
-                eta.append(ex / (a if a > b else b) ** alpha)
-                gamma.append(ey / b**beta)
+                eta.append(c.eta_x / (a if a > b else b) ** c.alpha)
+                gamma.append(c.eta_y / b**c.beta)
         else:
-            eta = [cfg.eta_x] * rows
-            gamma = [cfg.eta_x if cfg.method is Method.GDA else cfg.eta_y] * rows
+            eta = [c.eta_x for c in configs]
+            gamma = eta if cfg.method is Method.GDA else [c.eta_y for c in configs]
         # A single row takes the cheaper scalar product, with the same bits.
         if rows == 1:
             ux, uy = gx * -eta[0], gy * gamma[0]
@@ -327,45 +331,37 @@ def _state(problem: MinimaxProblem, x: np.ndarray, y: np.ndarray, vx: float, vy:
     return AdaptiveState(x=_trusted(Point, problem.mx, x), y=_trusted(Point, problem.my, y), vx=vx, vy=vy, t=t)
 
 
-def run(
-    problem: MinimaxProblem,
-    cfg: SolverConfig,
-    *,
-    eval_stride: int = 50,
-    x0: Point | None = None,
-    y0: Point | None = None,
-) -> Trace:
+def run(problem: MinimaxProblem, cfg: SolverConfig, *, x0: Point | None = None, y0: Point | None = None) -> Trace:
     """Iterate the configured method from cfg.seed and collect a trace.
 
     Stops when the sum of exact gradient norms drops to grad_tol (checked
-    every eval_stride steps for the stochastic method, every step otherwise)
-    or after max_iters steps. Records are written every step up to 10^4
-    total, then strided; the running minimum of the stationarity measure is
-    maintained over every evaluated step regardless of the record stride.
+    every cfg.eval_stride steps for the stochastic method, every step
+    otherwise) or after max_iters steps. Records are written every step up to
+    10^4 total, then strided; the running minimum of the stationarity measure
+    is maintained over every evaluated step regardless of the record stride.
     Geometry errors and overflow stop the run with a partial trace. This is
-    ``run_seeds`` for one seed, started at x0 and y0 when given.
+    ``run_seeds`` for one config, started at x0 and y0 when given.
     """
-    return _run_rows(problem, cfg, [cfg.seed], eval_stride, x0, y0)[0]
+    return run_seeds(problem, [cfg], x0=x0, y0=y0)[0]
 
 
-def run_seeds(problem: MinimaxProblem, cfg: SolverConfig, seeds, *, eval_stride: int = 50) -> list[Trace]:
-    """``run`` for each seed, as one computation whose rows are the seeds.
+def run_seeds(problem: MinimaxProblem, configs, *, x0: Point | None = None, y0: Point | None = None) -> list[Trace]:
+    """``run`` for each config, as one computation whose rows are the configs.
 
-    Trace i equals ``run`` for ``replace(cfg, seed=seeds[i])`` but for the
-    clocks, which are those of the batch that ends the row. A row that
-    converges leaves the batch and the others go on; when a step fails, each
-    half of the live rows reruns from the start as its own batch.
+    The rows may differ in seed, eta_x, eta_y, alpha, beta, v0_x and v0_y;
+    they must share method, max_iters, grad_tol, batch_size and eval_stride,
+    else ConfigError before any step. Trace i equals ``run`` for configs[i]
+    but for the clocks, which are those of the batch that ends the row. A row
+    that converges leaves the batch and the others go on; when a step fails,
+    each half of the live rows reruns from the start as its own batch.
     """
-    return _run_rows(problem, cfg, seeds, eval_stride)
-
-
-def _run_rows(problem: MinimaxProblem, cfg: SolverConfig, seeds, eval_stride: int,
-              x0: Point | None = None, y0: Point | None = None) -> list[Trace]:
-    if eval_stride < 1:
-        raise ConfigError("eval_stride must be >= 1")
-    configs = [replace(cfg, seed=seed) for seed in seeds]
+    configs = list(configs)
     if not configs:
-        raise ConfigError("need at least one seed")
+        raise ConfigError("need at least one config")
+    cfg = configs[0]
+    for name in _SHARED:
+        if any(getattr(row, name) != getattr(cfg, name) for row in configs):
+            raise ConfigError(f"the rows of a batch must share {name}")
     for manifold, given in ((problem.mx, x0), (problem.my, y0)):
         if given is not None:
             manifold._require_point(given)
@@ -379,15 +375,15 @@ def _run_rows(problem: MinimaxProblem, cfg: SolverConfig, seeds, eval_stride: in
         starts.append(((x0 or x_init).data, (y0 or y_init).data))
         gens.append([np.random.default_rng(s) for s in step_ss.spawn(2)])
     x, y = (_frozen_rows(np.stack(points)) for points in zip(*starts))
-    vx, vy = [cfg.v0_x] * len(configs), [cfg.v0_y] * len(configs)
+    vx, vy = [row.v0_x for row in configs], [row.v0_y for row in configs]
     draws = tuple(_Draws(row[side] for row in gens) for side in (0, 1)) if stochastic else None
     full = np.arange(problem.sample_count, dtype=np.int64)
     record_stride = 1 if cfg.max_iters <= RECORD_CAP else math.ceil(cfg.max_iters / RECORD_CAP)
 
     # Row j of the stacks and of the per-row lists is the run of
-    # configs[live[j]]. The rows step in lockstep, so they share the counts
-    # of steps and of exact evaluations.
-    live = list(range(len(configs)))
+    # configs[live[j]], which is live_configs[j]. The rows step in lockstep,
+    # so they share the counts of steps and of exact evaluations.
+    live, live_configs = list(range(len(configs))), configs
     records: list[list[IterationRecord]] = [[] for _ in configs]
     traces: list[Trace | None] = [None] * len(configs)
     # Running min of the stationarity measure, running max of the squared step gradient norms.
@@ -400,8 +396,8 @@ def _run_rows(problem: MinimaxProblem, cfg: SolverConfig, seeds, eval_stride: in
         i = live[j]
         calls = {"value": len(records[i]), "grad": 2 * (evals if stochastic else steps),
                  "stoch_grad": 2 * steps if stochastic else 0}
-        metadata = {"seed": configs[i].seed, "method": cfg.method.value, "regime_flags": cfg.regime_flags(),
-                    "eval_stride": eval_stride, "record_stride": record_stride, "oracle_calls": calls,
+        metadata = {"seed": configs[i].seed, "regime_flags": configs[i].regime_flags(),
+                    "record_stride": record_stride, "oracle_calls": calls,
                     "max_step_grad_norm": math.sqrt(peak[j]), "wall_s": time.perf_counter() - start}
         if error is not None:
             metadata["error"] = error
@@ -410,10 +406,10 @@ def _run_rows(problem: MinimaxProblem, cfg: SolverConfig, seeds, eval_stride: in
 
     for t in range(cfg.max_iters):
         last = t == cfg.max_iters - 1
-        evaluate = not stochastic or t % eval_stride == 0 or last
+        evaluate = not stochastic or t % cfg.eval_stride == 0 or last
         record = t % record_stride == 0 or last
         try:
-            out = _step(problem, cfg, x, y, vx, vy, draws, full, evaluate, record)
+            out = _step(problem, live_configs, x, y, vx, vy, draws, full, evaluate, record)
         except _FAILURES as err:
             if len(live) == 1:
                 close(0, t, StopReason.NUMERICAL_ERROR, f"{type(err).__name__}: {err}")
@@ -422,7 +418,7 @@ def _run_rows(problem: MinimaxProblem, cfg: SolverConfig, seeds, eval_stride: in
             # rerun from the start, finds its failing rows with solo traces.
             half = len(live) // 2
             for part in (live[:half], live[half:]):
-                reruns = _run_rows(problem, cfg, [configs[i].seed for i in part], eval_stride, x0, y0)
+                reruns = run_seeds(problem, [configs[i] for i in part], x0=x0, y0=y0)
                 for i, trace in zip(part, reruns):
                     traces[i] = trace
             return traces
@@ -448,7 +444,8 @@ def _run_rows(problem: MinimaxProblem, cfg: SolverConfig, seeds, eval_stride: in
                 for j in converged:
                     close(j, t, StopReason.CONVERGED)
                 keep = [j for j in range(len(live)) if j not in converged]
-                live, x1, y1, vx1, vy1, low, peak = _rows(keep, live, x1, y1, vx1, vy1, low, peak)
+                live, live_configs, x1, y1, vx1, vy1, low, peak = _rows(
+                    keep, live, live_configs, x1, y1, vx1, vy1, low, peak)
                 for side in draws or ():
                     side.keep(keep)
                 if not live:

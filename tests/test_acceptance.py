@@ -4,6 +4,7 @@ Run with ``pytest -v tests/test_acceptance.py`` to get one pass/fail line per
 criterion. Each test also prints a detail line with the measured numbers.
 """
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -132,17 +133,18 @@ def test_criterion_4_stochastic_regimes():
     prob = generate_quadratic_instance(20, 10, 1.0, seed=0, noise_sigma=0.1)
     budgets = [1000, 10_000, 100_000]
 
-    def mean_running_min_sq(alpha, beta):
-        # Seeds 0-9 as one batch; each row equals the solo run of its seed.
-        cfg = SolverConfig(
-            method=Method.RSAGDA, eta_x=0.5, eta_y=5.0, alpha=alpha, beta=beta,
-            v0_x=1e-6, v0_y=1e-6, max_iters=100_000, batch_size=1,
-        )
-        traces = run_seeds(prob, cfg, range(10), eval_stride=50)
-        return np.mean([running_min_checkpoints(trace, budgets, squared=True) for trace in traces], axis=0)
-
-    two_thirds = mean_running_min_sq(2.0 / 3.0, 1.0 / 3.0)
-    halves = mean_running_min_sq(0.5, 0.5)
+    # Seeds 0-9 of both settings as one batch of 20 rows; each row equals the
+    # solo run of its config.
+    cfg = SolverConfig(
+        method=Method.RSAGDA, eta_x=0.5, eta_y=5.0, v0_x=1e-6, v0_y=1e-6, max_iters=100_000,
+        batch_size=1, eval_stride=50,
+    )
+    settings = [(2.0 / 3.0, 1.0 / 3.0), (0.5, 0.5)]
+    traces = run_seeds(prob, [replace(cfg, alpha=a, beta=b, seed=s) for a, b in settings for s in range(10)])
+    two_thirds, halves = (
+        np.mean([running_min_checkpoints(trace, budgets, squared=True) for trace in traces[i:i + 10]], axis=0)
+        for i in (0, 10)
+    )
     monotone = bool(two_thirds[0] > two_thirds[1] > two_thirds[2])
     competitive = bool(halves[-1] <= 1.5 * two_thirds[-1])
     elapsed = time.perf_counter() - start
@@ -159,9 +161,9 @@ def test_criterion_4_stochastic_regimes():
 def test_criterion_5_algorithm_identities():
     prob = generate_quadratic_instance(8, 5, 1.0, seed=1, noise_sigma=0.0)
     exact_cfg = SolverConfig(method=Method.RAGDA, max_iters=100, seed=11)
-    full_cfg = SolverConfig(method=Method.RSAGDA, max_iters=100, seed=11, batch_size=prob.sample_count)
+    full_cfg = SolverConfig(method=Method.RSAGDA, max_iters=100, seed=11, batch_size=prob.sample_count, eval_stride=1)
     ta = run(prob, exact_cfg)
-    tb = run(prob, full_cfg, eval_stride=1)
+    tb = run(prob, full_cfg)
     bitwise = (
         np.array_equal(ta.final_state.x.data, tb.final_state.x.data)
         and np.array_equal(ta.final_state.y.data, tb.final_state.y.data)

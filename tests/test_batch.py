@@ -1,6 +1,6 @@
-"""Batched seeds: run_seeds steps R seeds as one row-wise computation.
+"""Batched rows: run_seeds steps R configs as one row-wise computation.
 
-Every row of a batch must be the solo run of its seed, bit for bit, whatever
+Every row of a batch must be the solo run of its config, bit for bit, whatever
 the batch size, including rows that converge or fail and leave the batch.
 """
 from dataclasses import replace
@@ -10,6 +10,7 @@ import pytest
 
 from manimax import (
     ConfigError,
+    NumericalError,
     Method,
     NumericalOverflow,
     SolverConfig,
@@ -19,6 +20,7 @@ from manimax import (
     generate_quadratic_instance,
     run,
     run_seeds,
+    solvers,
 )
 
 QUAD = generate_quadratic_instance(6, 4, 1.0, 0, noise_sigma=0.1)
@@ -45,36 +47,50 @@ def fingerprint(trace):
     )
 
 
-def solo(problem, cfg, seed, eval_stride):
-    return run(problem, replace(cfg, seed=seed), eval_stride=eval_stride)
+def solo(problem, cfg, seed):
+    return run(problem, replace(cfg, seed=seed))
 
+
+def rows(cfg, seeds):
+    return [replace(cfg, seed=seed) for seed in seeds]
+
+
+SEEDS = [3, 0, 17, 5, 1, 2**31 - 1, 42, 9, 11, 6]
+# Rows that differ in every setting that may differ by row.
+MIXED = [dict(seed=seed, eta_x=0.1 * (1 + i % 3), eta_y=1.0 + i, alpha=(0.5, 2 / 3)[i % 2],
+              beta=(0.5, 1 / 3, 0.25)[i % 3], v0_x=10.0 ** -(i % 4), v0_y=10.0 ** -(i % 5))
+         for i, seed in enumerate(SEEDS)]
 
 CASES = {
-    "quadratic-rsagda": (QUAD, SolverConfig(method=Method.RSAGDA, max_iters=120), 7),
-    "quadratic-ragda": (QUAD, SolverConfig(method=Method.RAGDA, max_iters=60), 50),
-    "robust-mle-ragda": (MLE, SolverConfig(method=Method.RAGDA, max_iters=40), 50),
-    "robust-mle-gda": (MLE, SolverConfig(method=Method.GDA, eta_x=5e-3, max_iters=40), 50),
+    "quadratic-rsagda": (QUAD, rows(SolverConfig(method=Method.RSAGDA, max_iters=120, eval_stride=7), SEEDS)),
+    "quadratic-ragda": (QUAD, rows(SolverConfig(method=Method.RAGDA, max_iters=60), SEEDS)),
+    "robust-mle-ragda": (MLE, rows(SolverConfig(method=Method.RAGDA, max_iters=40), SEEDS)),
+    "robust-mle-gda": (MLE, rows(SolverConfig(method=Method.GDA, eta_x=5e-3, max_iters=40), SEEDS)),
+    "quadratic-rsagda-rows-differ": (
+        QUAD, [SolverConfig(method=Method.RSAGDA, max_iters=120, eval_stride=7, **m) for m in MIXED]),
+    "quadratic-tsgda-rows-differ": (
+        QUAD, [SolverConfig(method=Method.TSGDA, max_iters=60, **{**m, "eta_y": 0.1 * m["eta_y"]}) for m in MIXED]),
 }
 
 
 @pytest.mark.parametrize("case", CASES)
 def test_rows_do_not_depend_on_the_batch_size(case):
-    problem, cfg, stride = CASES[case]
-    seeds = [3, 0, 17, 5, 1, 2**31 - 1, 42, 9, 11, 6]
-    batch = run_seeds(problem, cfg, seeds, eval_stride=stride)
+    problem, configs = CASES[case]
+    seeds = [cfg.seed for cfg in configs]
+    batch = run_seeds(problem, configs)
     assert [t.config.seed for t in batch] == seeds
-    for seed, row in zip(seeds, batch):
-        alone = run_seeds(problem, cfg, [seed], eval_stride=stride)[0]
+    for cfg, row in zip(configs, batch):
+        alone = run_seeds(problem, [cfg])[0]
         assert fingerprint(row) == fingerprint(alone)
-        assert fingerprint(row) == fingerprint(solo(problem, cfg, seed, stride))
+        assert fingerprint(row) == fingerprint(run(problem, cfg))
 
 
 @pytest.mark.parametrize("problem, batch_size", [(QUAD_EXACT, 1), (MLE, MLE.sample_count)], ids=["quadratic", "robust-mle"])
 def test_full_batch_rsagda_is_ragda_inside_a_batch(problem, batch_size):
     seeds = [4, 0, 8]
-    exact = run_seeds(problem, SolverConfig(method=Method.RAGDA, max_iters=60), seeds)
-    full = run_seeds(problem, SolverConfig(method=Method.RSAGDA, max_iters=60, batch_size=batch_size), seeds,
-                     eval_stride=1)
+    exact = run_seeds(problem, rows(SolverConfig(method=Method.RAGDA, max_iters=60), seeds))
+    full = run_seeds(problem, rows(SolverConfig(method=Method.RSAGDA, max_iters=60, batch_size=batch_size,
+                                                eval_stride=1), seeds))
     for a, b in zip(exact, full):
         assert a.final_state.x.data.tobytes() == b.final_state.x.data.tobytes()
         assert a.final_state.y.data.tobytes() == b.final_state.y.data.tobytes()
@@ -86,18 +102,18 @@ def test_converged_rows_leave_and_the_rest_go_on(method, stride, tol):
     # 30000 steps record every third iterate, so a row that converges
     # between records writes its own last record.
     problem = QUAD_EXACT if method is Method.RAGDA else QUAD
-    cfg = SolverConfig(method=method, max_iters=30_000, grad_tol=tol)
+    cfg = SolverConfig(method=method, max_iters=30_000, grad_tol=tol, eval_stride=stride)
     seeds = list(range(8))
-    batch = run_seeds(problem, cfg, seeds, eval_stride=stride)
+    batch = run_seeds(problem, rows(cfg, seeds))
     ends = {t.final_state.t for t in batch if t.stop_reason is StopReason.CONVERGED}
     assert len(ends) > 2, "the rows should converge at different steps"
     for seed, row in zip(seeds, batch):
-        assert fingerprint(row) == fingerprint(solo(problem, cfg, seed, stride))
+        assert fingerprint(row) == fingerprint(solo(problem, cfg, seed))
 
 
 def test_rows_step_on_past_a_converged_one():
     cfg = SolverConfig(method=Method.RAGDA, max_iters=100, grad_tol=0.05)
-    batch = run_seeds(QUAD_EXACT, cfg, range(8))
+    batch = run_seeds(QUAD_EXACT, rows(cfg, range(8)))
     assert {t.stop_reason for t in batch} == {StopReason.CONVERGED, StopReason.MAX_ITERS}
     assert max(t.final_state.t for t in batch) == 100
 
@@ -116,11 +132,11 @@ def test_overflow_sweep_ends_cleanly_or_typed(name, method, eta_x, eta_y):
     # never a warning; a row that fails leaves the batch exactly as its solo
     # run stops, and the others go on.
     problem = PROBLEMS[name]
-    cfg = SolverConfig(method=method, eta_x=eta_x, eta_y=eta_y, max_iters=8, batch_size=2)
+    cfg = SolverConfig(method=method, eta_x=eta_x, eta_y=eta_y, max_iters=8, batch_size=2, eval_stride=3)
     seeds = [0, 1, 2]
-    batch = run_seeds(problem, cfg, seeds, eval_stride=3)
+    batch = run_seeds(problem, rows(cfg, seeds))
     for seed, row in zip(seeds, batch):
-        alone = solo(problem, cfg, seed, 3)
+        alone = solo(problem, cfg, seed)
         for trace in (row, alone):
             if trace.stop_reason is StopReason.NUMERICAL_ERROR:
                 assert trace.metadata["error"].split(":")[0] in ERROR_TYPES
@@ -140,14 +156,14 @@ def test_failing_rows_leave_the_batch_and_the_others_go_on(eta, tol):
     problem = PROBLEMS["robust-mle"]
     cfg = SolverConfig(method=Method.GDA, eta_x=eta, max_iters=60, grad_tol=tol)
     seeds = list(range(12))
-    batch = run_seeds(problem, cfg, seeds)
+    batch = run_seeds(problem, rows(cfg, seeds))
     assert len({t.final_state.t for t in batch if t.stop_reason is StopReason.NUMERICAL_ERROR}) > 2
     if tol > 0:
         converged = [t.final_state.t for t in batch if t.stop_reason is StopReason.CONVERGED]
         failed = [t.final_state.t for t in batch if t.stop_reason is StopReason.NUMERICAL_ERROR]
         assert converged and max(converged) < min(failed), "the rows should converge before any row fails"
     for seed, row in zip(seeds, batch):
-        assert fingerprint(row) == fingerprint(solo(problem, cfg, seed, 50))
+        assert fingerprint(row) == fingerprint(solo(problem, cfg, seed))
 
 
 class BrittleQuadratic(SyntheticQuadratic):
@@ -162,8 +178,10 @@ class BrittleQuadratic(SyntheticQuadratic):
 
 @pytest.mark.parametrize(
     "problem, cfg",
-    [(BrittleQuadratic(QUAD.a_mat, QUAD.mu, QUAD.b, QUAD.noise_sigma), SolverConfig(method=Method.RSAGDA, max_iters=300)),
-     (PROBLEMS["robust-mle"], SolverConfig(method=Method.RSAGDA, eta_y=500.0, max_iters=20, batch_size=2))],
+    [(BrittleQuadratic(QUAD.a_mat, QUAD.mu, QUAD.b, QUAD.noise_sigma),
+      SolverConfig(method=Method.RSAGDA, max_iters=300, eval_stride=5)),
+     (PROBLEMS["robust-mle"],
+      SolverConfig(method=Method.RSAGDA, eta_y=500.0, max_iters=20, batch_size=2, eval_stride=5))],
     ids=["quadratic-noise", "robust-mle-batches"],
 )
 def test_stochastic_rows_that_fail_mid_step_replay_their_draws(problem, cfg):
@@ -173,17 +191,39 @@ def test_stochastic_rows_that_fail_mid_step_replay_their_draws(problem, cfg):
     # draw what their solo runs draw (past a refill of the noise block, in
     # the quadratic case).
     seeds = list(range(10))
-    batch = run_seeds(problem, cfg, seeds, eval_stride=5)
+    batch = run_seeds(problem, rows(cfg, seeds))
     assert len({t.final_state.t for t in batch if t.stop_reason is StopReason.NUMERICAL_ERROR}) > 1
     for seed, row in zip(seeds, batch):
-        assert fingerprint(row) == fingerprint(solo(problem, cfg, seed, 5))
+        assert fingerprint(row) == fingerprint(solo(problem, cfg, seed))
 
 
-def test_run_seeds_checks_its_seeds():
+def test_a_row_whose_scaled_step_overflows_leaves_the_batch():
+    # The second row's ascent step eta_y * grad_y overflows at t = 0; the
+    # first row runs on as it runs alone.
+    problem = generate_quadratic_instance(20, 10, 1.0, seed=0, noise_sigma=0.0)
+    healthy = SolverConfig(method=Method.TSGDA, eta_y=0.5, max_iters=30)
+    ok, failed = run_seeds(problem, [healthy, replace(healthy, eta_y=1.7e308)])
+    assert failed.stop_reason is StopReason.NUMERICAL_ERROR
+    assert failed.metadata["error"] == f"{NumericalError.__name__}: a scaled gradient step overflowed"
+    assert failed.final_state.t == 0 and failed.records == []
+    assert ok.stop_reason is StopReason.MAX_ITERS
+    assert fingerprint(ok) == fingerprint(run(problem, healthy))
+
+
+def test_run_seeds_checks_its_seeds(monkeypatch):
+    def no_step(*args, **kwargs):
+        raise AssertionError("stepped before the configs were checked")
+
+    monkeypatch.setattr(solvers, "_step", no_step)
     cfg = SolverConfig(method=Method.RAGDA, max_iters=3)
     with pytest.raises(ConfigError):
-        run_seeds(QUAD, cfg, [])
+        run_seeds(QUAD, [])
     with pytest.raises(ConfigError):
-        run_seeds(QUAD, cfg, [0, -1])
+        run_seeds(QUAD, rows(cfg, [0, -1]))
     with pytest.raises(ConfigError):
-        run_seeds(QUAD, cfg, [0], eval_stride=0)
+        run_seeds(QUAD, [replace(cfg, eval_stride=0)])
+    # The settings a batch shares: a row that differs in one fails the batch.
+    shared = {"method": Method.GDA, "max_iters": 4, "batch_size": 2, "grad_tol": 0.1, "eval_stride": 7}
+    for name, value in shared.items():
+        with pytest.raises(ConfigError, match=name):
+            run_seeds(QUAD, [cfg, cfg, replace(cfg, **{name: value})])

@@ -1,13 +1,14 @@
 """End-to-end tests of the command line harness."""
 import argparse
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from manimax import ConfigError, Sphere, SPD, cli, deserialize_point
+from manimax import ConfigError, SolverConfig, Sphere, SPD, cli, deserialize_point
 from manimax.cli import _FIELDS, ExperimentConfig, _build_parser, _collect_fields, _finite, load_preset, main
 
 
@@ -277,6 +278,16 @@ def test_table_values_cover_every_key():
     assert set(TABLE_VALUES) == set(_FIELDS)
 
 
+def test_every_config_field_has_exactly_one_key():
+    # A key lands on one field of SolverConfig or ExperimentConfig ("solver"
+    # on method), and every field but ExperimentConfig.solver has a key.
+    solver = {f.name for f in fields(SolverConfig)}
+    experiment = {f.name for f in fields(ExperimentConfig)} - {"solver"}
+    assert not solver & experiment
+    attrs = ["method" if key == "solver" else key.replace("-", "_") for key in _FIELDS]
+    assert sorted(attrs) == sorted(solver | experiment)
+
+
 @pytest.mark.parametrize("key", sorted(TABLE_VALUES))
 def test_every_key_reaches_the_config_and_a_flag_overrides_the_preset(tmp_path, key):
     in_preset, in_flag = TABLE_VALUES[key]
@@ -322,7 +333,9 @@ def test_jobs_is_gone(tmp_path, capsys):
 
 def assert_config_error(argv, capsys):
     assert main(argv) == 2
-    assert "configuration error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "configuration error:" in err
+    return err
 
 
 @pytest.mark.parametrize("flags", [
@@ -397,6 +410,15 @@ def test_out_that_cannot_be_created_is_a_config_error(tmp_path, capsys, no_runs)
     afile.write_text("")
     for out in (afile, afile / "sub", tmp_path / "nul\0byte"):
         assert_config_error(["run", "--preset", "synthetic-ragda", "--out", str(out)], capsys)
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--repeats", "0"], "repeats must be >= 1"),
+    (["--problem", "bogus"], "unknown problem 'bogus'"),
+    (["--eval-stride", "0"], "eval_stride must be >= 1"),
+], ids=["repeats", "problem", "eval-stride"])
+def test_out_of_range_experiment_setting_is_a_config_error(tmp_path, capsys, no_runs, flags, message):
+    assert message in assert_config_error(["run", *flags, "--out", str(tmp_path)], capsys)
 
 
 @pytest.mark.parametrize("decades", ["-1", "0", "1", "6", "307", "800"])

@@ -367,6 +367,32 @@ def test_load_instance_malformed_raises_problem_error(tmp_path, blob):
         load_instance(path)
 
 
+def _load_blob(tmp_path, blob):
+    path = tmp_path / "inst.bin"
+    path.write_bytes(blob)
+    return load_instance(path)
+
+
+_NAN_DATA = b"RMLEDAT1" + struct.pack("<qqd", 3, 4, -2.5) + np.array([0.0] * 5 + [np.nan] + [0.0] * 6, "<f8").tobytes()
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        pytest.param(lambda tmp: _load_blob(tmp, _NAN_DATA), "data contains non-finite entries", id="data-nan"),
+        pytest.param(lambda tmp: SyntheticQuadratic(np.ones(3), 1.0, np.zeros(3)), "matrix must be 2-d",
+                     id="quadratic-1d-matrix"),
+        pytest.param(lambda tmp: SyntheticQuadratic(np.ones((2, 3)), 1.0, np.zeros(2)),
+                     "offset length must match the column count", id="quadratic-offset-length"),
+        pytest.param(lambda tmp: generate_multiscale_instance(4, 3, span=0, seed=0), "span must be positive",
+                     id="multiscale-zero-span"),
+    ],
+)
+def test_problem_inputs_out_of_range_raise_problem_error(tmp_path, build, message):
+    with pytest.raises(ProblemError, match=message):
+        build(tmp_path)
+
+
 @settings(max_examples=100, deadline=None)
 @given(cut=st.integers(0, 8 + 24 + 96), flips=st.lists(st.tuples(st.integers(0, 127), st.integers(1, 255)), max_size=3))
 def test_load_instance_fuzz_yields_problem_or_problem_error(tmp_path_factory, cut, flips):

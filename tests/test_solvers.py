@@ -136,9 +136,9 @@ def test_rsagda_full_batch_no_noise_is_ragda_bitwise():
     prob = generate_quadratic_instance(8, 5, 1.0, 1, noise_sigma=0.0)
     a = SolverConfig(method=Method.RAGDA, max_iters=100, seed=11)
     b = SolverConfig(method=Method.RSAGDA, max_iters=100, seed=11,
-                     batch_size=prob.sample_count)
+                     batch_size=prob.sample_count, eval_stride=1)
     ta = run(prob, a)
-    tb = run(prob, b, eval_stride=1)
+    tb = run(prob, b)
     assert np.array_equal(ta.final_state.x.data, tb.final_state.x.data)
     assert np.array_equal(ta.final_state.y.data, tb.final_state.y.data)
     assert ta.final_state.vx == tb.final_state.vx
@@ -149,9 +149,9 @@ def test_rsagda_full_batch_robust_mle_bitwise():
     prob = generate_gaussian_instance(3, 6, -5.0, seed=2)
     a = SolverConfig(method=Method.RAGDA, eta_x=0.5, eta_y=5.0, max_iters=100, seed=4)
     b = SolverConfig(method=Method.RSAGDA, eta_x=0.5, eta_y=5.0, max_iters=100,
-                     seed=4, batch_size=6)
+                     seed=4, batch_size=6, eval_stride=1)
     ta = run(prob, a)
-    tb = run(prob, b, eval_stride=1)
+    tb = run(prob, b)
     assert np.array_equal(ta.final_state.x.data, tb.final_state.x.data)
     assert np.array_equal(ta.final_state.y.data, tb.final_state.y.data)
 
@@ -164,11 +164,11 @@ def test_rsagda_step_draws_two_independent_batches():
     # different trajectories while one seed replays exactly.
     prob = generate_gaussian_instance(3, 20, -5.0, seed=0)
     cfg = SolverConfig(method=Method.RSAGDA, eta_x=0.5, eta_y=5.0,
-                       max_iters=40, seed=9, batch_size=1)
-    t1 = run(prob, cfg, eval_stride=10)
-    t2 = run(prob, cfg, eval_stride=10)
+                       max_iters=40, seed=9, batch_size=1, eval_stride=10)
+    t1 = run(prob, cfg)
+    t2 = run(prob, cfg)
     other = run(prob, SolverConfig(method=Method.RSAGDA, eta_x=0.5, eta_y=5.0,
-                                   max_iters=40, seed=10, batch_size=1), eval_stride=10)
+                                   max_iters=40, seed=10, batch_size=1, eval_stride=10))
     assert np.array_equal(t1.final_state.y.data, t2.final_state.y.data)
     assert not np.array_equal(t1.final_state.y.data, other.final_state.y.data)
 
@@ -277,7 +277,7 @@ def test_geometry_checked_only_at_the_boundary(monkeypatch, prob, method):
     seen = {}
     for steps in (0, 20):
         counts.update(point=0, tangent=0)
-        trace = run(prob, SolverConfig(method=method, max_iters=steps, seed=1), eval_stride=5)
+        trace = run(prob, SolverConfig(method=method, max_iters=steps, seed=1, eval_stride=5))
         assert trace.final_state.t == steps
         seen[steps] = dict(counts)
     assert seen[20]["point"] - seen[0]["point"] == 0
@@ -337,7 +337,8 @@ def test_batched_step_checks_two_stacked_tangents(monkeypatch, prob, method):
     seen = {}
     for steps in (0, 20):
         counts.update(point=0, tangent=0)
-        traces = run_seeds(prob, SolverConfig(method=method, max_iters=steps), [1, 5, 9], eval_stride=5)
+        cfg = SolverConfig(method=method, max_iters=steps, eval_stride=5)
+        traces = run_seeds(prob, [replace(cfg, seed=seed) for seed in [1, 5, 9]])
         assert [t.final_state.t for t in traces] == [steps] * 3
         seen[steps] = dict(counts)
     assert seen[20]["point"] - seen[0]["point"] == 0
@@ -362,7 +363,7 @@ def test_robust_mle_batched_step_decompositions(monkeypatch, method, eta, per_st
     for n in (0, steps):
         count[0] = 0
         cfg = SolverConfig(method=method, max_iters=n, eta_x=eta, eta_y=eta)
-        traces = run_seeds(prob, cfg, [1, 5, 9])
+        traces = run_seeds(prob, [replace(cfg, seed=seed) for seed in [1, 5, 9]])
         assert [t.final_state.t for t in traces] == [n] * 3
         seen[n] = count[0]
     assert seen[steps] - seen[0] == per_step * steps
@@ -406,8 +407,7 @@ def test_oracle_call_accounting():
     assert calls["stoch_grad"] == 0
     assert calls["value"] == len(trace.records)
 
-    st = run(prob, SolverConfig(method=Method.RSAGDA, max_iters=100, seed=0),
-             eval_stride=25)
+    st = run(prob, SolverConfig(method=Method.RSAGDA, max_iters=100, seed=0, eval_stride=25))
     calls = st.metadata["oracle_calls"]
     assert calls["stoch_grad"] == 2 * 100
     # exact gradients only at the evaluated steps (0, 25, 50, 75, 99)
@@ -416,8 +416,7 @@ def test_oracle_call_accounting():
 
 def test_rsagda_eval_stride_records():
     prob = generate_quadratic_instance(4, 3, 1.0, 0, noise_sigma=0.1)
-    trace = run(prob, SolverConfig(method=Method.RSAGDA, max_iters=100, seed=0),
-                eval_stride=25)
+    trace = run(prob, SolverConfig(method=Method.RSAGDA, max_iters=100, seed=0, eval_stride=25))
     assert [r.t for r in trace.records] == [0, 25, 50, 75, 99]
 
 
@@ -536,4 +535,4 @@ def test_regime_flags():
 def test_run_rejects_bad_eval_stride():
     prob = generate_quadratic_instance(4, 3, 1.0, 0, 0.0)
     with pytest.raises(ConfigError):
-        run(prob, SolverConfig(method=Method.RAGDA, max_iters=5), eval_stride=0)
+        run(prob, SolverConfig(method=Method.RAGDA, max_iters=5, eval_stride=0))

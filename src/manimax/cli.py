@@ -31,16 +31,8 @@ from .problems import (
     generate_multiscale_instance,
     generate_quadratic_instance,
 )
-from .solvers import (
-    ConfigError,
-    Method,
-    SolverConfig,
-    StopReason,
-    Trace,
-    run,
-    run_seeds,
-    running_min_checkpoints,
-)
+from .solvers import (RECORD_CAP, ConfigError, Method, SolverConfig, StopReason, Trace, run, run_seeds,
+                      running_min_checkpoints)
 from .verification import (
     audit_transport_isometry,
     check_adaptive_sum_inequality,
@@ -118,6 +110,12 @@ def _parse(key: str, text: str, where: str) -> object:
         raise ConfigError(f"{where} {err}") from None
 
 
+# What one ``run`` may ask for before any work starts: the repeats, and the
+# IterationRecords that they may keep in all, at about 320 bytes each.
+_MAX_REPEATS = 10_000
+_MAX_RECORDS = 10**6
+
+
 @dataclass
 class ExperimentConfig:
     """Everything one ``run`` invocation needs: problem, solver, and output."""
@@ -140,6 +138,11 @@ class ExperimentConfig:
             raise ConfigError(f"unknown problem {self.problem!r}; choose from {_PROBLEMS}")
         if self.repeats < 1:
             raise ConfigError("repeats must be >= 1")
+        if self.repeats > _MAX_REPEATS:
+            raise ConfigError(f"repeats must be <= {_MAX_REPEATS}, got {self.repeats}")
+        if self.repeats * (min(self.solver.max_iters, RECORD_CAP) + 1) > _MAX_RECORDS:
+            raise ConfigError(f"{self.repeats} repeats of {self.solver.max_iters} steps "
+                              f"may keep over {_MAX_RECORDS} records")
         if self.data_seed < 0:
             raise ConfigError("data-seed must be nonnegative")
         self.label = self.label or f"{self.problem}-{self.solver.method.value}"
@@ -202,12 +205,18 @@ def _repeat_seed(base_seed: int, index: int) -> int:
 
 
 def run_experiment(cfg: ExperimentConfig) -> list[Trace]:
-    """Every repeat, as the rows of one batched run."""
+    """Every repeat, as the rows of one batched run; a run that cannot be allocated is a ConfigError."""
     problem = build_problem(cfg)
-    return run_seeds(problem, [replace(cfg.solver, seed=_repeat_seed(cfg.solver.seed, i)) for i in range(cfg.repeats)])
+    configs = [replace(cfg.solver, seed=_repeat_seed(cfg.solver.seed, i)) for i in range(cfg.repeats)]
+    try:
+        return run_seeds(problem, configs)
+    except MemoryError as err:
+        raise ConfigError(f"cannot allocate {cfg.repeats} repeat(s) of this run: {err}") from None
 
 
-_CSV_HEADER = "iter,wall_s,grad_x_norm,grad_y_norm,eta_t,gamma_t,f_value"
+# The CSV columns, in order, with the IterationRecord attribute each one writes.
+_CSV_COLUMNS = (("iter", "t"), ("wall_s", "wall_s"), ("grad_x_norm", "grad_x_norm"), ("grad_y_norm", "grad_y_norm"),
+                ("eta_t", "eta_t"), ("gamma_t", "gamma_t"), ("f_value", "f_value"))
 
 
 def _fmt(v: float) -> str:
@@ -216,21 +225,9 @@ def _fmt(v: float) -> str:
 
 
 def write_trace_csv(path: Path, trace: Trace) -> None:
-    lines = [_CSV_HEADER]
+    lines = [",".join(column for column, _ in _CSV_COLUMNS)]
     for rec in trace.records:
-        lines.append(
-            ",".join(
-                (
-                    str(rec.t),
-                    _fmt(rec.wall_s),
-                    _fmt(rec.grad_x_norm),
-                    _fmt(rec.grad_y_norm),
-                    _fmt(rec.eta_t),
-                    _fmt(rec.gamma_t),
-                    _fmt(rec.f_value),
-                )
-            )
-        )
+        lines.append(",".join(str(rec.t) if attr == "t" else _fmt(getattr(rec, attr)) for _, attr in _CSV_COLUMNS))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -242,6 +239,23 @@ def _blas() -> str:
         return f"{blas['name']} {blas['version']}"
     except (KeyError, TypeError):
         return "unknown"
+
+
+# The summary lines of each repeat, in order: the key after ``repeat{i}.`` and
+# the value it reads from the trace; a line whose value is None is left out.
+_SUMMARY_ROWS: tuple[tuple[str, Callable[[Trace], object]], ...] = (
+    ("seed", lambda t: t.config.seed),
+    ("min_stationarity", lambda t: _fmt(t.min_stationarity)),
+    ("max_step_grad_norm", lambda t: _fmt(t.max_step_grad_norm)),
+    ("stop_reason", lambda t: t.stop_reason.value),
+    ("records", lambda t: len(t.records)),
+    ("oracle_calls.grad", lambda t: t.grad_calls),
+    ("oracle_calls.stoch_grad", lambda t: t.stoch_grad_calls),
+    ("oracle_calls.value", lambda t: len(t.records)),  # one value call per record
+    ("regime_flags", lambda t: "; ".join(t.config.regime_flags()) or "none"),
+    ("wall_s", lambda t: _fmt(t.wall_s)),
+    ("error", lambda t: t.error),
+)
 
 
 def write_summary(path: Path, cfg: ExperimentConfig, traces: list[Trace]) -> None:
@@ -256,22 +270,7 @@ def write_summary(path: Path, cfg: ExperimentConfig, traces: list[Trace]) -> Non
         *(f"env.{name} = {os.environ.get(name, 'unset')}" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")),
     ]
     for i, trace in enumerate(traces):
-        calls = trace.metadata["oracle_calls"]
-        flags = trace.metadata["regime_flags"]
-        lines += [
-            f"repeat{i}.seed = {trace.metadata['seed']}",
-            f"repeat{i}.min_stationarity = {_fmt(trace.min_stationarity)}",
-            f"repeat{i}.max_step_grad_norm = {_fmt(trace.metadata['max_step_grad_norm'])}",
-            f"repeat{i}.stop_reason = {trace.stop_reason.value}",
-            f"repeat{i}.records = {len(trace.records)}",
-            f"repeat{i}.oracle_calls.grad = {calls['grad']}",
-            f"repeat{i}.oracle_calls.stoch_grad = {calls['stoch_grad']}",
-            f"repeat{i}.oracle_calls.value = {calls['value']}",
-            f"repeat{i}.regime_flags = {'; '.join(flags) if flags else 'none'}",
-            f"repeat{i}.wall_s = {_fmt(trace.metadata['wall_s'])}",
-        ]
-        if "error" in trace.metadata:
-            lines.append(f"repeat{i}.error = {trace.metadata['error']}")
+        lines += [f"repeat{i}.{key} = {value}" for key, get in _SUMMARY_ROWS if (value := get(trace)) is not None]
     finite = [t.min_stationarity for t in traces if math.isfinite(t.min_stationarity)]
     if finite:
         lines.append(f"aggregate.min_stationarity = {_fmt(min(finite))}")
@@ -290,13 +289,9 @@ def cli_run(args: argparse.Namespace) -> int:
     traces = run_experiment(cfg)
     for i, trace in enumerate(traces):
         write_trace_csv(out_dir / f"{cfg.label}_rep{i}.csv", trace)
-        if trace.final_state is not None:
-            (out_dir / f"{cfg.label}_rep{i}_x.point").write_bytes(
-                serialize_point(trace.final_state.x)
-            )
-            (out_dir / f"{cfg.label}_rep{i}_y.point").write_bytes(
-                serialize_point(trace.final_state.y)
-            )
+        for side in ("x", "y"):
+            point = serialize_point(getattr(trace.final_state, side))
+            (out_dir / f"{cfg.label}_rep{i}_{side}.point").write_bytes(point)
     write_summary(out_dir / f"{cfg.label}_summary.txt", cfg, traces)
 
     failed = [t for t in traces if t.stop_reason is StopReason.NUMERICAL_ERROR]

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -161,14 +161,23 @@ class IterationRecord:
     wall_s: float
 
 
-@dataclass
+@dataclass(frozen=True)
 class Trace:
+    """One run: min_stationarity is the running minimum of grad_x_norm +
+    grad_y_norm, the call counts cover both sides, max_step_grad_norm is the
+    largest gradient norm a step used, wall_s the batch clock at the end, and
+    error the failure of a numerical_error stop."""
+
     config: SolverConfig
     records: list[IterationRecord]
     stop_reason: StopReason
     min_stationarity: float
-    final_state: AdaptiveState | None
-    metadata: dict = field(default_factory=dict)
+    final_state: AdaptiveState
+    grad_calls: int
+    stoch_grad_calls: int
+    max_step_grad_norm: float
+    wall_s: float
+    error: str | None = None
 
 
 def stationarity(problem: MinimaxProblem, x: Point, y: Point) -> tuple[float, float]:
@@ -394,15 +403,10 @@ def run_seeds(problem: MinimaxProblem, configs, *, x0: Point | None = None, y0: 
     def close(j: int, done: int, stop: StopReason, error: str | None = None) -> None:
         """End row j at iterate ``done``; a failing step adds nothing to its trace."""
         i = live[j]
-        calls = {"value": len(records[i]), "grad": 2 * (evals if stochastic else steps),
-                 "stoch_grad": 2 * steps if stochastic else 0}
-        metadata = {"seed": configs[i].seed, "regime_flags": configs[i].regime_flags(),
-                    "record_stride": record_stride, "oracle_calls": calls,
-                    "max_step_grad_norm": math.sqrt(peak[j]), "wall_s": time.perf_counter() - start}
-        if error is not None:
-            metadata["error"] = error
         traces[i] = Trace(configs[i], records[i], stop, low[j], _state(problem, x[j], y[j], vx[j], vy[j], done),
-                          metadata)
+                          grad_calls=2 * (evals if stochastic else steps),
+                          stoch_grad_calls=2 * steps if stochastic else 0,
+                          max_step_grad_norm=math.sqrt(peak[j]), wall_s=time.perf_counter() - start, error=error)
 
     for t in range(cfg.max_iters):
         last = t == cfg.max_iters - 1

@@ -42,7 +42,7 @@ def fingerprint(trace):
         trace.stop_reason,
         h(trace.min_stationarity),
         fs.x.data.tobytes(), fs.y.data.tobytes(), h(fs.vx), h(fs.vy), fs.t,
-        {k: (h(v) if isinstance(v, float) else v) for k, v in trace.metadata.items() if k != "wall_s"},
+        trace.grad_calls, trace.stoch_grad_calls, h(trace.max_step_grad_norm), trace.error,
         trace.config,
     )
 
@@ -139,9 +139,9 @@ def test_overflow_sweep_ends_cleanly_or_typed(name, method, eta_x, eta_y):
         alone = solo(problem, cfg, seed)
         for trace in (row, alone):
             if trace.stop_reason is StopReason.NUMERICAL_ERROR:
-                assert trace.metadata["error"].split(":")[0] in ERROR_TYPES
+                assert trace.error.split(":")[0] in ERROR_TYPES
             else:
-                assert trace.stop_reason is StopReason.MAX_ITERS and "error" not in trace.metadata
+                assert trace.stop_reason is StopReason.MAX_ITERS and trace.error is None
         assert fingerprint(row) == fingerprint(alone)
 
 
@@ -204,7 +204,7 @@ def test_a_row_whose_scaled_step_overflows_leaves_the_batch():
     healthy = SolverConfig(method=Method.TSGDA, eta_y=0.5, max_iters=30)
     ok, failed = run_seeds(problem, [healthy, replace(healthy, eta_y=1.7e308)])
     assert failed.stop_reason is StopReason.NUMERICAL_ERROR
-    assert failed.metadata["error"] == f"{NumericalError.__name__}: a scaled gradient step overflowed"
+    assert failed.error == f"{NumericalError.__name__}: a scaled gradient step overflowed"
     assert failed.final_state.t == 0 and failed.records == []
     assert ok.stop_reason is StopReason.MAX_ITERS
     assert fingerprint(ok) == fingerprint(run(problem, healthy))

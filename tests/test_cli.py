@@ -172,6 +172,30 @@ def test_spd_exp_overflow_is_a_typed_error_not_a_warning(tmp_path):
     assert "repeat0.error = DegenerateRetraction: exp map overflowed" in summary
 
 
+SUMMARY_HEAD = ["label", "problem", "solver", "seed", "repeats", "env.numpy", "env.blas", "env.OPENBLAS_NUM_THREADS",
+                "env.OMP_NUM_THREADS"]
+SUMMARY_REPEAT = ["seed", "min_stationarity", "max_step_grad_norm", "stop_reason", "records", "oracle_calls.grad",
+                  "oracle_calls.stoch_grad", "oracle_calls.value", "regime_flags", "wall_s"]
+
+
+@pytest.mark.parametrize("flags, code, repeats, stop", [
+    (["--preset", "synthetic-ragda", "--max-iters", "60", "--repeats", "2"], 0, 2, "max_iters"),
+    (["--preset", "robust-mle-gda", "--eta-x", "0.5", "--eta-y", "0.5", "--max-iters", "50"], 3, 1, "numerical_error"),
+    (["--preset", "synthetic-ragda", "--grad-tol", "1e-3"], 0, 1, "converged"),
+], ids=["max-iters", "gda-overflow", "converged"])
+def test_summary_keys_keep_their_order(tmp_path, flags, code, repeats, stop):
+    assert main(["run", *flags, "--label", "s", "--out", str(tmp_path)]) == code
+    lines = (tmp_path / "s_summary.txt").read_text().splitlines()
+    # Only a failed repeat writes its error, last.
+    per_repeat = SUMMARY_REPEAT + ["error"] * (stop == "numerical_error")
+    assert [line.split(" = ", 1)[0] for line in lines] == [
+        *SUMMARY_HEAD, *(f"repeat{i}.{key}" for i in range(repeats) for key in per_repeat), "aggregate.min_stationarity"]
+    values = dict(line.split(" = ", 1) for line in lines)
+    for i in range(repeats):
+        assert values[f"repeat{i}.stop_reason"] == stop
+        assert values[f"repeat{i}.oracle_calls.value"] == values[f"repeat{i}.records"]
+
+
 def test_preset_from_file_and_bad_preset(tmp_path):
     good = tmp_path / "mine.cfg"
     good.write_text("problem = synthetic-quadratic\nmax-iters = 7\n")
@@ -419,6 +443,40 @@ def test_out_that_cannot_be_created_is_a_config_error(tmp_path, capsys, no_runs)
 ], ids=["repeats", "problem", "eval-stride"])
 def test_out_of_range_experiment_setting_is_a_config_error(tmp_path, capsys, no_runs, flags, message):
     assert message in assert_config_error(["run", *flags, "--out", str(tmp_path)], capsys)
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--repeats", "10001"], "repeats must be <= 10000, got 10001"),
+    (["--repeats", "100000000"], "repeats must be <= 10000, got 100000000"),
+    (["--repeats", "1000", "--max-iters", "5000"], "1000 repeats of 5000 steps may keep over 1000000 records"),
+], ids=["10001", "10^8", "1000x5000"])
+def test_repeats_over_budget_is_a_config_error_before_any_work(tmp_path, capsys, monkeypatch, flags, message):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("built a problem or a run before the repeats were checked")
+
+    monkeypatch.setattr(cli, "build_problem", forbidden)
+    monkeypatch.setattr(cli, "run_seeds", forbidden)
+    err = assert_config_error(["run", "--preset", "synthetic-rsagda", *flags, "--out", str(tmp_path)], capsys)
+    assert message in err
+
+
+def test_repeats_budget_edges():
+    # Each row keeps at most min(max_iters, 10^4) + 1 records; the budget is 10^6 records in all.
+    for repeats, max_iters in ((10_000, 99), (99, 10**6), (1, 10**9)):
+        ExperimentConfig(repeats=repeats, solver=SolverConfig(max_iters=max_iters))
+    for repeats, max_iters in ((10_000, 100), (100, 10**6), (10_001, 1)):
+        with pytest.raises(ConfigError):
+            ExperimentConfig(repeats=repeats, solver=SolverConfig(max_iters=max_iters))
+
+
+def test_run_that_cannot_be_allocated_is_a_config_error(tmp_path, capsys, monkeypatch):
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 8.00 GiB for an array")
+
+    monkeypatch.setattr(cli, "run_seeds", out_of_memory)
+    err = assert_config_error(["run", "--preset", "synthetic-ragda", "--repeats", "3", "--out", str(tmp_path)], capsys)
+    assert "cannot allocate 3 repeat(s) of this run: Unable to allocate 8.00 GiB" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("decades", ["-1", "0", "1", "6", "307", "800"])

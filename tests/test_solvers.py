@@ -392,7 +392,7 @@ def test_record_stride_caps_trace_length():
     prob = generate_quadratic_instance(4, 3, 1.0, 0, 0.0)
     cfg = SolverConfig(method=Method.RAGDA, max_iters=25_000, seed=0)
     trace = run(prob, cfg)
-    assert trace.metadata["record_stride"] == 3
+    assert [r.t for r in trace.records[:3]] == [0, 3, 6]
     assert len(trace.records) <= 10_001
     assert trace.records[-1].t == 24_999  # the last step is always kept
     # records land on the stride except for that final one
@@ -402,16 +402,13 @@ def test_record_stride_caps_trace_length():
 def test_oracle_call_accounting():
     prob = generate_quadratic_instance(4, 3, 1.0, 0, 0.0)
     trace = run(prob, SolverConfig(method=Method.RAGDA, max_iters=37, seed=0))
-    calls = trace.metadata["oracle_calls"]
-    assert calls["grad"] == 2 * 37
-    assert calls["stoch_grad"] == 0
-    assert calls["value"] == len(trace.records)
+    assert trace.grad_calls == 2 * 37
+    assert trace.stoch_grad_calls == 0
 
     st = run(prob, SolverConfig(method=Method.RSAGDA, max_iters=100, seed=0, eval_stride=25))
-    calls = st.metadata["oracle_calls"]
-    assert calls["stoch_grad"] == 2 * 100
+    assert st.stoch_grad_calls == 2 * 100
     # exact gradients only at the evaluated steps (0, 25, 50, 75, 99)
-    assert calls["grad"] == 2 * 5
+    assert st.grad_calls == 2 * 5
 
 
 def test_rsagda_eval_stride_records():
@@ -428,7 +425,7 @@ def test_numerical_blowup_reported():
                        max_iters=50, seed=0)
     trace = run(prob, cfg)
     assert trace.stop_reason is StopReason.NUMERICAL_ERROR
-    assert trace.metadata["error"].startswith("DegenerateRetraction")
+    assert trace.error.startswith("DegenerateRetraction")
     assert trace.final_state.t == 1
     assert np.all(np.isfinite(trace.final_state.x.data))
     assert np.all(np.isfinite(trace.final_state.y.data))

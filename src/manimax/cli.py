@@ -110,10 +110,12 @@ def _parse(key: str, text: str, where: str) -> object:
         raise ConfigError(f"{where} {err}") from None
 
 
-# What one ``run`` may ask for before any work starts: the repeats, and the
-# IterationRecords that they may keep in all, at about 320 bytes each.
+# What one ``run`` may ask for before any work starts: the repeats, the
+# IterationRecords that they may keep in all, at about 320 bytes each, and the
+# floats of their points, 800 MB for each stacked copy the solver holds.
 _MAX_REPEATS = 10_000
 _MAX_RECORDS = 10**6
+_MAX_POINT_FLOATS = 10**8
 
 
 @dataclass
@@ -143,6 +145,11 @@ class ExperimentConfig:
         if self.repeats * (min(self.solver.max_iters, RECORD_CAP) + 1) > _MAX_RECORDS:
             raise ConfigError(f"{self.repeats} repeats of {self.solver.max_iters} steps "
                               f"may keep over {_MAX_RECORDS} records")
+        # One row's points: x on the sphere and Y on SPD(d+1), or x and y of the quadratic.
+        row = (self.d + 1) * (self.d + 2) if self.problem == "robust-mle" else self.k + self.m
+        if self.repeats * row > _MAX_POINT_FLOATS:
+            raise ConfigError(f"{self.repeats} repeats of {row} point floats each "
+                              f"exceed {_MAX_POINT_FLOATS} floats")
         if self.data_seed < 0:
             raise ConfigError("data-seed must be nonnegative")
         self.label = self.label or f"{self.problem}-{self.solver.method.value}"

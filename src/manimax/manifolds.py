@@ -76,8 +76,6 @@ __all__ = [
     "manifold_from_header",
     "serialize_point",
     "deserialize_point",
-    "serialize_tangent",
-    "deserialize_tangent",
 ]
 
 
@@ -284,11 +282,6 @@ class Manifold:
         if np.max(np.abs(u.base.data - x.data), initial=0.0) > _BASE_MATCH:
             raise BaseMismatch("tangent is rooted at a different point")
 
-    def _require_same_base(self, u: Tangent, v: Tangent) -> None:
-        self._require_point(u.base, v.base)
-        if np.max(np.abs(u.base.data - v.base.data), initial=0.0) > _BASE_MATCH:
-            raise BaseMismatch("tangents are rooted at different points")
-
     def _require_exp(self) -> None:
         if not self.has_exp:
             raise UnsupportedOperation(f"{self!r} provides no exponential or logarithm map")
@@ -300,7 +293,7 @@ class Manifold:
         under the solver step's errstate: a non-finite value, as where the
         eigenvalue products of an SPD metric underflow to 0, raises
         InvalidGeometry instead of a warning."""
-        self._require_same_base(u, v)
+        self._require_rooted(u.base, v)
         return self._metric(u.base.data, u.data, v.data)
 
     def _metric(self, base: np.ndarray, u: np.ndarray, v: np.ndarray) -> float:
@@ -863,9 +856,8 @@ class ProductManifold(Manifold):
 
 # -- serialization ----------------------------------------------------------
 #
-# Wire format: a JSON header line {kind, dims, radius[, factors]} terminated
-# by a newline, then the flat little-endian float64 payload. Tangents store
-# base followed by data, giving a payload of twice the ambient size.
+# Wire format of a point: a JSON header line {kind, dims, radius[, factors]}
+# terminated by a newline, then the flat little-endian float64 payload.
 
 # The reader's table: every concrete manifold, by its kind.
 _CLASSES = {cls.kind: cls for cls in (Euclidean, Sphere, Stiefel, SPD, ProductManifold)}
@@ -907,12 +899,12 @@ def manifold_from_header(header: dict) -> Manifold:
     return m
 
 
-def _pack(header: dict, payload: np.ndarray) -> bytes:
-    head = json.dumps(header, sort_keys=True).encode("utf-8") + b"\n"
-    return head + np.ascontiguousarray(payload, dtype="<f8").tobytes()
+def serialize_point(p: Point) -> bytes:
+    head = json.dumps(manifold_to_header(p.manifold), sort_keys=True).encode("utf-8") + b"\n"
+    return head + np.ascontiguousarray(p.data, dtype="<f8").tobytes()
 
 
-def _unpack(blob: bytes) -> tuple[Manifold, np.ndarray]:
+def deserialize_point(blob: bytes) -> Point:
     head, newline, body = bytes(blob).partition(b"\n")
     if not newline:
         raise InvalidGeometry("blob has no header line")
@@ -922,28 +914,7 @@ def _unpack(blob: bytes) -> tuple[Manifold, np.ndarray]:
         raise InvalidGeometry(f"unreadable header: {err}") from None
     if len(body) % 8:
         raise InvalidGeometry(f"payload of {len(body)} bytes is not a whole number of float64 values")
-    return manifold_from_header(header), np.frombuffer(body, dtype="<f8")
-
-
-def serialize_point(p: Point) -> bytes:
-    return _pack(manifold_to_header(p.manifold), p.data)
-
-
-def deserialize_point(blob: bytes) -> Point:
-    m, payload = _unpack(blob)
+    m, payload = manifold_from_header(header), np.frombuffer(body, dtype="<f8")
     if payload.size != m.ambient_size:
         raise InvalidGeometry(f"payload size {payload.size} != ambient {m.ambient_size}")
     return Point(m, payload)
-
-
-def serialize_tangent(t: Tangent) -> bytes:
-    return _pack(manifold_to_header(t.manifold), np.concatenate([t.base.data, t.data]))
-
-
-def deserialize_tangent(blob: bytes) -> Tangent:
-    m, payload = _unpack(blob)
-    n = m.ambient_size
-    if payload.size != 2 * n:
-        raise InvalidGeometry(f"payload size {payload.size} != 2 * ambient {n}")
-    base = Point(m, payload[:n])
-    return Tangent(base, payload[n:])

@@ -37,7 +37,6 @@ __all__ = [
     "generate_gaussian_instance",
     "generate_multiscale_instance",
     "generate_quadratic_instance",
-    "save_instance_config",
     "save_instance_matrix",
     "load_instance",
 ]
@@ -236,9 +235,11 @@ class SyntheticQuadratic(MinimaxProblem):
 
     Strongly concave in y with the closed-form maximizer y*(x) = Ax / mu and
     envelope ||Ax||^2 / (2 mu) + <b, x>. The stochastic oracles add isotropic
-    Gaussian noise (standard deviation sigma / sqrt(batch size)) in the
-    ambient space and project it to the tangent space, so they are unbiased
-    by linearity of the projection.
+    Gaussian noise of standard deviation sigma / sqrt(len(idx)) in the ambient
+    space and project it to the tangent space, so they are unbiased by
+    linearity of the projection. The problem has one sample, so a solver's
+    batch covers it whatever its batch_size: the solver hands the oracles the
+    one-entry full index, and a run's noise is sigma.
     """
 
     def __init__(self, matrix: np.ndarray, mu: float, offset: np.ndarray, noise_sigma: float = 0.1) -> None:
@@ -248,10 +249,13 @@ class SyntheticQuadratic(MinimaxProblem):
             raise ProblemError("matrix must be 2-d")
         if b.size != A.shape[1]:
             raise ProblemError("offset length must match the column count")
-        if not mu > 0:
-            raise ProblemError("mu must be positive")
-        if noise_sigma < 0:
-            raise ProblemError("noise sigma must be nonnegative")
+        if not (_all_finite(A) and _all_finite(b)):
+            raise ProblemError("matrix and offset must be finite")
+        # Written as ranges so that nan fails each of them.
+        if not 0 < mu < math.inf:
+            raise ProblemError(f"mu must be positive and finite, got {mu!r}")
+        if not 0 <= noise_sigma < math.inf:
+            raise ProblemError(f"noise sigma must be nonnegative and finite, got {noise_sigma!r}")
         self.a_mat = A.copy()
         self.a_mat.setflags(write=False)
         self._a_t = self.a_mat.T  # one view for every A^T y
@@ -273,22 +277,20 @@ class SyntheticQuadratic(MinimaxProblem):
             raise NumericalOverflow("objective overflowed")
         return val
 
-    def _grad_x(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return self.mx._project(x, np.matvec(self._a_t, y) + self.b)
+    # Exact when idx is None; given a batch, the noise goes in before the projection.
 
-    def _grad_y(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return np.matvec(self.a_mat, x) - self.mu * y
-
-    def _noisy(self, g: np.ndarray, idx: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        if self.noise_sigma > 0.0:
-            g = g + (self.noise_sigma / math.sqrt(idx.shape[-1])) * rng.standard_normal(g.shape)
-        return g
-
-    def _stoch_grad_x(self, x: np.ndarray, y: np.ndarray, idx: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    def _grad_x(self, x: np.ndarray, y: np.ndarray, idx: np.ndarray | None = None, rng=None) -> np.ndarray:
         return self.mx._project(x, self._noisy(np.matvec(self._a_t, y) + self.b, idx, rng))
 
-    def _stoch_grad_y(self, x: np.ndarray, y: np.ndarray, idx: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        return self._noisy(self._grad_y(x, y), idx, rng)
+    def _grad_y(self, x: np.ndarray, y: np.ndarray, idx: np.ndarray | None = None, rng=None) -> np.ndarray:
+        return self._noisy(np.matvec(self.a_mat, x) - self.mu * y, idx, rng)
+
+    _stoch_grad_x, _stoch_grad_y = _grad_x, _grad_y
+
+    def _noisy(self, g: np.ndarray, idx: np.ndarray | None, rng: np.random.Generator | None) -> np.ndarray:
+        if idx is not None and self.noise_sigma > 0.0:
+            g = g + (self.noise_sigma / math.sqrt(idx.shape[-1])) * rng.standard_normal(g.shape)
+        return g
 
     def inner_max_oracle(self, x: Point) -> tuple[Point, float]:
         self.mx._require_point(x)
@@ -328,8 +330,8 @@ def generate_multiscale_instance(k: int, m: int, span: float, seed: int,
     steps instead of collapsing geometrically, which is what a rate fit
     over a budget ladder needs. Randomness only rotates the singular bases.
     """
-    if span <= 0:
-        raise ProblemError("span must be positive")
+    if not 0 < span < math.inf:
+        raise ProblemError(f"span must be positive and finite, got {span!r}")
     rng = np.random.default_rng(seed)
     p = min(k, m)
     left, _ = np.linalg.qr(rng.standard_normal((m, m)))
@@ -341,15 +343,8 @@ def generate_multiscale_instance(k: int, m: int, span: float, seed: int,
 
 # -- instance files ----------------------------------------------------------
 #
-# Two interchangeable formats. The text form stores {d, n, c, seed} as
-# key = value lines and regenerates the data deterministically; the binary
-# form embeds the data matrix row-major float64 after an 8-byte magic and a
-# (d, n, c) header.
-
-
-def save_instance_config(path: str | Path, d: int, n: int, c: float, seed: int) -> None:
-    lines = [f"d = {int(d)}", f"n = {int(n)}", f"c = {float(c)!r}", f"seed = {int(seed)}"]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+# The data matrix, row-major little-endian float64, after an 8-byte magic and
+# a (d, n, c) header.
 
 
 def save_instance_matrix(path: str | Path, problem: RobustMleProblem) -> None:
@@ -361,27 +356,14 @@ def save_instance_matrix(path: str | Path, problem: RobustMleProblem) -> None:
 
 
 def load_instance(path: str | Path) -> RobustMleProblem:
+    """The problem that ``save_instance_matrix`` wrote to path."""
     raw = Path(path).read_bytes()
-    if raw.startswith(_INSTANCE_MAGIC):
-        off = len(_INSTANCE_MAGIC) + struct.calcsize("<qqd")
-        if len(raw) < off:
-            raise ProblemError("instance file header is truncated")
-        d, n, c = struct.unpack_from("<qqd", raw, len(_INSTANCE_MAGIC))
-        if d < 1 or n < 1 or len(raw) - off != 8 * n * d:
-            raise ProblemError(f"instance file holds {len(raw) - off} data bytes, not 8 * n * d for n={n}, d={d}")
-        return RobustMleProblem(np.frombuffer(raw, dtype="<f8", offset=off).reshape(n, d), c)
-    fields: dict[str, str] = {}
-    try:
-        for line in raw.decode("utf-8").splitlines():
-            key, _, value = line.split("#", 1)[0].partition("=")
-            if key.strip():
-                fields[key.strip()] = value.strip()
-        return generate_gaussian_instance(
-            d=int(fields["d"]), n=int(fields["n"]), c=float(fields["c"]), seed=int(fields["seed"])
-        )
-    except KeyError as missing:
-        raise ProblemError(f"instance file is missing field {missing}") from None
-    except ValueError as err:
-        raise ProblemError(f"malformed instance file: {err}") from None
-    except MemoryError as err:
-        raise ProblemError(f"instance file asks for more memory than can be allocated: {err}") from None
+    if not raw.startswith(_INSTANCE_MAGIC):
+        raise ProblemError(f"not an instance file: it does not start with {_INSTANCE_MAGIC.decode()}")
+    off = len(_INSTANCE_MAGIC) + struct.calcsize("<qqd")
+    if len(raw) < off:
+        raise ProblemError("instance file header is truncated")
+    d, n, c = struct.unpack_from("<qqd", raw, len(_INSTANCE_MAGIC))
+    if d < 1 or n < 1 or len(raw) - off != 8 * n * d:
+        raise ProblemError(f"instance file holds {len(raw) - off} data bytes, not 8 * n * d for n={n}, d={d}")
+    return RobustMleProblem(np.frombuffer(raw, dtype="<f8", offset=off).reshape(n, d), c)

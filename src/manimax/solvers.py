@@ -102,16 +102,14 @@ class SolverConfig:
             raise ConfigError("alpha and beta must lie in (0, 1)")
         if not (0 < self.v0_x < math.inf and 0 < self.v0_y < math.inf):
             raise ConfigError("accumulator seeds v0_x, v0_y must be positive and finite")
-        if self.max_iters < 0:
-            raise ConfigError("max_iters must be nonnegative")
         if not 0 <= self.grad_tol < math.inf:
             raise ConfigError("grad_tol must be nonnegative and finite")
-        if self.batch_size < 1:
-            raise ConfigError("batch_size must be >= 1")
-        if self.seed < 0:
-            raise ConfigError("seed must be nonnegative")
-        if self.eval_stride < 1:
-            raise ConfigError("eval_stride must be >= 1")
+        for name, low in (("max_iters", 0), ("batch_size", 1), ("seed", 0), ("eval_stride", 1)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+            if value < low:
+                raise ConfigError(f"{name} must be >= {low}, got {value}")
 
     def regime_flags(self) -> list[str]:
         """Notes on where (alpha, beta) sits relative to the known rate regimes."""

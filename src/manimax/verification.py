@@ -53,7 +53,6 @@ class SlopeFit:
     slope: float
     intercept: float
     r2: float
-    points: tuple[tuple[float, float], ...]
 
 
 @dataclass(frozen=True)
@@ -84,7 +83,7 @@ def _loglog_fit(ts: np.ndarray, vals: np.ndarray) -> SlopeFit:
     ss_res = float(np.sum((ly - pred) ** 2))
     ss_tot = float(np.sum((ly - ly.mean()) ** 2))
     r2 = 1.0 if ss_tot <= 1e-30 else 1.0 - ss_res / ss_tot
-    return SlopeFit(slope, intercept, r2, tuple(zip(lx.tolist(), ly.tolist())))
+    return SlopeFit(slope, intercept, r2)
 
 
 def fit_rate(pairs: list[tuple[float, float]]) -> SlopeFit:

@@ -134,6 +134,18 @@ def test_repeat_outputs_do_not_depend_on_the_repeat_count(tmp_path, preset):
         assert strip_wall(tmp_path / str(repeats) / f"b_rep{i}.csv") == strip_wall(last / f"b_rep{i}.csv")
 
 
+def test_quadratic_batch_size_leaves_a_run_unchanged(tmp_path):
+    # The quadratic has one sample, so every batch is its full one-entry index
+    # and the oracle noise stays sigma whatever --batch-size asks for.
+    for size in ("1", "100"):
+        assert main(["run", "--preset", "synthetic-rsagda", "--max-iters", "300", "--batch-size", size,
+                     "--label", "b", "--out", str(tmp_path / size)]) == 0
+    one, hundred = tmp_path / "1", tmp_path / "100"
+    assert strip_wall(one / "b_rep0.csv") == strip_wall(hundred / "b_rep0.csv")
+    for name in ("b_rep0_x.point", "b_rep0_y.point"):
+        assert (one / name).read_bytes() == (hundred / name).read_bytes()
+
+
 @pytest.mark.parametrize("argv", [["run", "--preset", "synthetic-ragda", "--max-iters", "3"],
                                   ["verify", "--suite", "adaptive-sum"]])
 def test_rm_seed_not_an_integer_is_a_config_error(tmp_path, monkeypatch, capsys, argv):
@@ -369,10 +381,14 @@ def assert_config_error(argv, capsys):
     ["--problem", "synthetic-quadratic", "--mu", "-1"],
     ["--problem", "synthetic-quadratic", "--k", "1"],
     ["--problem", "synthetic-quadratic", "--m", "0"],
-    # 100 rows of 10^12 ask for 728 TiB, more than the 128 TiB of a user
-    # address space, so the allocation fails at once under any overcommit policy.
+    # Points over the budget of ExperimentConfig, rejected before any problem is built.
     ["--problem", "robust-mle", "--d", "1000000000000", "--n", "100"],
     ["--problem", "synthetic-quadratic", "--k", "1000000000000", "--m", "100"],
+    # Within that budget, but the data ask for 213 PiB and 17 PiB, more than the
+    # 128 TiB of a user address space, so the allocation fails at once under any
+    # overcommit policy.
+    ["--problem", "robust-mle", "--d", "30", "--n", "1000000000000000"],
+    ["--problem", "synthetic-quadratic", "--k", "50000000", "--m", "50000000"],
 ], ids=" ".join)
 @pytest.mark.parametrize("command", ["run", "verify"])
 def test_bad_problem_size_is_a_config_error(tmp_path, capsys, command, flags):
@@ -449,7 +465,11 @@ def test_out_of_range_experiment_setting_is_a_config_error(tmp_path, capsys, no_
     (["--repeats", "10001"], "repeats must be <= 10000, got 10001"),
     (["--repeats", "100000000"], "repeats must be <= 10000, got 100000000"),
     (["--repeats", "1000", "--max-iters", "5000"], "1000 repeats of 5000 steps may keep over 1000000 records"),
-], ids=["10001", "10^8", "1000x5000"])
+    (["--problem", "robust-mle", "--d", "300", "--repeats", "10000", "--max-iters", "0"],
+     "10000 repeats of 90902 point floats each exceed 100000000 floats"),
+    (["--k", "60000", "--m", "40000", "--repeats", "1001", "--max-iters", "0"],
+     "1001 repeats of 100000 point floats each exceed 100000000 floats"),
+], ids=["10001", "10^8", "1000x5000", "10000xd300", "1001xk+m"])
 def test_repeats_over_budget_is_a_config_error_before_any_work(tmp_path, capsys, monkeypatch, flags, message):
     def forbidden(*args, **kwargs):
         raise AssertionError("built a problem or a run before the repeats were checked")
@@ -467,6 +487,15 @@ def test_repeats_budget_edges():
     for repeats, max_iters in ((10_000, 100), (100, 10**6), (10_001, 1)):
         with pytest.raises(ConfigError):
             ExperimentConfig(repeats=repeats, solver=SolverConfig(max_iters=max_iters))
+    # A row's points are (d+1) + (d+1)^2 floats on robust-mle and k + m on the
+    # quadratic; the budget is 10^8 floats in all.
+    steps = SolverConfig(max_iters=0)
+    ExperimentConfig(problem="robust-mle", d=99, repeats=9900, solver=steps)
+    ExperimentConfig(problem="synthetic-quadratic", k=6000, m=4000, repeats=10_000, solver=steps)
+    for sizes in ({"problem": "robust-mle", "d": 99, "repeats": 9901},
+                  {"problem": "synthetic-quadratic", "k": 6001, "m": 4000, "repeats": 10_000}):
+        with pytest.raises(ConfigError, match="point floats"):
+            ExperimentConfig(solver=steps, **sizes)
 
 
 def test_run_that_cannot_be_allocated_is_a_config_error(tmp_path, capsys, monkeypatch):

@@ -21,11 +21,9 @@ from manimax import (
     Tangent,
     UnsupportedOperation,
     deserialize_point,
-    deserialize_tangent,
     manifold_from_header,
     manifold_to_header,
     serialize_point,
-    serialize_tangent,
 )
 from manimax import manifolds
 
@@ -651,15 +649,6 @@ def test_point_serialization_round_trip(man):
     assert np.array_equal(back.data, x.data)  # bit exact
 
 
-@pytest.mark.parametrize("man", [Sphere(4), SPD(2), Euclidean(3)], ids=repr)
-def test_tangent_serialization_round_trip(man):
-    x = man.random_point(RNG)
-    u = man.random_tangent(x, RNG, norm=1.5)
-    back = deserialize_tangent(serialize_tangent(u))
-    assert np.array_equal(back.base.data, x.data)
-    assert np.array_equal(back.data, u.data)
-
-
 # The header lines of the 0.11.0 writer, byte for byte.
 _WIRE_HEADERS = [
     (Sphere(5, radius=1.5), b'{"dims": [5], "kind": "sphere", "radius": 1.5}'),
@@ -704,7 +693,6 @@ _PRODUCT_HEADER = (b'{"kind": "product", "dims": %s, "radius": null, "factors": 
                    b'{"kind": "euclidean", "dims": [2], "radius": null}]}\n')
 
 
-@pytest.mark.parametrize("load", [deserialize_point, deserialize_tangent])
 @pytest.mark.parametrize(
     "blob",
     [
@@ -721,8 +709,8 @@ _PRODUCT_HEADER = (b'{"kind": "product", "dims": %s, "radius": null, "factors": 
         pytest.param(b'{"kind": "product", "dims": [3], "factors": 3}\n', id="factors-not-a-list"),
         pytest.param(b'{"kind": "sphere", "dims": [3], "radius": Infinity}\n', id="radius-infinite"),
         pytest.param(_SPHERE_HEADER + np.zeros(5).tobytes(), id="wrong-payload-size"),
-        pytest.param(_SPHERE_HEADER + np.array([np.nan, 0.0, 1.0] * 2).tobytes(), id="non-finite-payload"),
-        pytest.param(_SPHERE_HEADER + np.array([0.0, 0.0, 2.0] * 2).tobytes(), id="off-the-sphere"),
+        pytest.param(_SPHERE_HEADER + np.array([np.nan, 0.0, 1.0]).tobytes(), id="non-finite-payload"),
+        pytest.param(_SPHERE_HEADER + np.array([0.0, 0.0, 2.0]).tobytes(), id="off-the-sphere"),
         pytest.param(b'{"kind": "sphere", "dims": [3.7], "radius": 1.0}\n' + _NORTH, id="dims-not-integer"),
         pytest.param(b'{"kind": "euclidean", "dims": [true], "radius": null}\n' + _NORTH[:8], id="dims-bool"),
         pytest.param(b'{"kind": "sphere", "dims": [3], "radius": 0}\n' + _NORTH, id="radius-zero"),
@@ -741,9 +729,9 @@ _PRODUCT_HEADER = (b'{"kind": "product", "dims": %s, "radius": null, "factors": 
         pytest.param(b'{"kind": "spd", "dims": [2], "radius": 7}\n' + _EYE2, id="spd-with-radius"),
     ],
 )
-def test_deserialize_malformed_blob_raises_invalid_geometry(load, blob):
+def test_deserialize_malformed_blob_raises_invalid_geometry(blob):
     with pytest.raises(InvalidGeometry):
-        load(blob)
+        deserialize_point(blob)
 
 
 @settings(max_examples=200, deadline=None)
@@ -754,7 +742,7 @@ def test_deserialize_fuzz_yields_value_or_invalid_geometry(data):
     man = data.draw(st.sampled_from([Sphere(3), SPD(2), Stiefel(3, 2), Euclidean(2),
                                      ProductManifold([Sphere(3), Euclidean(2)])]), label="manifold")
     x = man.random_point(np.random.default_rng(0))
-    valid = serialize_point(x) if data.draw(st.booleans()) else serialize_tangent(man.zero_tangent(x))
+    valid = serialize_point(x)
     mode = data.draw(st.sampled_from(["truncate", "flip", "random"]))
     if mode == "truncate":
         blob = valid[: data.draw(st.integers(0, len(valid) - 1))]
@@ -763,12 +751,11 @@ def test_deserialize_fuzz_yields_value_or_invalid_geometry(data):
         blob = valid[:i] + bytes([valid[i] ^ data.draw(st.integers(1, 255))]) + valid[i + 1:]
     else:
         blob = data.draw(st.binary(max_size=200))
-    for load in (deserialize_point, deserialize_tangent):
-        try:
-            out = load(blob)
-        except InvalidGeometry:
-            continue
-        assert np.all(np.isfinite(out.data))
+    try:
+        out = deserialize_point(blob)
+    except InvalidGeometry:
+        return
+    assert np.all(np.isfinite(out.data))
 
 
 def test_sphere_retract_rejects_overflowed_norm():

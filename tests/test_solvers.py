@@ -503,10 +503,13 @@ def test_config_validation():
     "kwargs",
     [{"seed": -1}]
     + [{name: bad} for name in ("eta_x", "eta_y", "v0_x", "v0_y", "grad_tol")
-       for bad in (math.nan, math.inf)],
+       for bad in (math.nan, math.inf)]
+    # The counts take integers only: not floats, whole or not, and not bools.
+    + [{name: bad} for name in ("max_iters", "batch_size", "seed", "eval_stride")
+       for bad in (2.5, 2.0, True, "3")],
     ids=repr,
 )
-def test_config_rejects_negative_seed_and_non_finite_floats(kwargs):
+def test_config_rejects_negative_seed_non_finite_floats_and_non_integer_counts(kwargs):
     with pytest.raises(ConfigError):
         SolverConfig(method=Method.RAGDA, **kwargs)
 

@@ -23,7 +23,8 @@ from typing import Callable
 
 import numpy as np
 
-from .manifolds import SPD, Euclidean, InvalidGeometry, Sphere, Stiefel, UnsupportedOperation, serialize_point
+from .manifolds import (SPD, Euclidean, InvalidGeometry, Sphere, Stiefel, UnsupportedOperation, _count, _real,
+                        serialize_point)
 from .problems import (
     MinimaxProblem,
     ProblemError,
@@ -136,12 +137,19 @@ class ExperimentConfig:
     data_seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.problem not in _PROBLEMS:
+        if not isinstance(self.problem, str) or self.problem not in _PROBLEMS:
             raise ConfigError(f"unknown problem {self.problem!r}; choose from {_PROBLEMS}")
-        if self.repeats < 1:
-            raise ConfigError("repeats must be >= 1")
-        if self.repeats > _MAX_REPEATS:
-            raise ConfigError(f"repeats must be <= {_MAX_REPEATS}, got {self.repeats}")
+        if not isinstance(self.solver, SolverConfig):
+            raise ConfigError(f"solver must be a SolverConfig, got {self.solver!r}")
+        if not isinstance(self.label, str):
+            raise ConfigError(f"label must be a string, got {self.label!r}")
+        # Types first, for the budgets below; the problem checks the ranges of its sizes and parameters.
+        _count(self.repeats, "repeats", 1, _MAX_REPEATS, ConfigError)
+        _count(self.data_seed, "data-seed", 0, error=ConfigError)
+        for name in ("d", "n", "k", "m"):
+            _count(getattr(self, name), name, error=ConfigError)
+        for name in ("c", "mu", "sigma"):
+            _real(getattr(self, name), f"{name} must be a number", error=ConfigError)
         if self.repeats * (min(self.solver.max_iters, RECORD_CAP) + 1) > _MAX_RECORDS:
             raise ConfigError(f"{self.repeats} repeats of {self.solver.max_iters} steps "
                               f"may keep over {_MAX_RECORDS} records")
@@ -150,11 +158,13 @@ class ExperimentConfig:
         if self.repeats * row > _MAX_POINT_FLOATS:
             raise ConfigError(f"{self.repeats} repeats of {row} point floats each "
                               f"exceed {_MAX_POINT_FLOATS} floats")
-        if self.data_seed < 0:
-            raise ConfigError("data-seed must be nonnegative")
         self.label = self.label or f"{self.problem}-{self.solver.method.value}"
-        if set(self.label) & {"/", "\0", os.sep, os.altsep or "/"}:
-            raise ConfigError(f"label {self.label!r} must not contain a path separator or NUL")
+        if not self.label.isprintable() or set(self.label) & {"/", os.sep, os.altsep or "/"}:
+            raise ConfigError(f"label {self.label!r} must be printable and must not contain a path separator")
+        # The longest output name (<label>_summary.txt is shorter) must fit the usual 255-byte limit.
+        if len(longest := f"{self.label}_rep{self.repeats - 1}_x.point".encode()) > 255:
+            raise ConfigError(f"label makes the output name <label>_rep{self.repeats - 1}_x.point "
+                              f"{len(longest)} bytes long, over 255")
 
     @classmethod
     def from_fields(cls, values: dict[str, object]) -> "ExperimentConfig":
@@ -202,7 +212,8 @@ def build_problem(cfg: ExperimentConfig) -> MinimaxProblem:
             return generate_gaussian_instance(cfg.d, cfg.n, cfg.c, cfg.data_seed)
         return generate_quadratic_instance(cfg.k, cfg.m, cfg.mu, cfg.data_seed, cfg.sigma)
     except (ProblemError, InvalidGeometry, ValueError, MemoryError) as err:
-        # numpy raises ValueError for negative dimensions, MemoryError for sizes it cannot allocate.
+        # The generators check their sizes; ValueError stays for what numpy itself rejects,
+        # and MemoryError is a size that cannot be allocated.
         raise ConfigError(f"{cfg.problem} instance: {err}") from None
 
 
@@ -384,7 +395,7 @@ def _gradients_suite(
     cfg: ExperimentConfig, problem: MinimaxProblem, rng: np.random.Generator
 ) -> list[tuple[str, bool, str]]:
     # Exact oracles only, so the instance's noise level plays no part.
-    worst_x = worst_y = 0.0
+    worst = {"x": 0.0, "y": 0.0}
     for _ in range(20):
         x = problem.mx.random_point(rng)
         y = problem.my.random_point(rng)
@@ -395,22 +406,15 @@ def _gradients_suite(
         for wrt, u, g, man in (("x", ux, gx, problem.mx), ("y", uy, gy, problem.my)):
             analytic = man.inner(g, u)
             fd = finite_diff_directional(problem, x, y, u, wrt, h=1e-5)
-            err = abs(analytic - fd) / (1.0 + abs(analytic))
-            if wrt == "x":
-                worst_x = max(worst_x, err)
-            else:
-                worst_y = max(worst_y, err)
-    return [
-        (f"grad_x matches finite differences ({cfg.problem})", worst_x <= 1e-4, f"max rel err {worst_x:.3e}"),
-        (f"grad_y matches finite differences ({cfg.problem})", worst_y <= 1e-4, f"max rel err {worst_y:.3e}"),
-    ]
+            worst[wrt] = max(worst[wrt], abs(analytic - fd) / (1.0 + abs(analytic)))
+    return [(f"grad_{wrt} matches finite differences ({cfg.problem})", err <= 1e-4, f"max rel err {err:.3e}")
+            for wrt, err in worst.items()]
 
 
 def _budget_ladder(decades: int) -> list[int]:
     """Iteration budgets 10^2, 10^2.5, ..., 10^(2 + decades) of the rates suite."""
     # At 5, the top budget of 10^7 RAGDA steps already takes about 15 minutes.
-    if not 2 <= decades <= 5:
-        raise ConfigError(f"--budget-decades must lie in [2, 5], got {decades}")
+    _count(decades, "--budget-decades", 2, 5, ConfigError)
     return [round(10 ** (2 + 0.5 * i)) for i in range(2 * decades + 1)]
 
 
@@ -421,14 +425,8 @@ def _rates_suite(cfg: ExperimentConfig, budgets: list[int]) -> list[tuple[str, b
     trace = run(problem, solver)
     mins = running_min_checkpoints(trace, budgets)
     fit = fit_rate(list(zip(budgets, mins)))
-    ok = fit.slope <= -0.4 and fit.r2 >= 0.9
-    return [
-        (
-            "adaptive descent-ascent rate on the synthetic quadratic",
-            ok,
-            f"slope {fit.slope:.3f} (need <= -0.4), r2 {fit.r2:.3f} (need >= 0.9)",
-        )
-    ]
+    return [("adaptive descent-ascent rate on the synthetic quadratic", fit.slope <= -0.4 and fit.r2 >= 0.9,
+             f"slope {fit.slope:.3f} (need <= -0.4), r2 {fit.r2:.3f} (need >= 0.9)")]
 
 
 def _adaptive_sum_suite(rng: np.random.Generator) -> list[tuple[str, bool, str]]:
@@ -461,13 +459,11 @@ def cli_verify(args: argparse.Namespace) -> int:
         elif suite == "adaptive-sum":
             rows += _adaptive_sum_suite(rng)
     width = max(len(name) for name, _, _ in rows)
-    all_ok = True
     for name, ok, detail in rows:
-        flag = "PASS" if ok else "FAIL"
-        all_ok &= ok
-        print(f"{flag}  {name:<{width}}  {detail}")
-    print(f"{sum(ok for _, ok, _ in rows)}/{len(rows)} checks passed")
-    return 0 if all_ok else 1
+        print(f"{'PASS' if ok else 'FAIL'}  {name:<{width}}  {detail}")
+    passed = sum(ok for _, ok, _ in rows)
+    print(f"{passed}/{len(rows)} checks passed")
+    return 0 if passed == len(rows) else 1
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -196,13 +196,30 @@ def _still_rows_kept(kernel, x: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.where(moving[..., None], kernel(x, u), x)
 
 
-def _size(value, what: str, low: int) -> int:
-    """A manifold dimension: an integer (not a bool) of at least ``low``."""
+def _count(value, what: str, low=-math.inf, high=math.inf, error: type = InvalidGeometry) -> int:
+    """A count: an int or numpy integer, not a bool, in [low, high], as an int.
+    This and ``_real`` are the package's one rule for scalar arguments; each
+    raises the caller's own error class, where the value enters."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise InvalidGeometry(f"{what} must be an integer, got {value!r}")
+        raise error(f"{what} must be an integer, got {value!r}")
     if value < low:
-        raise InvalidGeometry(f"{what} must be >= {low}, got {value}")
+        raise error(f"{what} must be >= {low}, got {value}")
+    if value > high:
+        raise error(f"{what} must be <= {high}, got {value}")
     return int(value)
+
+
+def _real(value, what: str, inside=None, error: type = InvalidGeometry):
+    """A real number, not a bool, whose float ``inside`` accepts (any, when it
+    is None): write the interval as a chained comparison, which NaN fails.
+    ``what`` is the rule the message states; the value is returned as given."""
+    try:
+        ok = isinstance(value, Real) and not isinstance(value, bool) and (inside is None or inside(float(value)))
+    except OverflowError:  # an integer beyond the float range
+        ok = False
+    if not ok:
+        raise error(f"{what}, got {value!r}")
+    return value
 
 
 class Manifold:
@@ -312,10 +329,8 @@ class Manifold:
 
     # -- maps ---------------------------------------------------------------
 
-    @property
-    def has_exp(self) -> bool:
-        """Whether exp/log (and hence exact geodesics) are available."""
-        return True
+    # Whether exp/log (and hence exact geodesics) are available.
+    has_exp = True
 
     def retract(self, x: Point, u: Tangent) -> Point:
         return self._moved(self._retract, x, u)
@@ -380,8 +395,7 @@ class Manifold:
 
     def random_tangent(self, x: Point, rng: np.random.Generator, norm: float = 1.0) -> Tangent:
         """A tangent at x with the requested Riemannian norm."""
-        if norm < 0:
-            raise InvalidGeometry("tangent norm must be nonnegative")
+        _real(norm, "tangent norm must be nonnegative", lambda v: v >= 0)
         self._require_point(x)
         if norm == 0.0:
             return self.zero_tangent(x)
@@ -400,7 +414,7 @@ class Euclidean(Manifold):
     _has_invariants = False
 
     def __init__(self, dim: int) -> None:
-        self.dim = _size(dim, "Euclidean dimension", 1)
+        self.dim = _count(dim, "Euclidean dimension", 1)
         super().__init__(self.dim, self.dim)
 
     def _check_point(self, data: np.ndarray) -> None:
@@ -434,10 +448,8 @@ class Sphere(Manifold):
     kind = "sphere"
 
     def __init__(self, dim: int, radius: float = 1.0) -> None:
-        self.dim = _size(dim, "sphere ambient dimension", 2)
-        if isinstance(radius, bool) or not isinstance(radius, Real) or not 0 < radius < np.inf:
-            raise InvalidGeometry(f"sphere radius must be positive and finite, got {radius!r}")
-        self.radius = float(radius)
+        self.dim = _count(dim, "sphere ambient dimension", 2)
+        self.radius = float(_real(radius, "sphere radius must be positive and finite", lambda r: 0 < r < math.inf))
         super().__init__(self.dim, self.dim, self.radius)
 
     def _check_point(self, data: np.ndarray) -> None:
@@ -584,10 +596,11 @@ class Stiefel(Manifold):
     """
 
     kind = "stiefel"
+    has_exp = False
 
     def __init__(self, rows: int, cols: int) -> None:
-        self.rows = _size(rows, "Stiefel rows", 1)
-        self.cols = _size(cols, "Stiefel columns", 1)
+        self.rows = _count(rows, "Stiefel rows", 1)
+        self.cols = _count(cols, "Stiefel columns", 1)
         if self.cols > self.rows:
             raise InvalidGeometry("Stiefel needs rows >= cols >= 1")
         super().__init__(self.rows * self.cols, self.rows, self.cols)
@@ -608,10 +621,6 @@ class Stiefel(Manifold):
         skew_err = np.sqrt(np.vecdot(skew, skew))  # the bits of np.linalg.norm
         if not np.all(skew_err <= _STIEFEL_TANGENT):
             raise InvalidGeometry(f"X^T U not skew (||X^T U + U^T X|| = {np.max(skew_err):.3e})")
-
-    @property
-    def has_exp(self) -> bool:
-        return False
 
     def _retract(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
         """QR retraction with the R diagonal forced positive."""
@@ -669,7 +678,7 @@ class SPD(Manifold):
     kind = "spd"
 
     def __init__(self, order: int, *, clamp_counter: ClampCounter | None = None) -> None:
-        self.order = _size(order, "SPD order", 1)
+        self.order = _count(order, "SPD order", 1)
         self.clamp_counter = clamp_counter
         # (array, w, Q) of the last read-only point decomposed; replaced whole,
         # so a reader sees one consistent entry.
@@ -803,6 +812,7 @@ class ProductManifold(Manifold):
         self.factors = tuple(factors)
         if not self.factors or not all(isinstance(f, Manifold) for f in self.factors):
             raise InvalidGeometry(f"product needs one or more Manifold factors, got {factors!r}")
+        self.has_exp = all(f.has_exp for f in self.factors)
         sizes = [f.ambient_size for f in self.factors]
         self._offsets = np.concatenate([[0], np.cumsum(sizes)]).astype(int)
         super().__init__(int(self._offsets[-1]), *(f.spec_key() for f in self.factors))
@@ -821,10 +831,6 @@ class ProductManifold(Manifold):
     def _check_tangent(self, base: np.ndarray, data: np.ndarray) -> None:
         for f, b, part in self._split(base, data):
             f._check_tangent(b, part)
-
-    @property
-    def has_exp(self) -> bool:
-        return all(f.has_exp for f in self.factors)
 
     def _inner_data(self, base: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         return sum(f._inner_data(b, uu, vv) for f, b, uu, vv in self._split(base, u, v))
@@ -889,7 +895,7 @@ def manifold_from_header(header: dict) -> Manifold:
         if cls is ProductManifold:
             m = ProductManifold([manifold_from_header(h) for h in header["factors"]])
             # dims must be an int, which == cannot tell from a float: 5.0 == 5.
-            _size(header["dims"][0], "product size", 1)
+            _count(header["dims"][0], "product size", 1)
         else:
             m = cls(*header["dims"], header["radius"]) if cls is Sphere else cls(*header["dims"])
     except (KeyError, IndexError, TypeError, ValueError, OverflowError) as err:

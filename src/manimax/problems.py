@@ -24,6 +24,8 @@ from .manifolds import (
     Tangent,
     UnsupportedOperation,
     _all_finite,
+    _count,
+    _real,
 )
 
 __all__ = [
@@ -79,8 +81,7 @@ class Batch:
     @classmethod
     def sample(cls, rng: np.random.Generator, n: int, size: int) -> "Batch":
         """Uniform i.i.d. draw with replacement from range(n)."""
-        if size < 1:
-            raise EmptyBatch("batch size must be >= 1")
+        _count(size, "batch size", 1, error=EmptyBatch)
         return cls(rng.integers(0, n, size=size, dtype=np.int64))
 
 
@@ -171,9 +172,7 @@ class RobustMleProblem(MinimaxProblem):
             raise ProblemError("data must be a nonempty 2-d array")
         if not np.all(np.isfinite(A)):
             raise ProblemError("data contains non-finite entries")
-        self.c = float(c)
-        if not np.isfinite(self.c):
-            raise ProblemError(f"c must be finite, got {self.c!r}")
+        self.c = float(_real(c, "c must be finite", math.isfinite, ProblemError))
         self.a = A.copy()
         self.a.setflags(write=False)
         self.n, self.d = A.shape
@@ -251,11 +250,8 @@ class SyntheticQuadratic(MinimaxProblem):
             raise ProblemError("offset length must match the column count")
         if not (_all_finite(A) and _all_finite(b)):
             raise ProblemError("matrix and offset must be finite")
-        # Written as ranges so that nan fails each of them.
-        if not 0 < mu < math.inf:
-            raise ProblemError(f"mu must be positive and finite, got {mu!r}")
-        if not 0 <= noise_sigma < math.inf:
-            raise ProblemError(f"noise sigma must be nonnegative and finite, got {noise_sigma!r}")
+        _real(mu, "mu must be positive and finite", lambda v: 0 < v < math.inf, ProblemError)
+        _real(noise_sigma, "noise sigma must be nonnegative and finite", lambda v: 0 <= v < math.inf, ProblemError)
         self.a_mat = A.copy()
         self.a_mat.setflags(write=False)
         self._a_t = self.a_mat.T  # one view for every A^T y
@@ -306,16 +302,24 @@ class SyntheticQuadratic(MinimaxProblem):
         return x0, y0
 
 
+def _instance_rng(seed, **sizes) -> np.random.Generator:
+    """The generator of an instance's data, once its sizes (integers >= 1) and seed (>= 0) pass."""
+    for name, value in sizes.items():
+        _count(value, name, 1, error=ProblemError)
+    _count(seed, "seed", 0, error=ProblemError)
+    return np.random.default_rng(seed)
+
+
 def generate_gaussian_instance(d: int, n: int, c: float, seed: int) -> RobustMleProblem:
     """Robust MLE instance with rows a_i drawn i.i.d. standard normal."""
-    rng = np.random.default_rng(seed)
+    rng = _instance_rng(seed, d=d, n=n)
     return RobustMleProblem(rng.standard_normal((n, d)), c)
 
 
 def generate_quadratic_instance(k: int, m: int, mu: float, seed: int,
                                 noise_sigma: float = 0.1) -> SyntheticQuadratic:
     """Synthetic quadratic with a standard normal coupling matrix and offset."""
-    rng = np.random.default_rng(seed)
+    rng = _instance_rng(seed, k=k, m=m)
     return SyntheticQuadratic(rng.standard_normal((m, k)), mu, rng.standard_normal(k), noise_sigma)
 
 
@@ -330,9 +334,8 @@ def generate_multiscale_instance(k: int, m: int, span: float, seed: int,
     steps instead of collapsing geometrically, which is what a rate fit
     over a budget ladder needs. Randomness only rotates the singular bases.
     """
-    if not 0 < span < math.inf:
-        raise ProblemError(f"span must be positive and finite, got {span!r}")
-    rng = np.random.default_rng(seed)
+    _real(span, "span must be positive and finite", lambda v: 0 < v < math.inf, ProblemError)
+    rng = _instance_rng(seed, k=k, m=m)
     p = min(k, m)
     left, _ = np.linalg.qr(rng.standard_normal((m, m)))
     right, _ = np.linalg.qr(rng.standard_normal((k, k)))

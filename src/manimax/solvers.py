@@ -30,7 +30,7 @@ from enum import Enum
 
 import numpy as np
 
-from .manifolds import GeometryError, Point, _all_finite, _trusted
+from .manifolds import GeometryError, Point, _all_finite, _count, _real, _trusted
 from .problems import MinimaxProblem, NumericalOverflow
 
 __all__ = [
@@ -95,21 +95,17 @@ class SolverConfig:
                 f"unknown method {self.method!r}; choose from "
                 f"{[m.value for m in Method]}"
             ) from None
-        # Written as ranges so that nan fails every one of them.
-        if not (0 < self.eta_x < math.inf and 0 < self.eta_y < math.inf):
-            raise ConfigError("stepsize scales eta_x, eta_y must be positive and finite")
-        if not (0 < self.alpha < 1) or not (0 < self.beta < 1):
-            raise ConfigError("alpha and beta must lie in (0, 1)")
-        if not (0 < self.v0_x < math.inf and 0 < self.v0_y < math.inf):
-            raise ConfigError("accumulator seeds v0_x, v0_y must be positive and finite")
-        if not 0 <= self.grad_tol < math.inf:
-            raise ConfigError("grad_tol must be nonnegative and finite")
-        for name, low in (("max_iters", 0), ("batch_size", 1), ("seed", 0), ("eval_stride", 1)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
-            if value < low:
-                raise ConfigError(f"{name} must be >= {low}, got {value}")
+        positive = lambda v: 0 < v < math.inf
+        for check, names, what, bound in (
+            (_real, "eta_x eta_y", "stepsize scales eta_x, eta_y must be positive and finite", positive),
+            (_real, "alpha beta", "alpha and beta must lie in (0, 1)", lambda v: 0 < v < 1),
+            (_real, "v0_x v0_y", "accumulator seeds v0_x, v0_y must be positive and finite", positive),
+            (_real, "grad_tol", "grad_tol must be nonnegative and finite", lambda v: 0 <= v < math.inf),
+            (_count, "max_iters seed", None, 0),
+            (_count, "batch_size eval_stride", None, 1),
+        ):
+            for name in names.split():
+                check(getattr(self, name), what or name, bound, error=ConfigError)
 
     def regime_flags(self) -> list[str]:
         """Notes on where (alpha, beta) sits relative to the known rate regimes."""

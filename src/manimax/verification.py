@@ -17,6 +17,8 @@ from .manifolds import (
     Point,
     Tangent,
     UnsupportedOperation,
+    _count,
+    _real,
 )
 from .problems import MinimaxProblem
 
@@ -118,8 +120,7 @@ def finite_diff_directional(
 ) -> float:
     """Central difference of the objective along a geodesic (or retraction)
     in the chosen variable; the reference for gradient checks."""
-    if h <= 0:
-        raise InvalidInput("step h must be positive")
+    _real(h, "step h must be positive", lambda v: v > 0, InvalidInput)
     if wrt == "x":
         f_plus = problem.value(_move(problem.mx, x, u, h), y)
         f_minus = problem.value(_move(problem.mx, x, u, -h), y)
@@ -147,8 +148,7 @@ def estimate_retraction_constants(
     """
     if not manifold.has_exp:
         raise UnsupportedOperation("retraction constants need the log map for reference")
-    if trials < 1:
-        raise InvalidInput("trials must be >= 1")
+    _count(trials, "trials", 1, error=InvalidInput)
     if rng is None:
         rng = np.random.default_rng(0)
     if t_grid is None:
@@ -213,8 +213,7 @@ def check_adaptive_sum_inequality(a, alpha: float) -> bool:
         raise InvalidInput("sequence entries must be finite and nonnegative")
     if seq[0] <= 0:
         raise InvalidInput("first entry must be positive")
-    if not (0 < alpha <= 1):
-        raise InvalidInput("alpha must lie in (0, 1]")
+    _real(alpha, "alpha must lie in (0, 1]", lambda v: 0 < v <= 1, InvalidInput)
 
     prefix = np.cumsum(seq)
     middle = float(np.sum(seq / prefix**alpha))
@@ -242,8 +241,7 @@ def audit_transport_isometry(
     """
     if not manifold.has_exp:
         raise UnsupportedOperation("projection transport on Stiefel is not an isometry")
-    if trials < 1:
-        raise InvalidInput("trials must be >= 1")
+    _count(trials, "trials", 1, error=InvalidInput)
     if rng is None:
         rng = np.random.default_rng(0)
     worst = 0.0

@@ -542,3 +542,73 @@ def test_load_preset_fuzz_yields_fields_or_config_error(tmp_path_factory, blob):
     except ConfigError:
         return
     assert isinstance(values, dict) and set(values) <= set(_FIELDS)
+
+
+# -- scalar arguments ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda: ExperimentConfig(data_seed=1.5), id="float-data-seed"),
+    pytest.param(lambda: ExperimentConfig(label=5), id="int-label"),
+    pytest.param(lambda: ExperimentConfig(repeats=2.5), id="float-repeats"),
+    pytest.param(lambda: ExperimentConfig(repeats=True), id="bool-repeats"),
+    pytest.param(lambda: ExperimentConfig(d="3"), id="text-d"),
+    pytest.param(lambda: ExperimentConfig(problem="synthetic-quadratic", k=2.0), id="float-k"),
+    pytest.param(lambda: ExperimentConfig(n=None), id="none-n"),
+    pytest.param(lambda: ExperimentConfig(mu="1"), id="text-mu"),
+    pytest.param(lambda: ExperimentConfig(c=True), id="bool-c"),
+    pytest.param(lambda: ExperimentConfig(problem=None), id="none-problem"),
+    pytest.param(lambda: ExperimentConfig(solver={"eta_x": 0.5}), id="dict-solver"),
+    pytest.param(lambda: cli.build_problem(ExperimentConfig(d=2.5)), id="build-float-d"),
+    pytest.param(lambda: cli.build_problem(ExperimentConfig(problem="synthetic-quadratic", m=-3)),
+                 id="build-negative-m"),
+])
+def test_scalar_argument_of_the_wrong_type_or_range_is_a_config_error(build):
+    with pytest.raises(ConfigError):
+        build()
+
+
+def test_fields_the_problem_does_not_use_keep_their_ranges():
+    # The quadratic does not read d, n or c, so their values are not its concern.
+    ExperimentConfig(problem="synthetic-quadratic", d=-5, n=0, c=float("nan"))
+    ExperimentConfig(problem="robust-mle", k=0, m=-1, mu=0.0, sigma=float("inf"))
+
+
+@pytest.mark.parametrize("label", [
+    "x\nrepeat0.stop_reason = converged",  # would forge a summary line
+    "x" * 250,  # its output names would be too long for the file system
+    "a\udcffb",  # the undecodable byte 0xff of a command line; the summary could not encode it
+    "tab\there",
+])
+def test_label_that_would_corrupt_or_crash_the_outputs_is_a_config_error(tmp_path, capsys, monkeypatch, label):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("ran before the label was checked")
+
+    monkeypatch.setattr(cli, "run_seeds", forbidden)
+    assert_config_error(["run", "--preset", "synthetic-ragda", "--label", label, "--out", str(tmp_path)], capsys)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_label_length_counts_the_bytes_of_the_longest_output_name():
+    # <label>_rep<repeats-1>_x.point must fit in 255 bytes; "é" is 2 bytes in UTF-8.
+    ExperimentConfig(label="x" * 242)
+    ExperimentConfig(label="é" * 121)
+    for label, repeats in (("x" * 243, 1), ("é" * 122, 1), ("x" * 242, 11)):
+        with pytest.raises(ConfigError, match="255"):
+            ExperimentConfig(label=label, repeats=repeats)
+
+
+SCALARS = st.none() | st.booleans() | st.text(max_size=8) | st.floats(allow_nan=True, allow_infinity=True) | st.integers()
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_config_construction_is_a_value_or_a_config_error(data):
+    # Construction only: an accepted size can still be too large to build.
+    cls = data.draw(st.sampled_from([SolverConfig, ExperimentConfig]))
+    name = data.draw(st.sampled_from([f.name for f in fields(cls)]))
+    value = data.draw(SCALARS)
+    try:
+        cls(**{name: value})
+    except ConfigError:
+        pass

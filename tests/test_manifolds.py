@@ -894,3 +894,27 @@ def test_stacked_tangent_check_rejects_a_bad_row(man):
     bad[2, 0] = np.nan
     with pytest.raises(InvalidGeometry):
         man.check_tangent(xs, bad)
+
+
+# -- scalar arguments ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda: Sphere(3).random_tangent(Sphere(3).random_point(RNG), RNG, norm="1"), id="norm-text"),
+    pytest.param(lambda: Sphere(3).random_tangent(Sphere(3).random_point(RNG), RNG, norm=True), id="norm-bool"),
+    pytest.param(lambda: Sphere(3).random_tangent(Sphere(3).random_point(RNG), RNG, norm=np.nan), id="norm-nan"),
+    pytest.param(lambda: Sphere(3, 10**400), id="radius-beyond-float"),
+    pytest.param(lambda: Sphere(3, "1"), id="radius-text"),
+    pytest.param(lambda: Stiefel(4, np.float64(2)), id="stiefel-float-cols"),
+    pytest.param(lambda: SPD(None), id="spd-none"),
+])
+def test_scalar_argument_of_the_wrong_type_or_range_is_invalid_geometry(build):
+    with pytest.raises(InvalidGeometry):
+        build()
+
+
+def test_has_exp_is_a_plain_attribute():
+    assert Sphere(3).has_exp and not Stiefel(3, 2).has_exp
+    assert ProductManifold([Sphere(3), SPD(2)]).has_exp
+    assert not ProductManifold([Euclidean(2), ProductManifold([Stiefel(3, 1)])]).has_exp
+    assert Manifold.has_exp is True and Stiefel.has_exp is False

@@ -491,3 +491,29 @@ def test_kernels_on_a_stack_equal_the_single_rows(prob):
                 one = idx[row] if idx.ndim == 2 else idx
                 alone = kernel(x.data, y.data, one, np.random.default_rng(row))
                 assert stacked[row].tobytes() == alone.tobytes()
+
+
+# -- scalar arguments ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda: SyntheticQuadratic(np.ones((2, 3)), "1", np.zeros(3)), id="quadratic-text-mu"),
+    pytest.param(lambda: SyntheticQuadratic(np.ones((2, 3)), True, np.zeros(3)), id="quadratic-bool-mu"),
+    pytest.param(lambda: SyntheticQuadratic(np.ones((2, 3)), 1.0, np.zeros(3), None), id="quadratic-none-sigma"),
+    pytest.param(lambda: generate_multiscale_instance(4, 3, span="1", seed=0), id="multiscale-text-span"),
+    pytest.param(lambda: RobustMleProblem(np.ones((3, 2)), "x"), id="robust-mle-text-c"),
+    pytest.param(lambda: RobustMleProblem(np.ones((3, 2)), True), id="robust-mle-bool-c"),
+    pytest.param(lambda: RobustMleProblem(np.ones((3, 2)), 10**400), id="robust-mle-c-beyond-float"),
+    pytest.param(lambda: generate_gaussian_instance(2.5, 4, 1.0, 0), id="gaussian-float-d"),
+    pytest.param(lambda: generate_gaussian_instance(3, -4, 1.0, 0), id="gaussian-negative-n"),
+    pytest.param(lambda: generate_gaussian_instance(3, 4, 1.0, None), id="gaussian-none-seed"),
+    pytest.param(lambda: generate_quadratic_instance(-1, 3, 1.0, 0), id="quadratic-negative-k"),
+    pytest.param(lambda: generate_quadratic_instance(4, True, 1.0, 0), id="quadratic-bool-m"),
+    pytest.param(lambda: generate_quadratic_instance(4, 3, 1.0, -1), id="quadratic-negative-seed"),
+    pytest.param(lambda: generate_multiscale_instance(4, 0, 2.0, 0), id="multiscale-zero-m"),
+    pytest.param(lambda: generate_multiscale_instance(4, 3, 2.0, 1.5), id="multiscale-float-seed"),
+    pytest.param(lambda: Batch.sample(np.random.default_rng(0), 4, 1.5), id="batch-float-size"),
+])
+def test_scalar_argument_of_the_wrong_type_or_range_is_a_problem_error(build):
+    with pytest.raises(ProblemError):
+        build()

@@ -536,3 +536,12 @@ def test_run_rejects_bad_eval_stride():
     prob = generate_quadratic_instance(4, 3, 1.0, 0, 0.0)
     with pytest.raises(ConfigError):
         run(prob, SolverConfig(method=Method.RAGDA, max_iters=5, eval_stride=0))
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"eta_x": "0.5"}, {"eta_x": True}, {"eta_y": None}, {"alpha": "0.5"}, {"beta": False},
+    {"v0_x": True}, {"v0_y": "1"}, {"grad_tol": True}, {"grad_tol": "0"}, {"eta_x": 10**400},
+], ids=repr)
+def test_config_rejects_real_fields_of_the_wrong_type(kwargs):
+    with pytest.raises(ConfigError):
+        SolverConfig(method=Method.RAGDA, **kwargs)

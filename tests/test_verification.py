@@ -265,3 +265,28 @@ def test_pyproject_version_is_the_package_version():
 def test_transport_audit_validation():
     with pytest.raises(InvalidInput):
         audit_transport_isometry(Sphere(3), trials=0)
+
+
+# -- scalar arguments ------------------------------------------------------------
+
+
+def _fd(h):
+    prob = generate_quadratic_instance(6, 4, 1.0, 0, noise_sigma=0.0)
+    x, y = prob.default_start(np.random.default_rng(0))
+    return finite_diff_directional(prob, x, y, prob.mx.random_tangent(x, np.random.default_rng(1)), "x", h=h)
+
+
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda: _fd("x"), id="fd-text-h"),
+    pytest.param(lambda: _fd(math.nan), id="fd-nan-h"),
+    pytest.param(lambda: _fd(True), id="fd-bool-h"),
+    pytest.param(lambda: estimate_retraction_constants(Sphere(3), trials=2.5), id="retraction-float-trials"),
+    pytest.param(lambda: estimate_retraction_constants(Sphere(3), trials=True), id="retraction-bool-trials"),
+    pytest.param(lambda: audit_transport_isometry(Sphere(3), trials=2.5), id="transport-float-trials"),
+    pytest.param(lambda: audit_transport_isometry(Sphere(3), trials="3"), id="transport-text-trials"),
+    pytest.param(lambda: check_adaptive_sum_inequality([1.0, 2.0], alpha=True), id="sum-bool-alpha"),
+    pytest.param(lambda: check_adaptive_sum_inequality([1.0, 2.0], alpha="0.5"), id="sum-text-alpha"),
+])
+def test_scalar_argument_of_the_wrong_type_or_range_is_invalid_input(build):
+    with pytest.raises(InvalidInput):
+        build()

@@ -24,7 +24,7 @@ from typing import Callable
 import numpy as np
 
 from .manifolds import (SPD, Euclidean, InvalidGeometry, Sphere, Stiefel, UnsupportedOperation, _count, _real,
-                        serialize_point)
+                        _shown, serialize_point)
 from .problems import (
     MinimaxProblem,
     ProblemError,
@@ -113,7 +113,7 @@ def _parse(key: str, text: str, where: str) -> object:
 
 # What one ``run`` may ask for before any work starts: the repeats, the
 # IterationRecords that they may keep in all, at about 320 bytes each, and the
-# floats of their points, 800 MB for each stacked copy the solver holds.
+# floats of their points (800 MB a stacked copy) and of the instance.
 _MAX_REPEATS = 10_000
 _MAX_RECORDS = 10**6
 _MAX_POINT_FLOATS = 10**8
@@ -151,12 +151,13 @@ class ExperimentConfig:
         for name in ("c", "mu", "sigma"):
             _real(getattr(self, name), f"{name} must be a number", error=ConfigError)
         if self.repeats * (min(self.solver.max_iters, RECORD_CAP) + 1) > _MAX_RECORDS:
-            raise ConfigError(f"{self.repeats} repeats of {self.solver.max_iters} steps "
+            raise ConfigError(f"{self.repeats} repeats of {_shown(self.solver.max_iters)} steps "
                               f"may keep over {_MAX_RECORDS} records")
-        # One row's points: x on the sphere and Y on SPD(d+1), or x and y of the quadratic.
+        # The floats of one row's points, and of the instance: its data and the problem's copies of it.
         row = (self.d + 1) * (self.d + 2) if self.problem == "robust-mle" else self.k + self.m
+        instance = self.n * (3 * self.d + 1) if self.problem == "robust-mle" else 2 * self.m * self.k
         if self.repeats * row > _MAX_POINT_FLOATS:
-            raise ConfigError(f"{self.repeats} repeats of {row} point floats each "
+            raise ConfigError(f"{self.repeats} repeats of {_shown(row)} point floats each "
                               f"exceed {_MAX_POINT_FLOATS} floats")
         self.label = self.label or f"{self.problem}-{self.solver.method.value}"
         if not self.label.isprintable() or set(self.label) & {"/", os.sep, os.altsep or "/"}:
@@ -165,6 +166,8 @@ class ExperimentConfig:
         if len(longest := f"{self.label}_rep{self.repeats - 1}_x.point".encode()) > 255:
             raise ConfigError(f"label makes the output name <label>_rep{self.repeats - 1}_x.point "
                               f"{len(longest)} bytes long, over 255")
+        if instance > _MAX_POINT_FLOATS:
+            raise ConfigError(f"{self.problem} instance of {_shown(instance)} floats, over {_MAX_POINT_FLOATS}")
 
     @classmethod
     def from_fields(cls, values: dict[str, object]) -> "ExperimentConfig":

@@ -178,7 +178,8 @@ def _frozen(data: np.ndarray, what: str, owner) -> np.ndarray:
 
 def _trusted(cls: type, owner, arr: np.ndarray):
     """A Point (owner: manifold) or Tangent (owner: base) around a checked array
-    (``_frozen``, or the data of a validated value), without validation."""
+    (``_frozen``, or the data of a validated value), frozen in place, unvalidated."""
+    arr.setflags(write=False)
     obj = object.__new__(cls)
     object.__setattr__(obj, "manifold" if cls is Point else "base", owner)
     object.__setattr__(obj, "data", arr)
@@ -196,16 +197,24 @@ def _still_rows_kept(kernel, x: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.where(moving[..., None], kernel(x, u), x)
 
 
+def _shown(value) -> str:
+    """``repr(value)`` for a message, or <int too long to show> past ``sys.get_int_max_str_digits()``."""
+    try:
+        return repr(value)
+    except ValueError:  # also a Fraction of such an int
+        return f"<{type(value).__name__} too long to show>"
+
+
 def _count(value, what: str, low=-math.inf, high=math.inf, error: type = InvalidGeometry) -> int:
     """A count: an int or numpy integer, not a bool, in [low, high], as an int.
     This and ``_real`` are the package's one rule for scalar arguments; each
     raises the caller's own error class, where the value enters."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise error(f"{what} must be an integer, got {value!r}")
+        raise error(f"{what} must be an integer, got {_shown(value)}")
     if value < low:
-        raise error(f"{what} must be >= {low}, got {value}")
+        raise error(f"{what} must be >= {low}, got {_shown(int(value))}")
     if value > high:
-        raise error(f"{what} must be <= {high}, got {value}")
+        raise error(f"{what} must be <= {high}, got {_shown(int(value))}")
     return int(value)
 
 
@@ -218,7 +227,7 @@ def _real(value, what: str, inside=None, error: type = InvalidGeometry):
     except OverflowError:  # an integer beyond the float range
         ok = False
     if not ok:
-        raise error(f"{what}, got {value!r}")
+        raise error(f"{what}, got {_shown(value)}")
     return value
 
 
@@ -664,15 +673,10 @@ class SPD(Manifold):
     is exact to roundoff there and costs a few matrix products, not an
     eigendecomposition.
 
-    The spectrum of a point is memoised: the manifold keeps one entry, the
-    clamped (w, Q) of the last read-only flat point array it decomposed, and
-    serves it again when ``point_spectrum`` is handed that same array object.
-    A solver step therefore decomposes its SPD iterate once for the metric,
-    the maps and the problem oracles, and nothing more when its whitened step
-    is small. Point arrays are private copies frozen
-    at construction, so a hit cannot be stale; a writable array is decomposed
-    on every call and never stored. Clamp events count once per
-    decomposition, not once per use of a spectrum.
+    ``point_spectrum`` keeps the clamped (w, Q) of the last point array or stack
+    it decomposed and serves it, read-only, to any array of the same shape and
+    bytes: a solver step decomposes its SPD iterate once for the metric, the
+    maps and the problem oracles. Clamp events count once per decomposition.
     """
 
     kind = "spd"
@@ -680,9 +684,8 @@ class SPD(Manifold):
     def __init__(self, order: int, *, clamp_counter: ClampCounter | None = None) -> None:
         self.order = _count(order, "SPD order", 1)
         self.clamp_counter = clamp_counter
-        # (array, w, Q) of the last read-only point decomposed; replaced whole,
-        # so a reader sees one consistent entry.
-        self._memo: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        # (key, w, Q) of the last array decomposed; replaced whole, so a reader sees one consistent entry.
+        self._memo: tuple[tuple, np.ndarray, np.ndarray] | None = None
         super().__init__(self.order * self.order, self.order)
 
     def _mat(self, data: np.ndarray) -> np.ndarray:
@@ -718,13 +721,14 @@ class SPD(Manifold):
         return w, Q
 
     def point_spectrum(self, data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``spectrum`` of a flat point array or of a stack of them, memoised for read-only arrays."""
-        memo = self._memo
-        if memo is not None and memo[0] is data:
+        """``spectrum`` of a flat point array or of a stack of them, memoised on its contents."""
+        key, memo = (data.shape, data.dtype, data.tobytes()), self._memo
+        if memo is not None and memo[0] == key:
             return memo[1], memo[2]
         w, Q = self.spectrum(self._mat(data))
-        if not data.flags.writeable:
-            self._memo = (data, w, Q)
+        w.setflags(write=False)
+        Q.setflags(write=False)
+        self._memo = (key, w, Q)
         return w, Q
 
     def _inner_data(self, base: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -182,10 +182,8 @@ class RobustMleProblem(MinimaxProblem):
         self.my: SPD = SPD(self.d + 1)
         self.sample_count = self.n
 
-    # The kernels hand the manifold the point array y itself, not a reshaped
-    # view, so that one spectrum of Y serves every oracle, metric and map call
-    # at y. The stochastic kernels are the exact ones on the rows in idx, with
-    # the quadratic term scaled by n / |idx|; they draw nothing from rng.
+    # The stochastic kernels are the exact ones on the rows in idx, with the
+    # quadratic term scaled by n / |idx|; they draw nothing from rng.
 
     def _quad_rows(self, x: np.ndarray, idx: np.ndarray | None) -> np.ndarray:
         rows = self.z if idx is None else self.z[idx]

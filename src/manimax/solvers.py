@@ -320,14 +320,9 @@ def _sq_norms(problem: MinimaxProblem, x: np.ndarray, y: np.ndarray,
     return nx2, ny2
 
 
-def _frozen_rows(arr: np.ndarray) -> np.ndarray:
-    arr.setflags(write=False)  # so that the SPD spectrum memo serves the stack
-    return arr
-
-
 def _rows(keep: list[int], *rows):
     """Each stack or per-row list cut down to the rows in keep."""
-    return [[a[j] for j in keep] if isinstance(a, list) else _frozen_rows(a[keep]) for a in rows]
+    return [[a[j] for j in keep] if isinstance(a, list) else a[keep] for a in rows]
 
 
 def _state(problem: MinimaxProblem, x: np.ndarray, y: np.ndarray, vx: float, vy: float, t: int) -> AdaptiveState:
@@ -377,7 +372,7 @@ def run_seeds(problem: MinimaxProblem, configs, *, x0: Point | None = None, y0: 
         x_init, y_init = problem.default_start(np.random.default_rng(init_ss))
         starts.append(((x0 or x_init).data, (y0 or y_init).data))
         gens.append([np.random.default_rng(s) for s in step_ss.spawn(2)])
-    x, y = (_frozen_rows(np.stack(points)) for points in zip(*starts))
+    x, y = (np.stack(points) for points in zip(*starts))
     vx, vy = [row.v0_x for row in configs], [row.v0_y for row in configs]
     draws = tuple(_Draws(row[side] for row in gens) for side in (0, 1)) if stochastic else None
     full = np.arange(problem.sample_count, dtype=np.int64)

@@ -384,9 +384,8 @@ def assert_config_error(argv, capsys):
     # Points over the budget of ExperimentConfig, rejected before any problem is built.
     ["--problem", "robust-mle", "--d", "1000000000000", "--n", "100"],
     ["--problem", "synthetic-quadratic", "--k", "1000000000000", "--m", "100"],
-    # Within that budget, but the data ask for 213 PiB and 17 PiB, more than the
-    # 128 TiB of a user address space, so the allocation fails at once under any
-    # overcommit policy.
+    # Points within that budget, but instances of 9.1e16 and 5e15 floats, over
+    # the budget of an instance's own floats.
     ["--problem", "robust-mle", "--d", "30", "--n", "1000000000000000"],
     ["--problem", "synthetic-quadratic", "--k", "50000000", "--m", "50000000"],
 ], ids=" ".join)
@@ -498,6 +497,35 @@ def test_repeats_budget_edges():
             ExperimentConfig(solver=steps, **sizes)
 
 
+@pytest.mark.parametrize("flags", [
+    ["--problem", "robust-mle", "--n", "20000000"],
+    ["--problem", "synthetic-quadratic", "--k", "40000", "--m", "40000"],
+], ids=" ".join)
+@pytest.mark.parametrize("command", ["run", "verify"])
+def test_instance_over_budget_is_a_config_error_before_any_work(tmp_path, capsys, monkeypatch, command, flags):
+    # Sizes that could be allocated but far too large: 1.8e9 and 3.2e9 floats.
+    def forbidden(*args, **kwargs):
+        raise AssertionError("built a problem or a run before the instance was checked")
+
+    monkeypatch.setattr(cli, "build_problem", forbidden)
+    monkeypatch.setattr(cli, "run_seeds", forbidden)
+    tail = ["--out", str(tmp_path)] if command == "run" else ["--suite", "gradients"]
+    err = assert_config_error([command, *flags, *tail], capsys)
+    assert "instance of" in err and "floats, over 100000000" in err
+
+
+def test_instance_budget_edges():
+    # The instance holds n(3d+1) floats on robust-mle (the data, the problem's
+    # copy and the lifted rows) and 2mk on the quadratic (the matrix and its
+    # copy); the budget is 10^8 floats. Nothing is built here.
+    ExperimentConfig(problem="robust-mle", d=30, n=1_098_901)
+    ExperimentConfig(problem="synthetic-quadratic", k=10_000, m=5_000)
+    for sizes in ({"problem": "robust-mle", "d": 30, "n": 1_098_902},
+                  {"problem": "synthetic-quadratic", "k": 10_000, "m": 5_001}):
+        with pytest.raises(ConfigError, match="instance of"):
+            ExperimentConfig(**sizes)
+
+
 def test_run_that_cannot_be_allocated_is_a_config_error(tmp_path, capsys, monkeypatch):
     def out_of_memory(*args, **kwargs):
         raise MemoryError("Unable to allocate 8.00 GiB for an array")
@@ -552,6 +580,8 @@ def test_load_preset_fuzz_yields_fields_or_config_error(tmp_path_factory, blob):
     pytest.param(lambda: ExperimentConfig(label=5), id="int-label"),
     pytest.param(lambda: ExperimentConfig(repeats=2.5), id="float-repeats"),
     pytest.param(lambda: ExperimentConfig(repeats=True), id="bool-repeats"),
+    pytest.param(lambda: ExperimentConfig(repeats=10**5000), id="huge-repeats"),
+    pytest.param(lambda: ExperimentConfig(d=10**5000), id="huge-d"),
     pytest.param(lambda: ExperimentConfig(d="3"), id="text-d"),
     pytest.param(lambda: ExperimentConfig(problem="synthetic-quadratic", k=2.0), id="float-k"),
     pytest.param(lambda: ExperimentConfig(n=None), id="none-n"),

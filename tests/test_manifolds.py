@@ -1,7 +1,7 @@
 """Geometry tests: frozen hand values, independent oracles, property checks."""
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -424,7 +424,72 @@ def test_spd_point_spectrum_is_never_stale():
         served(buf)
     # A read-only point array is decomposed once and then served.
     assert served(points[1].data) is served(points[1].data)
-    assert served(buf) is not served(buf)
+    assert served(buf) is served(buf)
+
+
+def _count_eigh(monkeypatch) -> list[int]:
+    count, eigh = [0], np.linalg.eigh
+
+    def counted(*args, **kwargs):
+        count[0] += 1
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    return count
+
+
+def test_spd_point_spectrum_serves_an_equal_copy_without_a_second_decomposition(monkeypatch):
+    man = SPD(3)
+    x = man.random_point(RNG).data
+    count = _count_eigh(monkeypatch)
+    w, Q = man.point_spectrum(x)
+    assert man.point_spectrum(x.copy()) == (w, Q)
+    assert count[0] == 1
+    # What it serves is read-only, so no reader can change a later hit.
+    assert not w.flags.writeable and not Q.flags.writeable
+
+
+def test_spd_point_spectrum_serves_a_product_slice_across_inner_calls(monkeypatch):
+    man = ProductManifold([Sphere(3), SPD(3)])
+    x = Point(man, np.concatenate([[1.0, 0.0, 0.0], SPD(3).random_point(RNG).data]))
+    u = Tangent(x, np.concatenate([[0.0, 1.0, 0.0], np.eye(3).ravel()]))
+    v = Tangent(x, np.concatenate([[0.0, 0.0, 2.0], np.diag([1.0, 2.0, 3.0]).ravel()]))
+    count = _count_eigh(monkeypatch)
+    assert man.inner(u, v) == man.inner(u, v)
+    assert count[0] == 1
+
+
+# Operations on SPD(4) and the array each one hands to point_spectrum.
+SPECTRUM_OPS = st.lists(st.tuples(st.sampled_from(["fresh", "copy", "view", "write", "stack"]),
+                                  st.integers(0, 2**32 - 1)), min_size=1, max_size=12)
+
+
+@settings(max_examples=60, deadline=None)
+@example(ops=[("view", 0), ("write", 2)])  # a read-only view of a buffer written in place
+@given(ops=SPECTRUM_OPS)
+def test_spd_point_spectrum_is_the_fresh_spectrum_of_the_contents(ops):
+    man = SPD(4)
+    buf = man.random_point(np.random.default_rng(0)).data.copy()
+    view = buf.view()
+    view.setflags(write=False)
+    seen = [buf.copy()]
+    for op, seed in ops:
+        rng = np.random.default_rng(seed)
+        if op == "fresh":
+            arr = man.random_point(rng).data
+        elif op == "copy":
+            arr = seen[seed % len(seen)].copy()
+        elif op == "stack":
+            arr = np.stack([seen[(seed + i) % len(seen)] for i in range(1 + seed % 3)])
+        else:
+            if op == "write":  # a new point, or one seen before
+                buf[:] = seen[seed % len(seen)] if seed % 2 else man.random_point(rng).data
+            arr = view
+        w, Q = man.point_spectrum(arr)
+        w0, Q0 = man.spectrum(arr.reshape(*arr.shape[:-1], 4, 4))
+        assert w.tobytes() == w0.tobytes() and Q.tobytes() == Q0.tobytes()
+        if arr.ndim == 1:
+            seen.append(arr.copy())
 
 
 def test_invalid_constructions():
@@ -907,6 +972,7 @@ def test_stacked_tangent_check_rejects_a_bad_row(man):
     pytest.param(lambda: Sphere(3, "1"), id="radius-text"),
     pytest.param(lambda: Stiefel(4, np.float64(2)), id="stiefel-float-cols"),
     pytest.param(lambda: SPD(None), id="spd-none"),
+    pytest.param(lambda: Euclidean(-10**5000), id="euclidean-huge-negative"),
 ])
 def test_scalar_argument_of_the_wrong_type_or_range_is_invalid_geometry(build):
     with pytest.raises(InvalidGeometry):

@@ -1,6 +1,7 @@
 """Solver tests: hand-stepped updates, determinism, stepsize laws, traces."""
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -369,6 +370,25 @@ def test_robust_mle_batched_step_decompositions(monkeypatch, method, eta, per_st
     assert seen[steps] - seen[0] == per_step * steps
 
 
+def test_robust_mle_batch_decomposes_once_per_step_after_a_row_leaves(monkeypatch):
+    # Seed 5 starts at stationarity 18.3 and leaves at its first evaluation;
+    # seeds 1 and 9 stay above 27 for 20 steps. The cut stack of the two rows
+    # left is a new array, decomposed once per step like any other.
+    count = _count_decompositions(monkeypatch)
+    prob = generate_gaussian_instance(4, 12, -5.0, seed=0)
+    seen = {}
+    for n in (0, 20):
+        count[0] = 0
+        cfg = SolverConfig(method=Method.RAGDA, max_iters=n, eta_x=5e-4, eta_y=5e-4, grad_tol=20.0)
+        traces = run_seeds(prob, [replace(cfg, seed=seed) for seed in [1, 5, 9]])
+        seen[n] = count[0]
+        # Final states are read-only rows of the stacks, as every Point's data is.
+        assert not any(p.data.flags.writeable for t in traces for p in (t.final_state.x, t.final_state.y))
+    assert [(t.stop_reason, t.final_state.t) for t in traces] == [
+        (StopReason.MAX_ITERS, 20), (StopReason.CONVERGED, 0), (StopReason.MAX_ITERS, 20)]
+    assert seen[20] - seen[0] == 20
+
+
 @pytest.mark.parametrize(
     "prob, cfg",
     [(generate_quadratic_instance(6, 4, 1.0, 0, 0.0), SolverConfig(max_iters=3, seed=2)),
@@ -506,7 +526,9 @@ def test_config_validation():
        for bad in (math.nan, math.inf)]
     # The counts take integers only: not floats, whole or not, and not bools.
     + [{name: bad} for name in ("max_iters", "batch_size", "seed", "eval_stride")
-       for bad in (2.5, 2.0, True, "3")],
+       for bad in (2.5, 2.0, True, "3")]
+    # Too long for repr, and so for a message that shows it as given.
+    + [pytest.param({"seed": -10**5000}, id="{'seed': -10**5000}")],
     ids=repr,
 )
 def test_config_rejects_negative_seed_non_finite_floats_and_non_integer_counts(kwargs):
@@ -541,6 +563,8 @@ def test_run_rejects_bad_eval_stride():
 @pytest.mark.parametrize("kwargs", [
     {"eta_x": "0.5"}, {"eta_x": True}, {"eta_y": None}, {"alpha": "0.5"}, {"beta": False},
     {"v0_x": True}, {"v0_y": "1"}, {"grad_tol": True}, {"grad_tol": "0"}, {"eta_x": 10**400},
+    pytest.param({"eta_x": 10**5000}, id="{'eta_x': 10**5000}"),
+    pytest.param({"eta_x": Fraction(10**5000)}, id="{'eta_x': Fraction(10**5000)}"),
 ], ids=repr)
 def test_config_rejects_real_fields_of_the_wrong_type(kwargs):
     with pytest.raises(ConfigError):

@@ -13,6 +13,6 @@ from .problems import *
 from .solvers import *
 from .verification import *
 
-__version__ = "0.17.0"
+__version__ = "0.18.0"
 
 __all__ = manifolds.__all__ + problems.__all__ + solvers.__all__ + verification.__all__

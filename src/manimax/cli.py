@@ -143,11 +143,12 @@ class ExperimentConfig:
             raise ConfigError(f"solver must be a SolverConfig, got {self.solver!r}")
         if not isinstance(self.label, str):
             raise ConfigError(f"label must be a string, got {self.label!r}")
-        # Types first, for the budgets below; the problem checks the ranges of its sizes and parameters.
+        # Types, and the ranges of the chosen problem's sizes, before the budgets below; the problem checks the rest.
         _count(self.repeats, "repeats", 1, _MAX_REPEATS, ConfigError)
         _count(self.data_seed, "data-seed", 0, error=ConfigError)
+        sizes = ("d", "n") if self.problem == "robust-mle" else ("k", "m")
         for name in ("d", "n", "k", "m"):
-            _count(getattr(self, name), name, error=ConfigError)
+            _count(getattr(self, name), name, 1 if name in sizes else -math.inf, error=ConfigError)
         for name in ("c", "mu", "sigma"):
             _real(getattr(self, name), f"{name} must be a number", error=ConfigError)
         if self.repeats * (min(self.solver.max_iters, RECORD_CAP) + 1) > _MAX_RECORDS:

@@ -125,8 +125,7 @@ class Point:
     data: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.array(self.data, dtype=np.float64, copy=True).reshape(-1)
-        arr.setflags(write=False)
+        arr = _floats(self.data, f"{self.manifold.kind} point").reshape(-1)
         object.__setattr__(self, "data", arr)
         self.manifold.check_point(arr)
 
@@ -142,8 +141,7 @@ class Tangent:
     data: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.array(self.data, dtype=np.float64, copy=True).reshape(-1)
-        arr.setflags(write=False)
+        arr = _floats(self.data, f"{self.manifold.kind} tangent").reshape(-1)
         object.__setattr__(self, "data", arr)
         self.base.manifold.check_tangent(self.base.data, arr)
 
@@ -152,6 +150,7 @@ class Tangent:
         return self.base.manifold
 
     def scaled(self, s: float) -> "Tangent":
+        s = float(_real(s, "scale factor must be finite", math.isfinite))
         with np.errstate(over="ignore"):
             data = s * self.data
         return _trusted(Tangent, self.base, _frozen(data, "tangent", self.base))
@@ -168,12 +167,11 @@ def _all_finite(a: np.ndarray) -> bool:
 
 def _frozen(data: np.ndarray, what: str, owner) -> np.ndarray:
     """Derived data, whose membership holds by construction, checked for
-    finiteness only and frozen in place: pass fresh arrays or read-only views."""
-    arr = np.asarray(data, dtype=np.float64)
-    if not _all_finite(arr):
+    finiteness only and frozen in place: pass fresh float64 arrays or read-only views."""
+    if not _all_finite(data):
         raise InvalidGeometry(f"{what} on {owner!r} contains non-finite entries")
-    arr.setflags(write=False)
-    return arr
+    data.setflags(write=False)
+    return data
 
 
 def _trusted(cls: type, owner, arr: np.ndarray):
@@ -229,6 +227,28 @@ def _real(value, what: str, inside=None, error: type = InvalidGeometry):
     if not ok:
         raise error(f"{what}, got {_shown(value)}")
     return value
+
+
+def _floats(value, what: str, error: type = InvalidGeometry, ndim: int | None = None, inside=None) -> np.ndarray:
+    """The one rule for array arguments, beside ``_count`` and ``_real``: a fresh read-only float64 array of
+    integers or floats (not bools, text, complex numbers or ragged rows), all finite; with ``ndim``, of that many
+    dimensions and at least one entry; with ``inside`` = (rule, test), every entry passes the elementwise test."""
+    try:
+        arr = np.asarray(value)
+    except (TypeError, ValueError):  # ragged rows
+        arr = None
+    if arr is None or arr.dtype.kind not in ("i", "u", "f"):
+        raise error(f"{what} must be a rectangular array of integers or floats")
+    arr = np.array(arr, dtype=np.float64)
+    if ndim is not None and (arr.ndim != ndim or arr.size == 0):
+        rule = f"{ndim}-d" if arr.ndim != ndim else f"a nonempty {ndim}-d array"
+        raise error(f"{what} must be {rule}, got shape {arr.shape}")
+    if not _all_finite(arr):
+        raise error(f"{what} contains non-finite entries")
+    if inside is not None and np.count_nonzero(inside[1](arr)) != arr.size:
+        raise error(f"{what} entries must be {inside[0]}")
+    arr.setflags(write=False)
+    return arr
 
 
 class Manifold:
@@ -380,9 +400,8 @@ class Manifold:
     def project_tangent(self, x: Point, ambient: np.ndarray) -> Tangent:
         """Map an ambient (Euclidean) gradient to the tangent representation."""
         self._require_point(x)
-        a = np.asarray(ambient, dtype=np.float64).reshape(-1)
-        if a.size != self.ambient_size:
-            raise InvalidGeometry(f"{self.kind} ambient array needs {self.ambient_size} entries, got {a.size}")
+        a = _floats(ambient, f"{self.kind} ambient array").reshape(-1)
+        self._check_array(a, "ambient array")
         return Tangent(x, self._project(x.data, a))
 
     def zero_tangent(self, x: Point) -> Tangent:

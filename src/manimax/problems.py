@@ -25,6 +25,7 @@ from .manifolds import (
     UnsupportedOperation,
     _all_finite,
     _count,
+    _floats,
     _real,
 )
 
@@ -65,9 +66,12 @@ class Batch:
     indices: np.ndarray
 
     def __post_init__(self) -> None:
-        idx = np.atleast_1d(np.asarray(self.indices, dtype=np.int64))
-        if idx.ndim != 1 or idx.size == 0:
+        idx = np.atleast_1d(np.asarray(self.indices))
+        if idx.size == 0:
             raise EmptyBatch("batch must contain at least one index")
+        if idx.ndim != 1 or idx.dtype.kind not in ("i", "u"):
+            raise ProblemError(f"batch indices must be a 1-d integer array, got {idx.dtype} of shape {idx.shape}")
+        idx = idx.astype(np.int64)
         idx.setflags(write=False)
         object.__setattr__(self, "indices", idx)
 
@@ -167,15 +171,9 @@ class RobustMleProblem(MinimaxProblem):
     """
 
     def __init__(self, data: np.ndarray, c: float) -> None:
-        A = np.asarray(data, dtype=np.float64)
-        if A.ndim != 2 or A.shape[0] < 1 or A.shape[1] < 1:
-            raise ProblemError("data must be a nonempty 2-d array")
-        if not np.all(np.isfinite(A)):
-            raise ProblemError("data contains non-finite entries")
+        self.a = _floats(data, "data", ProblemError, ndim=2)
         self.c = float(_real(c, "c must be finite", math.isfinite, ProblemError))
-        self.a = A.copy()
-        self.a.setflags(write=False)
-        self.n, self.d = A.shape
+        self.n, self.d = self.a.shape
         self.z = np.hstack([self.a, np.ones((self.n, 1))])
         self.z.setflags(write=False)
         self.mx: Sphere = Sphere(self.d + 1, 1.0)
@@ -240,24 +238,18 @@ class SyntheticQuadratic(MinimaxProblem):
     """
 
     def __init__(self, matrix: np.ndarray, mu: float, offset: np.ndarray, noise_sigma: float = 0.1) -> None:
-        A = np.asarray(matrix, dtype=np.float64)
-        b = np.asarray(offset, dtype=np.float64).reshape(-1)
-        if A.ndim != 2:
-            raise ProblemError("matrix must be 2-d")
-        if b.size != A.shape[1]:
+        self.a_mat = _floats(matrix, "matrix", ProblemError, ndim=2)
+        self.b = _floats(offset, "offset", ProblemError, ndim=1)
+        self.m, self.k = self.a_mat.shape
+        if self.k < 2:  # the sphere of x lives in R^k
+            raise ProblemError(f"k, the matrix's column count, must be >= 2, got {self.k}")
+        if self.b.size != self.k:
             raise ProblemError("offset length must match the column count")
-        if not (_all_finite(A) and _all_finite(b)):
-            raise ProblemError("matrix and offset must be finite")
         _real(mu, "mu must be positive and finite", lambda v: 0 < v < math.inf, ProblemError)
         _real(noise_sigma, "noise sigma must be nonnegative and finite", lambda v: 0 <= v < math.inf, ProblemError)
-        self.a_mat = A.copy()
-        self.a_mat.setflags(write=False)
         self._a_t = self.a_mat.T  # one view for every A^T y
         self.mu = float(mu)
-        self.b = b.copy()
-        self.b.setflags(write=False)
         self.noise_sigma = float(noise_sigma)
-        self.m, self.k = A.shape
         self.mx: Sphere = Sphere(self.k, 1.0)
         self.my: Euclidean = Euclidean(self.m)
         self.sample_count = 1

@@ -18,6 +18,7 @@ from .manifolds import (
     Tangent,
     UnsupportedOperation,
     _count,
+    _floats,
     _real,
 )
 from .problems import MinimaxProblem
@@ -94,12 +95,12 @@ def fit_rate(pairs: list[tuple[float, float]]) -> SlopeFit:
     Requires at least four budgets spanning at least two decades; budgets and
     values must be positive.
     """
-    if len(pairs) < 4:
-        raise InsufficientData(f"need at least 4 points, got {len(pairs)}")
-    ts = np.asarray([p[0] for p in pairs], dtype=np.float64)
-    vals = np.asarray([p[1] for p in pairs], dtype=np.float64)
-    if np.any(ts <= 0) or np.any(vals <= 0) or not np.all(np.isfinite(ts) & np.isfinite(vals)):
-        raise InvalidInput("budgets and values must be positive finite numbers")
+    table = _floats(pairs, "pairs", InvalidInput, ndim=2, inside=("positive", lambda v: v > 0))
+    if table.shape[1] != 2:
+        raise InvalidInput(f"pairs must be (budget, value) pairs, got rows of {table.shape[1]}")
+    if len(table) < 4:
+        raise InsufficientData(f"need at least 4 points, got {len(table)}")
+    ts, vals = table.T.copy()
     if ts.max() / ts.min() < 100.0 * (1.0 - 1e-9):
         raise InsufficientData("budgets must span at least two decades")
     return _loglog_fit(ts, vals)
@@ -149,13 +150,10 @@ def estimate_retraction_constants(
     if not manifold.has_exp:
         raise UnsupportedOperation("retraction constants need the log map for reference")
     _count(trials, "trials", 1, error=InvalidInput)
+    t_grid = _floats(np.logspace(-4, -1, 13) if t_grid is None else t_grid, "t_grid", InvalidInput, ndim=1,
+                     inside=("positive", lambda v: v > 0))
     if rng is None:
         rng = np.random.default_rng(0)
-    if t_grid is None:
-        t_grid = np.logspace(-4, -1, 13)
-    t_grid = np.asarray(t_grid, dtype=np.float64)
-    if np.any(t_grid <= 0):
-        raise InvalidInput("t_grid entries must be positive")
 
     cbar_hat = 0.0
     cr_hat = 0.0
@@ -206,11 +204,7 @@ def check_adaptive_sum_inequality(a, alpha: float) -> bool:
     entry must be positive. Returns True when every applicable inequality
     holds up to a relative slack of 1e-12.
     """
-    seq = np.asarray(a, dtype=np.float64).reshape(-1)
-    if seq.size == 0:
-        raise InvalidInput("sequence must be nonempty")
-    if not np.all(np.isfinite(seq)) or np.any(seq < 0):
-        raise InvalidInput("sequence entries must be finite and nonnegative")
+    seq = _floats(a, "sequence", InvalidInput, ndim=1, inside=("nonnegative", lambda v: v >= 0))
     if seq[0] <= 0:
         raise InvalidInput("first entry must be positive")
     _real(alpha, "alpha must lie in (0, 1]", lambda v: 0 < v <= 1, InvalidInput)

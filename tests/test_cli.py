@@ -598,6 +598,17 @@ def test_scalar_argument_of_the_wrong_type_or_range_is_a_config_error(build):
         build()
 
 
+@pytest.mark.parametrize("sizes, message", [
+    ({"problem": "robust-mle", "d": -100000}, "d must be >= 1, got -100000"),
+    ({"problem": "robust-mle", "n": -10**9}, "n must be >= 1, got -1000000000"),
+    ({"problem": "synthetic-quadratic", "k": -40000, "m": -40000}, "k must be >= 1, got -40000"),
+    ({"problem": "synthetic-quadratic", "m": 0}, "m must be >= 1, got 0"),
+], ids=["d", "n", "k-and-m", "m"])
+def test_a_size_out_of_range_gets_its_range_message_not_a_budget_message(sizes, message):
+    with pytest.raises(ConfigError, match=message):
+        ExperimentConfig(**sizes)
+
+
 def test_fields_the_problem_does_not_use_keep_their_ranges():
     # The quadratic does not read d, n or c, so their values are not its concern.
     ExperimentConfig(problem="synthetic-quadratic", d=-5, n=0, c=float("nan"))

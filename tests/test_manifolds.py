@@ -979,6 +979,30 @@ def test_scalar_argument_of_the_wrong_type_or_range_is_invalid_geometry(build):
         build()
 
 
+# -- array arguments -------------------------------------------------------------
+
+X3 = Point(Sphere(3), [1.0, 0.0, 0.0])
+U3 = Tangent(X3, [0.0, 0.5, 0.0])
+
+
+@pytest.mark.parametrize("build, name", [
+    pytest.param(lambda: Point(Sphere(3), ["a", "b", "c"]), "sphere point", id="point-text"),
+    pytest.param(lambda: Point(Sphere(3), [[1], [0, 0]]), "sphere point", id="point-ragged"),
+    pytest.param(lambda: Point(Sphere(3), np.array([1j, 0, 0])), "sphere point", id="point-complex"),
+    pytest.param(lambda: Point(Euclidean(2), [True, False]), "euclidean point", id="point-bool"),
+    pytest.param(lambda: Tangent(X3, ["a", "b", "c"]), "sphere tangent", id="tangent-text"),
+    pytest.param(lambda: Sphere(3).project_tangent(X3, ["a", "b", "c"]), "ambient array", id="project-text"),
+    pytest.param(lambda: Sphere(3).project_tangent(X3, [[1.0], [0.0, 0.0]]), "ambient array",
+                 id="project-ragged"),
+    pytest.param(lambda: U3.scaled(1j), "scale factor", id="scaled-complex"),
+    pytest.param(lambda: U3.scaled(True), "scale factor", id="scaled-bool"),
+    pytest.param(lambda: U3.scaled("2"), "scale factor", id="scaled-text"),
+])
+def test_malformed_array_argument_is_invalid_geometry(build, name):
+    with pytest.raises(InvalidGeometry, match=name):
+        build()
+
+
 def test_has_exp_is_a_plain_attribute():
     assert Sphere(3).has_exp and not Stiefel(3, 2).has_exp
     assert ProductManifold([Sphere(3), SPD(2)]).has_exp

@@ -385,12 +385,12 @@ def _multiscale(span):
                      id="multiscale-zero-span"),
         pytest.param(_multiscale(math.nan), "span must be positive and finite", id="multiscale-nan-span"),
         pytest.param(_multiscale(math.inf), "span must be positive and finite", id="multiscale-inf-span"),
-        pytest.param(_quadratic(matrix=np.full((2, 3), np.nan)), "matrix and offset must be finite",
+        pytest.param(_quadratic(matrix=np.full((2, 3), np.nan)), "matrix contains non-finite entries",
                      id="quadratic-nan-matrix"),
-        pytest.param(_quadratic(matrix=np.full((2, 3), np.inf)), "matrix and offset must be finite",
+        pytest.param(_quadratic(matrix=np.full((2, 3), np.inf)), "matrix contains non-finite entries",
                      id="quadratic-inf-matrix"),
-        pytest.param(_quadratic(offset=np.full(3, np.nan)), "matrix and offset must be finite", id="quadratic-nan-offset"),
-        pytest.param(_quadratic(offset=np.full(3, -np.inf)), "matrix and offset must be finite", id="quadratic-inf-offset"),
+        pytest.param(_quadratic(offset=np.full(3, np.nan)), "offset contains non-finite entries", id="quadratic-nan-offset"),
+        pytest.param(_quadratic(offset=np.full(3, -np.inf)), "offset contains non-finite entries", id="quadratic-inf-offset"),
         pytest.param(_quadratic(mu=0.0), "mu must be positive and finite", id="quadratic-zero-mu"),
         pytest.param(_quadratic(mu=math.nan), "mu must be positive and finite", id="quadratic-nan-mu"),
         pytest.param(_quadratic(mu=math.inf), "mu must be positive and finite", id="quadratic-inf-mu"),
@@ -513,7 +513,34 @@ def test_kernels_on_a_stack_equal_the_single_rows(prob):
     pytest.param(lambda: generate_multiscale_instance(4, 0, 2.0, 0), id="multiscale-zero-m"),
     pytest.param(lambda: generate_multiscale_instance(4, 3, 2.0, 1.5), id="multiscale-float-seed"),
     pytest.param(lambda: Batch.sample(np.random.default_rng(0), 4, 1.5), id="batch-float-size"),
+    pytest.param(lambda: generate_quadratic_instance(1, 3, 1.0, 0), id="quadratic-k-1"),
+    pytest.param(lambda: generate_multiscale_instance(1, 3, 2.0, 0), id="multiscale-k-1"),
+    pytest.param(lambda: SyntheticQuadratic(np.ones((2, 1)), 1.0, np.zeros(1)), id="quadratic-one-column"),
+    pytest.param(lambda: SyntheticQuadratic(np.ones((0, 3)), 1.0, np.zeros(3)), id="quadratic-no-rows"),
 ])
 def test_scalar_argument_of_the_wrong_type_or_range_is_a_problem_error(build):
     with pytest.raises(ProblemError):
         build()
+
+
+# -- array arguments -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("build, name", [
+    pytest.param(lambda: RobustMleProblem([["a", "b"]], -5.0), "data", id="data-text"),
+    pytest.param(lambda: RobustMleProblem([[1.0, 2.0], [3.0]], -5.0), "data", id="data-ragged"),
+    pytest.param(lambda: RobustMleProblem([[True, False]], -5.0), "data", id="data-bool"),
+    pytest.param(lambda: SyntheticQuadratic([[1, "x"]], 1.0, [0, 0]), "matrix", id="matrix-text"),
+    pytest.param(lambda: SyntheticQuadratic([[1.0, 2.0], [3.0]], 1.0, [0, 0]), "matrix", id="matrix-ragged"),
+    pytest.param(lambda: SyntheticQuadratic(np.ones((2, 3)), 1.0, ["a", "b", "c"]), "offset", id="offset-text"),
+    pytest.param(lambda: SyntheticQuadratic(np.ones((2, 3)), 1.0, np.zeros((1, 3))), "offset", id="offset-2d"),
+    pytest.param(lambda: SyntheticQuadratic(np.ones((2, 1)), 1.0, np.zeros(1)), "k", id="one-column"),
+    pytest.param(lambda: Batch(np.array([0.7])), "batch indices", id="batch-float"),
+    pytest.param(lambda: Batch([1.9, 2.5]), "batch indices", id="batch-floats"),
+    pytest.param(lambda: Batch([True]), "batch indices", id="batch-bool"),
+    pytest.param(lambda: Batch(np.zeros((2, 2), dtype=int)), "batch indices", id="batch-2d"),
+])
+def test_malformed_array_argument_is_a_problem_error(build, name):
+    with pytest.raises(ProblemError, match=name) as err:
+        build()
+    assert not isinstance(err.value, EmptyBatch)

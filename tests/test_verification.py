@@ -290,3 +290,28 @@ def _fd(h):
 def test_scalar_argument_of_the_wrong_type_or_range_is_invalid_input(build):
     with pytest.raises(InvalidInput):
         build()
+
+
+# -- array arguments -------------------------------------------------------------
+
+
+def _constants(t_grid):
+    return lambda: estimate_retraction_constants(Sphere(3), trials=1, t_grid=t_grid)
+
+
+@pytest.mark.parametrize("build, name", [
+    pytest.param(lambda: fit_rate([(1, "a"), (10, 1), (100, 1), (1000, 1)]), "pairs", id="fit-text"),
+    pytest.param(lambda: fit_rate([(1,), (10, 1), (100, 1), (1000, 1)]), "pairs", id="fit-short-first-pair"),
+    pytest.param(lambda: fit_rate([(1,), (10,), (100,), (1000,)]), "pairs", id="fit-short-pairs"),
+    pytest.param(lambda: fit_rate([(1, 1, 1), (10, 1, 1), (100, 1, 1), (1000, 1, 1)]), "pairs",
+                 id="fit-long-pairs"),
+    pytest.param(lambda: check_adaptive_sum_inequality(["a"], 0.5), "sequence", id="sum-text"),
+    pytest.param(lambda: check_adaptive_sum_inequality([[1.0, 2.0]], 0.5), "sequence", id="sum-2d"),
+    pytest.param(_constants(["x"]), "t_grid", id="t-grid-text"),
+    pytest.param(_constants([]), "t_grid", id="t-grid-empty"),
+    pytest.param(_constants([math.nan, 0.1, 0.01, 0.001]), "t_grid", id="t-grid-nan"),
+    pytest.param(_constants(np.full((2, 2), 0.1)), "t_grid", id="t-grid-2d"),
+])
+def test_malformed_array_argument_is_invalid_input(build, name):
+    with pytest.raises(InvalidInput, match=name):
+        build()

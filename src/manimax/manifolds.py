@@ -22,6 +22,7 @@ import json
 import math
 from dataclasses import dataclass
 from numbers import Real
+from typing import NamedTuple
 
 import numpy as np
 
@@ -55,6 +56,9 @@ _EIG_FLOOR_REL = 1e-14
 # truncation error. Degree 14 reaches past 1/2.
 _TAYLOR_THETA = 0.5
 _TAYLOR_REACH = tuple((2.0**-53 * math.factorial(m + 1)) ** (1.0 / (m + 1)) for m in range(1, 15))
+# Paterson-Stockmeyer coefficients of degree m >= 2: row j holds 1 / (js + i)! for i < s = ceil(sqrt(m)), 0 past m.
+_TAYLOR_COEF = {m: np.reshape([1.0 / math.factorial(i) if i <= m else 0.0 for i in range((m // s + 1) * s)], (-1, s))
+                for m, s in ((m, math.ceil(math.sqrt(m))) for m in range(2, 15))}
 
 __all__ = [
     "GeometryError",
@@ -71,6 +75,7 @@ __all__ = [
     "Sphere",
     "Stiefel",
     "SPD",
+    "SPDFactors",
     "ProductManifold",
     "manifold_to_header",
     "manifold_from_header",
@@ -574,8 +579,8 @@ def _sym(mat: np.ndarray) -> np.ndarray:
     return 0.5 * (mat + mat.mT)
 
 
-def _taylor_expm(S: np.ndarray, m: int) -> np.ndarray:
-    """sum_{k<=m} S^k / k! for a stack of matrices, by Paterson-Stockmeyer.
+def _taylor_expm(S: np.ndarray, m: int, eye: np.ndarray) -> np.ndarray:
+    """sum_{k<=m} S^k / k! for a stack of matrices of the identity's order, by Paterson-Stockmeyer.
 
     With s = ceil(sqrt(m)) it forms I, S, .., S^(s-1) and S^s, the blocks
     B_j = sum_{i<s} S^i / (js + i)! as one small product, and runs Horner's
@@ -584,15 +589,15 @@ def _taylor_expm(S: np.ndarray, m: int) -> np.ndarray:
     gets alone."""
     R, k = S.shape[0], S.shape[-1]
     if m == 1:
-        return S + np.eye(k)
-    s = math.ceil(math.sqrt(m))
+        return S + eye
+    coef = _TAYLOR_COEF[m]
+    s = coef.shape[1]
     powers = np.empty((R, s, k, k))
-    powers[:, 0] = np.eye(k)
+    powers[:, 0] = eye
     powers[:, 1] = S
     for i in range(2, s):
         np.matmul(powers[:, i - 1], S, out=powers[:, i])
     top = powers[:, -1] @ S
-    coef = np.reshape([1.0 / math.factorial(i) if i <= m else 0.0 for i in range((m // s + 1) * s)], (-1, s))
     blocks = (coef @ powers.reshape(R, s, k * k)).reshape(R, -1, k, k)
     E = blocks[:, -1]
     for j in range(blocks.shape[1] - 2, -1, -1):
@@ -681,6 +686,17 @@ class Stiefel(Manifold):
         return U.reshape(-1)
 
 
+class SPDFactors(NamedTuple):
+    """The factors of SPD points X = Q diag(w) Q^T, one or a stack, that ``SPD.point_factors`` serves."""
+
+    w: np.ndarray  # the clamped eigenvalues
+    Q: np.ndarray
+    rt: np.ndarray  # Q diag(sqrt w), with X^1/2 = rt Q^T
+    irt: np.ndarray  # Q diag(1 / sqrt w), with X^-1/2 = irt Q^T
+    inv: np.ndarray  # X^-1 = Q diag(1 / w) Q^T
+    ww: np.ndarray  # w w^T
+
+
 class SPD(Manifold):
     """Symmetric positive definite matrices with the affine-invariant metric.
 
@@ -692,10 +708,10 @@ class SPD(Manifold):
     is exact to roundoff there and costs a few matrix products, not an
     eigendecomposition.
 
-    ``point_spectrum`` keeps the clamped (w, Q) of the last point array or stack
-    it decomposed and serves it, read-only, to any array of the same shape and
-    bytes: a solver step decomposes its SPD iterate once for the metric, the
-    maps and the problem oracles. Clamp events count once per decomposition.
+    ``point_factors`` keeps the ``SPDFactors`` of the last point array or stack it
+    decomposed, each derived once, and serves them, read-only, to any array of the
+    same shape and bytes: a solver step decomposes its SPD iterate once for the
+    metric, the maps and the problem oracles. Clamp events count once per decomposition.
     """
 
     kind = "spd"
@@ -703,14 +719,18 @@ class SPD(Manifold):
     def __init__(self, order: int, *, clamp_counter: ClampCounter | None = None) -> None:
         self.order = _count(order, "SPD order", 1)
         self.clamp_counter = clamp_counter
-        # (key, w, Q) of the last array decomposed; replaced whole, so a reader sees one consistent entry.
-        self._memo: tuple[tuple, np.ndarray, np.ndarray] | None = None
+        # (key, factors) of the last array decomposed; replaced whole, so a reader sees one consistent entry.
+        self._memo: tuple[tuple, SPDFactors] | None = None
+        self._eye = np.eye(self.order)
+        self._eye.setflags(write=False)
         super().__init__(self.order * self.order, self.order)
 
     def _mat(self, data: np.ndarray) -> np.ndarray:
         return data.reshape(*data.shape[:-1], self.order, self.order)
 
     def _check_sym(self, M: np.ndarray, what: str) -> None:
+        if not np.count_nonzero(M != M.mT):  # exactly symmetric, as every derived tangent is
+            return
         scale = np.maximum(1.0, np.abs(M).max(axis=(-2, -1), initial=0.0))
         if np.count_nonzero(np.abs(M - M.mT).max(axis=(-2, -1), initial=0.0) > _SPD_SYMMETRY * scale):
             raise InvalidGeometry(f"{what} is not symmetric")
@@ -739,30 +759,34 @@ class SPD(Manifold):
             w = np.where(low, floor, w)
         return w, Q
 
-    def point_spectrum(self, data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``spectrum`` of a flat point array or of a stack of them, memoised on its contents."""
+    def point_factors(self, data: np.ndarray) -> SPDFactors:
+        """The factors of ``spectrum`` of a flat point array or of a stack of them, memoised on its contents."""
         key, memo = (data.shape, data.dtype, data.tobytes()), self._memo
         if memo is not None and memo[0] == key:
-            return memo[1], memo[2]
+            return memo[1]
         w, Q = self.spectrum(self._mat(data))
-        w.setflags(write=False)
-        Q.setflags(write=False)
-        self._memo = (key, w, Q)
-        return w, Q
+        root = np.sqrt(w)[..., None, :]
+        f = SPDFactors(w, Q, Q * root, Q / root, (Q / w[..., None, :]) @ Q.mT, w[..., :, None] * w[..., None, :])
+        for a in f:
+            a.setflags(write=False)
+        self._memo = (key, f)
+        return f
+
+    def point_spectrum(self, data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The (w, Q) of ``point_factors``."""
+        f = self.point_factors(data)
+        return f.w, f.Q
 
     def _inner_data(self, base: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        w, Q = self.point_spectrum(base)
-        U = Q.mT @ self._mat(u) @ Q
-        V = Q.mT @ self._mat(v) @ Q
-        return np.sum(U * V / (w[..., :, None] * w[..., None, :]), axis=(-2, -1))
+        f = self.point_factors(base)
+        U = f.Q.mT @ self._mat(u) @ f.Q
+        V = U if v is u else f.Q.mT @ self._mat(v) @ f.Q
+        return np.sum(U * V / f.ww, axis=(-2, -1))
 
     def _whitened(self, x: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(rt, irt, S) with X^1/2 = rt @ Q.T, X^-1/2 = irt @ Q.T, S = X^-1/2 M X^-1/2."""
-        w, Q = self.point_spectrum(x)
-        root = np.sqrt(w)[..., None, :]
-        rt = Q * root
-        irt = Q / root
-        return rt, irt, _sym(irt.mT @ self._mat(m) @ irt)
+        f = self.point_factors(x)
+        return f.rt, f.irt, _sym(f.irt.mT @ self._mat(m) @ f.irt)
 
     def _exp(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
         """X^1/2 expm(S) X^1/2 with S = X^-1/2 U X^-1/2.
@@ -780,10 +804,13 @@ class SPD(Manifold):
         # NaN norm fails the test and meets the eigendecomposition's check.
         degrees = [bisect.bisect_left(_TAYLOR_REACH, theta) + 1 if theta <= _TAYLOR_THETA else 0
                    for theta in np.abs(S).sum(axis=-2).max(axis=-1).tolist()]
-        E = np.empty_like(S)
-        for m in set(degrees):
-            rows = [r for r, d in enumerate(degrees) if d == m]
-            E[rows] = _taylor_expm(S[rows], m) if m else _eigh_expm(S[rows])
+        if degrees.count(degrees[0]) == len(degrees):  # one path for every row: no gather or scatter
+            E = _taylor_expm(S, degrees[0], self._eye) if degrees[0] else _eigh_expm(S)
+        else:
+            E = np.empty_like(S)
+            for m in set(degrees):
+                rows = [r for r, d in enumerate(degrees) if d == m]
+                E[rows] = _taylor_expm(S[rows], m, self._eye) if m else _eigh_expm(S[rows])
         return _sym(rt @ E @ rt.mT).reshape(x.shape)
 
     def _log(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:

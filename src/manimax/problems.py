@@ -66,7 +66,10 @@ class Batch:
     indices: np.ndarray
 
     def __post_init__(self) -> None:
-        idx = np.atleast_1d(np.asarray(self.indices))
+        try:
+            idx = np.atleast_1d(np.asarray(self.indices))
+        except ValueError:  # ragged rows
+            raise ProblemError("batch indices must be a 1-d integer array, got ragged rows") from None
         if idx.size == 0:
             raise EmptyBatch("batch must contain at least one index")
         if idx.ndim != 1 or idx.dtype.kind not in ("i", "u"):
@@ -188,21 +191,19 @@ class RobustMleProblem(MinimaxProblem):
         return rows - x[..., None, :]
 
     def _value(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        w, Q = self.my.point_spectrum(y)
-        logs = np.log(w)
+        f = self.my.point_factors(y)
+        logs = np.log(f.w)
         logdet = logs.sum(axis=-1)
-        y_inv = (Q / w[..., None, :]) @ Q.mT
         W = self._quad_rows(x, None)
         with np.errstate(over="ignore", invalid="ignore"):
-            quad = np.sum((W @ y_inv) * W, axis=(-2, -1))
+            quad = np.sum((W @ f.inv) * W, axis=(-2, -1))
             val = -0.5 * self.n * logdet - 0.5 * quad + self.c * np.vecdot(logs, logs)
         if not _all_finite(val):
             raise NumericalOverflow(f"objective overflowed (logdet={np.min(logdet):.6g})")
         return val
 
     def _grad_x(self, x: np.ndarray, y: np.ndarray, idx: np.ndarray | None = None, rng=None) -> np.ndarray:
-        w, Q = self.my.point_spectrum(y)
-        g = np.matvec((Q / w[..., None, :]) @ Q.mT, self._quad_rows(x, idx).sum(axis=-2))
+        g = np.matvec(self.my.point_factors(y).inv, self._quad_rows(x, idx).sum(axis=-2))
         return self.mx._project(x, g if idx is None else (self.n / idx.shape[-1]) * g)
 
     def _grad_y(self, x: np.ndarray, y: np.ndarray, idx: np.ndarray | None = None, rng=None) -> np.ndarray:

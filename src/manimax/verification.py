@@ -152,6 +152,8 @@ def estimate_retraction_constants(
     _count(trials, "trials", 1, error=InvalidInput)
     t_grid = _floats(np.logspace(-4, -1, 13) if t_grid is None else t_grid, "t_grid", InvalidInput, ndim=1,
                      inside=("positive", lambda v: v > 0))
+    if t_grid.size < 4:  # the floor of fit_rate: fewer scales fit no slope
+        raise InsufficientData(f"t_grid needs at least 4 scales, got {t_grid.size}")
     if rng is None:
         rng = np.random.default_rng(0)
 

@@ -16,6 +16,7 @@ from manimax import (
     Manifold,
     Point,
     ProductManifold,
+    SPDFactors,
     Sphere,
     Stiefel,
     Tangent,
@@ -399,18 +400,34 @@ def test_spd_clamp_counter_bumps():
     assert counter.events >= 1
 
 
+def _fresh_factors(man: SPD, arr: np.ndarray) -> SPDFactors:
+    """The factors of ``arr``'s points, derived from a fresh ``spectrum`` of its contents."""
+    w, Q = man.spectrum(arr.reshape(*arr.shape[:-1], man.order, man.order))
+    root = np.sqrt(w)[..., None, :]
+    return SPDFactors(w, Q, Q * root, Q / root, (Q / w[..., None, :]) @ Q.mT, w[..., :, None] * w[..., None, :])
+
+
+def _served_factors(man: SPD, arr: np.ndarray) -> SPDFactors:
+    """``point_factors(arr)``, checked: every factor read-only and bitwise its
+    fresh derivation, and ``point_spectrum`` its (w, Q)."""
+    served = man.point_factors(arr)
+    for name, got, fresh in zip(SPDFactors._fields, served, _fresh_factors(man, arr)):
+        assert got.shape == fresh.shape and got.tobytes() == fresh.tobytes(), name
+        assert not got.flags.writeable, name
+    assert man.point_spectrum(arr) == (served.w, served.Q)
+    return served
+
+
 def test_spd_point_spectrum_is_never_stale():
     # Every answer must be bitwise the fresh spectrum of what the array holds
-    # at the call: distinct points, repeats of earlier ones, and a writable
-    # buffer changed in place between calls.
+    # at the call, and every factor its fresh derivation: distinct points,
+    # repeats of earlier ones, and a writable buffer changed in place between
+    # calls.
     man = SPD(4)
     rng = np.random.default_rng(5)
 
     def served(data):
-        w, Q = man.point_spectrum(data)
-        w0, Q0 = man.spectrum(data.reshape(4, 4))
-        assert w.tobytes() == w0.tobytes() and Q.tobytes() == Q0.tobytes()
-        return Q
+        return _served_factors(man, data).Q
 
     points = [man.random_point(rng) for _ in range(4)]
     buf = np.array(points[0].data)
@@ -485,11 +502,63 @@ def test_spd_point_spectrum_is_the_fresh_spectrum_of_the_contents(ops):
             if op == "write":  # a new point, or one seen before
                 buf[:] = seen[seed % len(seen)] if seed % 2 else man.random_point(rng).data
             arr = view
-        w, Q = man.point_spectrum(arr)
-        w0, Q0 = man.spectrum(arr.reshape(*arr.shape[:-1], 4, 4))
-        assert w.tobytes() == w0.tobytes() and Q.tobytes() == Q0.tobytes()
+        _served_factors(man, arr)
         if arr.ndim == 1:
             seen.append(arr.copy())
+
+
+def test_spd_point_factors_of_a_stack_are_its_rows_factors():
+    man = SPD(4)
+    rng = np.random.default_rng(7)
+    rows = [man.random_point(rng).data for _ in range(3)]
+    stacked = _served_factors(man, np.stack(rows))
+    for r, row in enumerate(rows):
+        single = _served_factors(man, row)
+        for name, got, alone in zip(SPDFactors._fields, stacked, single):
+            assert got[r].tobytes() == alone.tobytes(), (r, name)
+    # The factors are what their names say, to roundoff.
+    X = rows[-1].reshape(4, 4)
+    assert_allclose(single.rt @ single.rt.T, X, atol=1e-12)
+    assert_allclose(single.irt @ single.irt.T, single.inv, atol=1e-12)
+    assert_allclose(single.inv @ X, np.eye(4), atol=1e-12)
+    assert_allclose(single.ww, np.outer(single.w, single.w))
+
+
+def test_spd_inner_is_the_trace_formula_and_a_norm_takes_one_sandwich():
+    man = SPD(4)
+    rng = np.random.default_rng(8)
+    x = man.random_point(rng)
+    u, v = man.random_tangent(x, rng), man.random_tangent(x, rng)
+    Xi, U, V = np.linalg.inv(x.data.reshape(4, 4)), u.data.reshape(4, 4), v.data.reshape(4, 4)
+    assert_allclose(man.inner(u, v), np.trace(Xi @ U @ Xi @ V), rtol=1e-10)
+    # The metric of u with itself reuses Q^T U Q, with the bits of an equal copy.
+    assert man.inner(u, u) == man.inner(u, Tangent(x, u.data.copy()))
+
+
+@pytest.mark.parametrize("stacked", [False, True], ids=["single", "stacked"])
+def test_spd_symmetry_check_keeps_its_tolerance(stacked):
+    # An entrywise gap up to _SPD_SYMMETRY * max(1, max|entry|) passes, a
+    # larger one fails, whether or not the exact-symmetry shortcut applies.
+    man = SPD(3)
+    X = np.diag([2.0, 4.0, 6.0])
+    tol = manifolds._SPD_SYMMETRY * 6.0
+
+    def with_gap(gap):
+        M = X.copy()
+        M[0, 2] += gap
+        data = M.reshape(-1)
+        return np.stack([X.reshape(-1), data]) if stacked else data
+
+    base = with_gap(0.0)
+    for gap in (0.0, 0.5 * tol, tol):
+        man.check_tangent(base, with_gap(gap))
+        if not stacked:
+            man.check_point(with_gap(gap))
+    with pytest.raises(InvalidGeometry, match="SPD tangent is not symmetric"):
+        man.check_tangent(base, with_gap(2.0 * tol))
+    if not stacked:
+        with pytest.raises(InvalidGeometry, match="SPD point is not symmetric"):
+            man.check_point(with_gap(2.0 * tol))
 
 
 def test_invalid_constructions():

@@ -539,6 +539,7 @@ def test_scalar_argument_of_the_wrong_type_or_range_is_a_problem_error(build):
     pytest.param(lambda: Batch([1.9, 2.5]), "batch indices", id="batch-floats"),
     pytest.param(lambda: Batch([True]), "batch indices", id="batch-bool"),
     pytest.param(lambda: Batch(np.zeros((2, 2), dtype=int)), "batch indices", id="batch-2d"),
+    pytest.param(lambda: Batch([[1], [2, 3]]), "batch indices", id="batch-ragged"),
 ])
 def test_malformed_array_argument_is_a_problem_error(build, name):
     with pytest.raises(ProblemError, match=name) as err:

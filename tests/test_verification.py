@@ -189,6 +189,13 @@ def test_retraction_constants_validation():
         estimate_retraction_constants(Sphere(3), t_grid=np.array([0.1, -0.2]))
 
 
+@pytest.mark.parametrize("t_grid", [[0.1], [0.1, 0.01, 0.001]], ids=["one-scale", "three-scales"])
+def test_retraction_constants_need_four_scales_like_fit_rate(t_grid):
+    # Fewer scales fit no slope: the same floor as fit_rate, not a RankWarning.
+    with pytest.raises(InsufficientData, match="at least 4 scales"):
+        estimate_retraction_constants(Sphere(3), trials=1, t_grid=t_grid)
+
+
 # -- finite differences ------------------------------------------------------------------
 
 

@@ -113,7 +113,8 @@ def _parse(key: str, text: str, where: str) -> object:
 
 # What one ``run`` may ask for before any work starts: the repeats, the
 # IterationRecords that they may keep in all, at about 320 bytes each, and the
-# floats of their points (800 MB a stacked copy) and of the instance.
+# floats of their points (800 MB a stacked copy), of the instance and of a
+# robust-mle step's stacked residuals.
 _MAX_REPEATS = 10_000
 _MAX_RECORDS = 10**6
 _MAX_POINT_FLOATS = 10**8
@@ -169,6 +170,10 @@ class ExperimentConfig:
                               f"{len(longest)} bytes long, over 255")
         if instance > _MAX_POINT_FLOATS:
             raise ConfigError(f"{self.problem} instance of {_shown(instance)} floats, over {_MAX_POINT_FLOATS}")
+        # A robust-mle step stacks one n x (d+1) residual array z - x per row.
+        if self.problem == "robust-mle" and self.repeats * (step := self.n * (self.d + 1)) > _MAX_POINT_FLOATS:
+            raise ConfigError(f"{self.repeats} repeats of {_shown(step)} residual floats each "
+                              f"exceed {_MAX_POINT_FLOATS} floats")
 
     @classmethod
     def from_fields(cls, values: dict[str, object]) -> "ExperimentConfig":

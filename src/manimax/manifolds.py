@@ -772,11 +772,6 @@ class SPD(Manifold):
         self._memo = (key, f)
         return f
 
-    def point_spectrum(self, data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The (w, Q) of ``point_factors``."""
-        f = self.point_factors(data)
-        return f.w, f.Q
-
     def _inner_data(self, base: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         f = self.point_factors(base)
         U = f.Q.mT @ self._mat(u) @ f.Q

@@ -7,11 +7,8 @@ rng handle so the solver controls all randomness.
 """
 from __future__ import annotations
 
-import io
 import math
-import struct
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -40,11 +37,7 @@ __all__ = [
     "generate_gaussian_instance",
     "generate_multiscale_instance",
     "generate_quadratic_instance",
-    "save_instance_matrix",
-    "load_instance",
 ]
-
-_INSTANCE_MAGIC = b"RMLEDAT1"
 
 
 class ProblemError(Exception):
@@ -210,10 +203,10 @@ class RobustMleProblem(MinimaxProblem):
         # Riemannian gradient under the affine-invariant metric: sandwiching
         # the Euclidean partial by Y collapses to -(n/2) Y + (1/2) W^T W, and
         # the regularizer contributes 2c * Y logm(Y).
-        w, Q = self.my.point_spectrum(y)
+        f = self.my.point_factors(y)
         W = self._quad_rows(x, idx)
         quad = W.mT @ W if idx is None else (self.n / idx.shape[-1]) * (W.mT @ W)
-        reg = (Q * (w * np.log(w))[..., None, :]) @ Q.mT
+        reg = (f.Q * (f.w * np.log(f.w))[..., None, :]) @ f.Q.mT
         M = -0.5 * self.n * self.my._mat(y) + 0.5 * quad + (2.0 * self.c) * reg
         return (0.5 * (M + M.mT)).reshape(y.shape)
 
@@ -334,30 +327,3 @@ def generate_multiscale_instance(k: int, m: int, span: float, seed: int,
     coupling = left[:, :p] @ (singulars[:, None] * right[:, :p].T)
     return SyntheticQuadratic(coupling, 1.0, np.zeros(k), noise_sigma)
 
-
-# -- instance files ----------------------------------------------------------
-#
-# The data matrix, row-major little-endian float64, after an 8-byte magic and
-# a (d, n, c) header.
-
-
-def save_instance_matrix(path: str | Path, problem: RobustMleProblem) -> None:
-    buf = io.BytesIO()
-    buf.write(_INSTANCE_MAGIC)
-    buf.write(struct.pack("<qqd", problem.d, problem.n, problem.c))
-    buf.write(np.ascontiguousarray(problem.a, dtype="<f8").tobytes())
-    Path(path).write_bytes(buf.getvalue())
-
-
-def load_instance(path: str | Path) -> RobustMleProblem:
-    """The problem that ``save_instance_matrix`` wrote to path."""
-    raw = Path(path).read_bytes()
-    if not raw.startswith(_INSTANCE_MAGIC):
-        raise ProblemError(f"not an instance file: it does not start with {_INSTANCE_MAGIC.decode()}")
-    off = len(_INSTANCE_MAGIC) + struct.calcsize("<qqd")
-    if len(raw) < off:
-        raise ProblemError("instance file header is truncated")
-    d, n, c = struct.unpack_from("<qqd", raw, len(_INSTANCE_MAGIC))
-    if d < 1 or n < 1 or len(raw) - off != 8 * n * d:
-        raise ProblemError(f"instance file holds {len(raw) - off} data bytes, not 8 * n * d for n={n}, d={d}")
-    return RobustMleProblem(np.frombuffer(raw, dtype="<f8", offset=off).reshape(n, d), c)

@@ -89,6 +89,14 @@ def _loglog_fit(ts: np.ndarray, vals: np.ndarray) -> SlopeFit:
     return SlopeFit(slope, intercept, r2)
 
 
+def _require_span(scales: np.ndarray, name: str) -> None:
+    """The floor of every log-log fit: at least 4 scales spanning at least two decades."""
+    if scales.size < 4:
+        raise InsufficientData(f"need at least 4 {name}, got {scales.size}")
+    if scales.max() / scales.min() < 100.0 * (1.0 - 1e-9):
+        raise InsufficientData(f"{name} must span at least two decades")
+
+
 def fit_rate(pairs: list[tuple[float, float]]) -> SlopeFit:
     """Fit value ~ C * T^slope through (budget, value) pairs in log-log space.
 
@@ -98,11 +106,8 @@ def fit_rate(pairs: list[tuple[float, float]]) -> SlopeFit:
     table = _floats(pairs, "pairs", InvalidInput, ndim=2, inside=("positive", lambda v: v > 0))
     if table.shape[1] != 2:
         raise InvalidInput(f"pairs must be (budget, value) pairs, got rows of {table.shape[1]}")
-    if len(table) < 4:
-        raise InsufficientData(f"need at least 4 points, got {len(table)}")
     ts, vals = table.T.copy()
-    if ts.max() / ts.min() < 100.0 * (1.0 - 1e-9):
-        raise InsufficientData("budgets must span at least two decades")
+    _require_span(ts, "budgets")
     return _loglog_fit(ts, vals)
 
 
@@ -146,14 +151,14 @@ def estimate_retraction_constants(
     the gap ||log(x, retract(x, t u)) - t u|| against ||t u||^2 (bounding
     c_R). Gaps at the roundoff floor are treated as exact zero, which is what
     makes cr_hat vanish when the retraction is the exponential map itself.
+    The t_grid needs at least four scales spanning at least two decades.
     """
     if not manifold.has_exp:
         raise UnsupportedOperation("retraction constants need the log map for reference")
     _count(trials, "trials", 1, error=InvalidInput)
     t_grid = _floats(np.logspace(-4, -1, 13) if t_grid is None else t_grid, "t_grid", InvalidInput, ndim=1,
                      inside=("positive", lambda v: v > 0))
-    if t_grid.size < 4:  # the floor of fit_rate: fewer scales fit no slope
-        raise InsufficientData(f"t_grid needs at least 4 scales, got {t_grid.size}")
+    _require_span(t_grid, "scales in t_grid")
     if rng is None:
         rng = np.random.default_rng(0)
 

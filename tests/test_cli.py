@@ -468,7 +468,9 @@ def test_out_of_range_experiment_setting_is_a_config_error(tmp_path, capsys, no_
      "10000 repeats of 90902 point floats each exceed 100000000 floats"),
     (["--k", "60000", "--m", "40000", "--repeats", "1001", "--max-iters", "0"],
      "1001 repeats of 100000 point floats each exceed 100000000 floats"),
-], ids=["10001", "10^8", "1000x5000", "10000xd300", "1001xk+m"])
+    (["--problem", "robust-mle", "--d", "99", "--n", "10000", "--repeats", "101", "--max-iters", "0"],
+     "101 repeats of 1000000 residual floats each exceed 100000000 floats"),
+], ids=["10001", "10^8", "1000x5000", "10000xd300", "1001xk+m", "101xn(d+1)"])
 def test_repeats_over_budget_is_a_config_error_before_any_work(tmp_path, capsys, monkeypatch, flags, message):
     def forbidden(*args, **kwargs):
         raise AssertionError("built a problem or a run before the repeats were checked")
@@ -495,6 +497,10 @@ def test_repeats_budget_edges():
                   {"problem": "synthetic-quadratic", "k": 6001, "m": 4000, "repeats": 10_000}):
         with pytest.raises(ConfigError, match="point floats"):
             ExperimentConfig(solver=steps, **sizes)
+    # A robust-mle step stacks n(d+1) residual floats a repeat; the budget is 10^8 floats in all.
+    ExperimentConfig(problem="robust-mle", d=99, n=10_000, repeats=100, solver=steps)
+    with pytest.raises(ConfigError, match="residual floats"):
+        ExperimentConfig(problem="robust-mle", d=99, n=10_000, repeats=101, solver=steps)
 
 
 @pytest.mark.parametrize("flags", [

@@ -409,16 +409,15 @@ def _fresh_factors(man: SPD, arr: np.ndarray) -> SPDFactors:
 
 def _served_factors(man: SPD, arr: np.ndarray) -> SPDFactors:
     """``point_factors(arr)``, checked: every factor read-only and bitwise its
-    fresh derivation, and ``point_spectrum`` its (w, Q)."""
+    fresh derivation."""
     served = man.point_factors(arr)
     for name, got, fresh in zip(SPDFactors._fields, served, _fresh_factors(man, arr)):
         assert got.shape == fresh.shape and got.tobytes() == fresh.tobytes(), name
         assert not got.flags.writeable, name
-    assert man.point_spectrum(arr) == (served.w, served.Q)
     return served
 
 
-def test_spd_point_spectrum_is_never_stale():
+def test_spd_point_factors_is_never_stale():
     # Every answer must be bitwise the fresh spectrum of what the array holds
     # at the call, and every factor its fresh derivation: distinct points,
     # repeats of earlier ones, and a writable buffer changed in place between
@@ -455,18 +454,18 @@ def _count_eigh(monkeypatch) -> list[int]:
     return count
 
 
-def test_spd_point_spectrum_serves_an_equal_copy_without_a_second_decomposition(monkeypatch):
+def test_spd_point_factors_serves_an_equal_copy_without_a_second_decomposition(monkeypatch):
     man = SPD(3)
     x = man.random_point(RNG).data
     count = _count_eigh(monkeypatch)
-    w, Q = man.point_spectrum(x)
-    assert man.point_spectrum(x.copy()) == (w, Q)
+    w, Q = man.point_factors(x)[:2]
+    assert man.point_factors(x.copy())[:2] == (w, Q)
     assert count[0] == 1
     # What it serves is read-only, so no reader can change a later hit.
     assert not w.flags.writeable and not Q.flags.writeable
 
 
-def test_spd_point_spectrum_serves_a_product_slice_across_inner_calls(monkeypatch):
+def test_spd_point_factors_serves_a_product_slice_across_inner_calls(monkeypatch):
     man = ProductManifold([Sphere(3), SPD(3)])
     x = Point(man, np.concatenate([[1.0, 0.0, 0.0], SPD(3).random_point(RNG).data]))
     u = Tangent(x, np.concatenate([[0.0, 1.0, 0.0], np.eye(3).ravel()]))
@@ -476,7 +475,7 @@ def test_spd_point_spectrum_serves_a_product_slice_across_inner_calls(monkeypatc
     assert count[0] == 1
 
 
-# Operations on SPD(4) and the array each one hands to point_spectrum.
+# Operations on SPD(4) and the array each one hands to point_factors.
 SPECTRUM_OPS = st.lists(st.tuples(st.sampled_from(["fresh", "copy", "view", "write", "stack"]),
                                   st.integers(0, 2**32 - 1)), min_size=1, max_size=12)
 
@@ -484,7 +483,7 @@ SPECTRUM_OPS = st.lists(st.tuples(st.sampled_from(["fresh", "copy", "view", "wri
 @settings(max_examples=60, deadline=None)
 @example(ops=[("view", 0), ("write", 2)])  # a read-only view of a buffer written in place
 @given(ops=SPECTRUM_OPS)
-def test_spd_point_spectrum_is_the_fresh_spectrum_of_the_contents(ops):
+def test_spd_point_factors_is_the_fresh_spectrum_of_the_contents(ops):
     man = SPD(4)
     buf = man.random_point(np.random.default_rng(0)).data.copy()
     view = buf.view()

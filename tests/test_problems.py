@@ -1,6 +1,5 @@
 """Objective and oracle tests for the two benchmark problems."""
 import math
-import struct
 
 import numpy as np
 import pytest
@@ -22,8 +21,6 @@ from manimax import (
     generate_gaussian_instance,
     generate_multiscale_instance,
     generate_quadratic_instance,
-    load_instance,
-    save_instance_matrix,
 )
 
 RNG = np.random.default_rng(7151)
@@ -304,84 +301,30 @@ def test_multiscale_instance_spectrum():
     assert_allclose(prob.b, np.zeros(8), atol=0.0)
 
 
-# -- instance files ----------------------------------------------------------------
-
-
-def test_instance_matrix_round_trip(tmp_path):
-    path = tmp_path / "inst.bin"
-    orig = generate_gaussian_instance(3, 8, -2.5, seed=7)
-    save_instance_matrix(path, orig)
-    again = load_instance(path)
-    assert np.array_equal(again.a, orig.a)
-    assert again.c == orig.c
-    assert again.sample_count == orig.sample_count
-
-
-@pytest.mark.parametrize("text", [
-    "nonsense without equals\n",
-    "hello\ncolour = red\nd = 3\nd = 4\nn = 11\nc = -5.0\nseed = 42\n",
-    "d = 4\nn = 11\nc = -5.0\nseed = 42\n",  # the text form of earlier versions
-    "",
-], ids=["junk", "junk-among-fields", "text-config", "empty"])
-def test_load_instance_rejects_junk(tmp_path, text):
-    path = tmp_path / "bad.cfg"
-    path.write_text(text)
-    with pytest.raises(ProblemError, match="RMLEDAT1"):
-        load_instance(path)
-
-
-def _matrix_blob(d=3, n=4, c=-2.5):
-    head = b"RMLEDAT1" + struct.pack("<qqd", d, n, c)
-    return head + np.arange(n * d, dtype="<f8").tobytes()
-
-
-@pytest.mark.parametrize(
-    "blob",
-    [
-        pytest.param(_matrix_blob()[:8], id="magic-only"),
-        pytest.param(_matrix_blob()[:20], id="header-cut-short"),
-        pytest.param(_matrix_blob()[:-1], id="data-cut-mid-value"),
-        pytest.param(_matrix_blob()[:-8], id="one-value-missing"),
-        pytest.param(_matrix_blob() + b"\x00" * 8, id="trailing-value"),
-        pytest.param(_matrix_blob(d=-1, n=-4), id="negative-sizes"),
-        pytest.param(_matrix_blob(d=0), id="empty-rows"),
-        pytest.param(_matrix_blob(c=float("nan")), id="c-nan"),
-        pytest.param(_matrix_blob(c=float("inf")), id="c-inf"),
-    ],
-)
-def test_load_instance_malformed_raises_problem_error(tmp_path, blob):
-    path = tmp_path / "inst.bin"
-    path.write_bytes(blob)
-    with pytest.raises(ProblemError):
-        load_instance(path)
-
-
-def _load_blob(tmp_path, blob):
-    path = tmp_path / "inst.bin"
-    path.write_bytes(blob)
-    return load_instance(path)
-
-
-_NAN_DATA = b"RMLEDAT1" + struct.pack("<qqd", 3, 4, -2.5) + np.array([0.0] * 5 + [np.nan] + [0.0] * 6, "<f8").tobytes()
-
-
 def _quadratic(matrix=np.ones((2, 3)), mu=1.0, offset=np.zeros(3), sigma=0.1):
-    return lambda tmp: SyntheticQuadratic(matrix, mu, offset, sigma)
+    return lambda: SyntheticQuadratic(matrix, mu, offset, sigma)
 
 
 def _multiscale(span):
-    return lambda tmp: generate_multiscale_instance(4, 3, span=span, seed=0)
+    return lambda: generate_multiscale_instance(4, 3, span=span, seed=0)
 
 
 @pytest.mark.parametrize(
     "build, message",
     [
-        pytest.param(lambda tmp: _load_blob(tmp, _NAN_DATA), "data contains non-finite entries", id="data-nan"),
-        pytest.param(lambda tmp: SyntheticQuadratic(np.ones(3), 1.0, np.zeros(3)), "matrix must be 2-d",
+        pytest.param(lambda: RobustMleProblem(np.array([0.0] * 5 + [np.nan] + [0.0] * 6).reshape(4, 3), -2.5),
+                     "data contains non-finite entries", id="data-nan"),
+        pytest.param(lambda: RobustMleProblem(np.array([[0.0, 1.0], [np.inf, 2.0]]), -2.5),
+                     "data contains non-finite entries", id="data-inf"),
+        pytest.param(lambda: RobustMleProblem(np.array([[0.0, -np.inf]]), -2.5),
+                     "data contains non-finite entries", id="data-negative-inf"),
+        pytest.param(lambda: RobustMleProblem(np.ones((4, 3)), math.nan), "c must be finite", id="c-nan"),
+        pytest.param(lambda: RobustMleProblem(np.ones((4, 3)), -math.inf), "c must be finite", id="c-inf"),
+        pytest.param(lambda: SyntheticQuadratic(np.ones(3), 1.0, np.zeros(3)), "matrix must be 2-d",
                      id="quadratic-1d-matrix"),
-        pytest.param(lambda tmp: SyntheticQuadratic(np.ones((2, 3)), 1.0, np.zeros(2)),
+        pytest.param(lambda: SyntheticQuadratic(np.ones((2, 3)), 1.0, np.zeros(2)),
                      "offset length must match the column count", id="quadratic-offset-length"),
-        pytest.param(lambda tmp: generate_multiscale_instance(4, 3, span=0, seed=0), "span must be positive",
+        pytest.param(lambda: generate_multiscale_instance(4, 3, span=0, seed=0), "span must be positive",
                      id="multiscale-zero-span"),
         pytest.param(_multiscale(math.nan), "span must be positive and finite", id="multiscale-nan-span"),
         pytest.param(_multiscale(math.inf), "span must be positive and finite", id="multiscale-inf-span"),
@@ -399,27 +342,9 @@ def _multiscale(span):
         pytest.param(_quadratic(sigma=math.inf), "noise sigma must be nonnegative and finite", id="quadratic-inf-sigma"),
     ],
 )
-def test_problem_inputs_out_of_range_raise_problem_error(tmp_path, build, message):
+def test_problem_inputs_out_of_range_raise_problem_error(build, message):
     with pytest.raises(ProblemError, match=message):
-        build(tmp_path)
-
-
-@settings(max_examples=100, deadline=None)
-@given(cut=st.integers(0, 8 + 24 + 96), flips=st.lists(st.tuples(st.integers(0, 127), st.integers(1, 255)), max_size=3))
-def test_load_instance_fuzz_yields_problem_or_problem_error(tmp_path_factory, cut, flips):
-    # A binary instance truncated and corrupted at random either loads with
-    # the declared shape or raises ProblemError.
-    blob = bytearray(_matrix_blob()[:cut])
-    for i, x in flips:
-        if i < len(blob):
-            blob[i] ^= x
-    path = tmp_path_factory.mktemp("fuzz") / "inst.bin"
-    path.write_bytes(bytes(blob))
-    try:
-        prob = load_instance(path)
-    except ProblemError:
-        return
-    assert prob.a.shape == (prob.n, prob.d)
+        build()
 
 
 # -- shared plumbing ----------------------------------------------------------------
@@ -530,6 +455,13 @@ def test_scalar_argument_of_the_wrong_type_or_range_is_a_problem_error(build):
     pytest.param(lambda: RobustMleProblem([["a", "b"]], -5.0), "data", id="data-text"),
     pytest.param(lambda: RobustMleProblem([[1.0, 2.0], [3.0]], -5.0), "data", id="data-ragged"),
     pytest.param(lambda: RobustMleProblem([[True, False]], -5.0), "data", id="data-bool"),
+    pytest.param(lambda: RobustMleProblem(np.ones(3), -5.0), "data must be 2-d", id="data-1d"),
+    pytest.param(lambda: RobustMleProblem(np.ones((2, 2, 2)), -5.0), "data must be 2-d", id="data-3d"),
+    pytest.param(lambda: RobustMleProblem(np.float64(1.0), -5.0), "data must be 2-d", id="data-scalar"),
+    pytest.param(lambda: RobustMleProblem(np.ones((0, 3)), -5.0), "data must be a nonempty", id="data-no-rows"),
+    pytest.param(lambda: RobustMleProblem(np.ones((4, 0)), -5.0), "data must be a nonempty", id="data-no-columns"),
+    pytest.param(lambda: RobustMleProblem(np.ones((2, 2), dtype=complex), -5.0), "data", id="data-complex"),
+    pytest.param(lambda: RobustMleProblem(np.array([[1.0, None]], dtype=object), -5.0), "data", id="data-object"),
     pytest.param(lambda: SyntheticQuadratic([[1, "x"]], 1.0, [0, 0]), "matrix", id="matrix-text"),
     pytest.param(lambda: SyntheticQuadratic([[1.0, 2.0], [3.0]], 1.0, [0, 0]), "matrix", id="matrix-ragged"),
     pytest.param(lambda: SyntheticQuadratic(np.ones((2, 3)), 1.0, ["a", "b", "c"]), "offset", id="offset-text"),
@@ -545,3 +477,30 @@ def test_malformed_array_argument_is_a_problem_error(build, name):
     with pytest.raises(ProblemError, match=name) as err:
         build()
     assert not isinstance(err.value, EmptyBatch)
+
+
+def test_saved_data_builds_the_same_problem(tmp_path):
+    # Data on disk is read with numpy: RobustMleProblem(np.load(path), c).
+    path = tmp_path / "data.npy"
+    orig = generate_gaussian_instance(3, 8, -2.5, seed=7)
+    np.save(path, orig.a)
+    again = RobustMleProblem(np.load(path), orig.c)
+    assert again.a.tobytes() == orig.a.tobytes()
+    assert again.c == orig.c
+    assert again.sample_count == orig.sample_count
+
+
+@settings(max_examples=100, deadline=None)
+@given(shape=st.lists(st.integers(0, 3), max_size=3),
+       values=st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=27, max_size=27))
+def test_data_array_builds_exactly_when_2d_nonempty_and_finite(shape, values):
+    # Any float array either builds a problem of its own shape or raises ProblemError,
+    # and which one is decided by its shape and finiteness alone.
+    data = np.array(values[:math.prod(shape)]).reshape(shape)
+    valid = data.ndim == 2 and data.size > 0 and bool(np.isfinite(data).all())
+    try:
+        prob = RobustMleProblem(data, -2.5)
+    except ProblemError:
+        assert not valid
+        return
+    assert valid and prob.a.shape == (prob.n, prob.d) == data.shape

@@ -196,6 +196,13 @@ def test_retraction_constants_need_four_scales_like_fit_rate(t_grid):
         estimate_retraction_constants(Sphere(3), trials=1, t_grid=t_grid)
 
 
+@pytest.mark.parametrize("t_grid", [[0.1] * 4, [0.01, 0.02, 0.05, 0.1]], ids=["one-scale-four-times", "one-decade"])
+def test_retraction_constants_need_two_decades_like_fit_rate(t_grid):
+    # A grid narrower than two decades fits no meaningful slope: fit_rate's floor.
+    with pytest.raises(InsufficientData, match="two decades"):
+        estimate_retraction_constants(Sphere(3), trials=1, t_grid=t_grid)
+
+
 # -- finite differences ------------------------------------------------------------------
 
 

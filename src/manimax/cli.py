@@ -414,7 +414,7 @@ def _gradients_suite(
         gy = problem.grad_y(x, y)
         for wrt, u, g, man in (("x", ux, gx, problem.mx), ("y", uy, gy, problem.my)):
             analytic = man.inner(g, u)
-            fd = finite_diff_directional(problem, x, y, u, wrt, h=1e-5)
+            fd = finite_diff_directional(problem, x, y, u, wrt)
             worst[wrt] = max(worst[wrt], abs(analytic - fd) / (1.0 + abs(analytic)))
     return [(f"grad_{wrt} matches finite differences ({cfg.problem})", err <= 1e-4, f"max rel err {err:.3e}")
             for wrt, err in worst.items()]
@@ -428,7 +428,7 @@ def _budget_ladder(decades: int) -> list[int]:
 
 
 def _rates_suite(cfg: ExperimentConfig, budgets: list[int]) -> list[tuple[str, bool, str]]:
-    problem = generate_multiscale_instance(30, 20, 5.0, cfg.data_seed, 0.0)
+    problem = generate_multiscale_instance(30, 20, cfg.data_seed)
     # RAGDA with the default stepsizes, and beta < alpha for the deterministic rate.
     solver = SolverConfig(method=Method.RAGDA, beta=0.3, max_iters=budgets[-1], seed=cfg.solver.seed)
     trace = run(problem, solver)

@@ -428,7 +428,7 @@ class Manifold:
 
     def random_tangent(self, x: Point, rng: np.random.Generator, norm: float = 1.0) -> Tangent:
         """A tangent at x with the requested Riemannian norm."""
-        _real(norm, "tangent norm must be nonnegative", lambda v: v >= 0)
+        _real(norm, "tangent norm must lie in [0, inf)", lambda v: 0 <= v < math.inf)
         self._require_point(x)
         if norm == 0.0:
             return self.zero_tangent(x)
@@ -956,6 +956,8 @@ def serialize_point(p: Point) -> bytes:
 
 
 def deserialize_point(blob: bytes) -> Point:
+    if not isinstance(blob, (bytes, bytearray, memoryview)):
+        raise InvalidGeometry(f"blob must be bytes, bytearray or memoryview, got {type(blob).__name__}")
     head, newline, body = bytes(blob).partition(b"\n")
     if not newline:
         raise InvalidGeometry("blob has no header line")

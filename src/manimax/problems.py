@@ -307,23 +307,21 @@ def generate_quadratic_instance(k: int, m: int, mu: float, seed: int,
     return SyntheticQuadratic(rng.standard_normal((m, k)), mu, rng.standard_normal(k), noise_sigma)
 
 
-def generate_multiscale_instance(k: int, m: int, span: float, seed: int,
-                                 noise_sigma: float = 0.1) -> SyntheticQuadratic:
-    """Synthetic quadratic whose coupling spectrum decays over `span` decades.
+def generate_multiscale_instance(k: int, m: int, seed: int) -> SyntheticQuadratic:
+    """Noiseless synthetic quadratic whose coupling spectrum decays over five decades.
 
     The squared singular values of the coupling matrix are log-spaced in
-    [10**-span, 1] and the linear offset is zero, so the envelope objective
+    [1e-5, 1] and the linear offset is zero, so the envelope objective
     has near-degenerate directions at every scale in that window. Gradient
     norms then decay like a power of the iteration count for thousands of
     steps instead of collapsing geometrically, which is what a rate fit
     over a budget ladder needs. Randomness only rotates the singular bases.
     """
-    _real(span, "span must be positive and finite", lambda v: 0 < v < math.inf, ProblemError)
     rng = _instance_rng(seed, k=k, m=m)
     p = min(k, m)
     left, _ = np.linalg.qr(rng.standard_normal((m, m)))
     right, _ = np.linalg.qr(rng.standard_normal((k, k)))
-    singulars = np.sqrt(10.0 ** np.linspace(0.0, -span, p))
+    singulars = np.sqrt(10.0 ** np.linspace(0.0, -5.0, p))
     coupling = left[:, :p] @ (singulars[:, None] * right[:, :p].T)
-    return SyntheticQuadratic(coupling, 1.0, np.zeros(k), noise_sigma)
+    return SyntheticQuadratic(coupling, 1.0, np.zeros(k), 0.0)
 

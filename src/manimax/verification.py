@@ -39,6 +39,11 @@ __all__ = [
 # Measured retraction gaps at or below this level are considered exact:
 # they sit at the roundoff floor of the log map itself.
 GAP_FLOOR = 1e-12
+# The step scales of estimate_retraction_constants, three decades wide, and
+# the step of finite_diff_directional.
+_SCALES = np.logspace(-4, -1, 13)
+_SCALES.setflags(write=False)
+_FD_STEP = 1e-5
 
 
 class InvalidInput(ValueError):
@@ -46,7 +51,7 @@ class InvalidInput(ValueError):
 
 
 class InsufficientData(ValueError):
-    """Too few points, or too narrow a span, to fit anything meaningful."""
+    """Too few budgets, or too narrow a range of them, to fit anything meaningful."""
 
 
 @dataclass(frozen=True)
@@ -89,14 +94,6 @@ def _loglog_fit(ts: np.ndarray, vals: np.ndarray) -> SlopeFit:
     return SlopeFit(slope, intercept, r2)
 
 
-def _require_span(scales: np.ndarray, name: str) -> None:
-    """The floor of every log-log fit: at least 4 scales spanning at least two decades."""
-    if scales.size < 4:
-        raise InsufficientData(f"need at least 4 {name}, got {scales.size}")
-    if scales.max() / scales.min() < 100.0 * (1.0 - 1e-9):
-        raise InsufficientData(f"{name} must span at least two decades")
-
-
 def fit_rate(pairs: list[tuple[float, float]]) -> SlopeFit:
     """Fit value ~ C * T^slope through (budget, value) pairs in log-log space.
 
@@ -107,7 +104,10 @@ def fit_rate(pairs: list[tuple[float, float]]) -> SlopeFit:
     if table.shape[1] != 2:
         raise InvalidInput(f"pairs must be (budget, value) pairs, got rows of {table.shape[1]}")
     ts, vals = table.T.copy()
-    _require_span(ts, "budgets")
+    if ts.size < 4:
+        raise InsufficientData(f"need at least 4 budgets, got {ts.size}")
+    if ts.max() / ts.min() < 100.0 * (1.0 - 1e-9):
+        raise InsufficientData("budgets must cover at least two decades")
     return _loglog_fit(ts, vals)
 
 
@@ -116,60 +116,41 @@ def _move(manifold: Manifold, x: Point, u: Tangent, h: float) -> Point:
     return manifold.exp(x, step) if manifold.has_exp else manifold.retract(x, step)
 
 
-def finite_diff_directional(
-    problem: MinimaxProblem,
-    x: Point,
-    y: Point,
-    u: Tangent,
-    wrt: str,
-    h: float = 1e-5,
-) -> float:
-    """Central difference of the objective along a geodesic (or retraction)
-    in the chosen variable; the reference for gradient checks."""
-    _real(h, "step h must be positive", lambda v: v > 0, InvalidInput)
+def finite_diff_directional(problem: MinimaxProblem, x: Point, y: Point, u: Tangent, wrt: str) -> float:
+    """Central difference, with step 1e-5, of the objective along a geodesic
+    (or retraction) in the chosen variable; the reference for gradient checks."""
     if wrt == "x":
-        f_plus = problem.value(_move(problem.mx, x, u, h), y)
-        f_minus = problem.value(_move(problem.mx, x, u, -h), y)
+        f_plus = problem.value(_move(problem.mx, x, u, _FD_STEP), y)
+        f_minus = problem.value(_move(problem.mx, x, u, -_FD_STEP), y)
     elif wrt == "y":
-        f_plus = problem.value(x, _move(problem.my, y, u, h))
-        f_minus = problem.value(x, _move(problem.my, y, u, -h))
+        f_plus = problem.value(x, _move(problem.my, y, u, _FD_STEP))
+        f_minus = problem.value(x, _move(problem.my, y, u, -_FD_STEP))
     else:
         raise InvalidInput("wrt must be 'x' or 'y'")
-    return (f_plus - f_minus) / (2.0 * h)
+    return (f_plus - f_minus) / (2.0 * _FD_STEP)
 
 
-def estimate_retraction_constants(
-    manifold: Manifold,
-    trials: int = 50,
-    t_grid: np.ndarray | None = None,
-    rng: np.random.Generator | None = None,
-) -> GeometryReport:
+def estimate_retraction_constants(manifold: Manifold, trials: int, *, rng: np.random.Generator) -> GeometryReport:
     """Estimate the retraction-accuracy constants on random unit tangents.
 
-    For each sample x and unit tangent u, and each scale t, measure
+    For each sample x and unit tangent u, and each of the 13 log-spaced
+    scales t from 1e-4 to 1e-1, measure
     d(x, retract(x, t u))^2 against ||t u||^2 (whose ratio bounds cbar) and
     the gap ||log(x, retract(x, t u)) - t u|| against ||t u||^2 (bounding
     c_R). Gaps at the roundoff floor are treated as exact zero, which is what
     makes cr_hat vanish when the retraction is the exponential map itself.
-    The t_grid needs at least four scales spanning at least two decades.
     """
     if not manifold.has_exp:
         raise UnsupportedOperation("retraction constants need the log map for reference")
     _count(trials, "trials", 1, error=InvalidInput)
-    t_grid = _floats(np.logspace(-4, -1, 13) if t_grid is None else t_grid, "t_grid", InvalidInput, ndim=1,
-                     inside=("positive", lambda v: v > 0))
-    _require_span(t_grid, "scales in t_grid")
-    if rng is None:
-        rng = np.random.default_rng(0)
-
     cbar_hat = 0.0
     cr_hat = 0.0
-    gap_sums = np.zeros_like(t_grid)
-    dist_sq_sums = np.zeros_like(t_grid)
+    gap_sums = np.zeros_like(_SCALES)
+    dist_sq_sums = np.zeros_like(_SCALES)
     for _ in range(trials):
         x = manifold.random_point(rng)
         u = manifold.random_tangent(x, rng, 1.0)
-        for j, t in enumerate(t_grid):
+        for j, t in enumerate(_SCALES):
             step = u.scaled(t)
             z = manifold.retract(x, step)
             d = manifold.dist(x, z)
@@ -186,10 +167,10 @@ def estimate_retraction_constants(
     mean_dist_sq = dist_sq_sums / trials
     clean = mean_gaps > GAP_FLOOR
     if int(clean.sum()) >= 4:
-        gap_slope = _loglog_fit(t_grid[clean], mean_gaps[clean]).slope
+        gap_slope = _loglog_fit(_SCALES[clean], mean_gaps[clean]).slope
     else:
         gap_slope = math.nan
-    dist_sq_slope = _loglog_fit(t_grid, mean_dist_sq).slope
+    dist_sq_slope = _loglog_fit(_SCALES, mean_dist_sq).slope
     return GeometryReport(
         manifold=repr(manifold),
         cbar_hat=cbar_hat,
@@ -229,11 +210,7 @@ def check_adaptive_sum_inequality(a, alpha: float) -> bool:
     return lower - middle <= slack and middle - upper <= slack
 
 
-def audit_transport_isometry(
-    manifold: Manifold,
-    trials: int = 200,
-    rng: np.random.Generator | None = None,
-) -> float:
+def audit_transport_isometry(manifold: Manifold, trials: int, *, rng: np.random.Generator) -> float:
     """Worst relative defect of <Gu, Gv> against <u, v> over random transports.
 
     Raises UnsupportedOperation when the manifold's transport is not an
@@ -243,8 +220,6 @@ def audit_transport_isometry(
     if not manifold.has_exp:
         raise UnsupportedOperation("projection transport on Stiefel is not an isometry")
     _count(trials, "trials", 1, error=InvalidInput)
-    if rng is None:
-        rng = np.random.default_rng(0)
     worst = 0.0
     done = 0
     while done < trials:

@@ -777,9 +777,11 @@ def test_product_dist():
 )
 def test_point_serialization_round_trip(man):
     x = man.random_point(RNG)
-    back = deserialize_point(serialize_point(x))
-    assert back.manifold.spec_key() == man.spec_key()
-    assert np.array_equal(back.data, x.data)  # bit exact
+    blob = serialize_point(x)
+    for copy in (blob, bytearray(blob), memoryview(blob)):
+        back = deserialize_point(copy)
+        assert back.manifold.spec_key() == man.spec_key()
+        assert np.array_equal(back.data, x.data)  # bit exact
 
 
 # The header lines of the 0.11.0 writer, byte for byte.
@@ -811,8 +813,15 @@ def test_header_reader_knows_every_concrete_manifold():
 
 
 def test_deserialize_rejects_garbage():
-    with pytest.raises(Exception):
+    with pytest.raises(InvalidGeometry, match="no header line"):
         deserialize_point(b"not a point")
+
+
+# Only bytes-like blobs are read; bytes(8) would be eight zero bytes.
+@pytest.mark.parametrize("blob", [-1, None, "text", 1.5, 8, [1, 2]], ids=repr)
+def test_deserialize_rejects_a_blob_that_is_not_bytes_like(blob):
+    with pytest.raises(InvalidGeometry, match=rf"^blob must be bytes, bytearray or memoryview, got {type(blob).__name__}$"):
+        deserialize_point(blob)
 
 
 _SPHERE_HEADER = b'{"dims": [3], "kind": "sphere", "radius": 1.0}\n'
@@ -1045,6 +1054,14 @@ def test_stacked_tangent_check_rejects_a_bad_row(man):
 def test_scalar_argument_of_the_wrong_type_or_range_is_invalid_geometry(build):
     with pytest.raises(InvalidGeometry):
         build()
+
+
+@pytest.mark.parametrize("norm", [np.inf, -1.0], ids=["inf", "negative"])
+def test_random_tangent_norm_lies_in_the_readme_interval(norm):
+    # [0, inf): an infinite norm fails here, not later as a non-finite tangent.
+    x = Sphere(3).random_point(RNG)
+    with pytest.raises(InvalidGeometry, match=r"^tangent norm must lie in \[0, inf\), got "):
+        Sphere(3).random_tangent(x, RNG, norm=norm)
 
 
 # -- array arguments -------------------------------------------------------------

@@ -1,0 +1,56 @@
+"""tools/output_digest.py hashes outputs without their clocks, and a run hashes alike twice."""
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+from manimax import cli
+
+ROOT = Path(__file__).resolve().parents[1]
+_SPEC = importlib.util.spec_from_file_location("output_digest", ROOT / "tools" / "output_digest.py")
+digest = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(digest)
+
+HEADER = [column for column, _ in cli._CSV_COLUMNS]
+
+
+def csv_text(rows: list[list[str]]) -> bytes:
+    return "\n".join(",".join(row) for row in [HEADER, *rows]).encode("utf-8") + b"\n"
+
+
+def sample_rows() -> list[list[str]]:
+    return [[f"{i}.{j}" for j in range(len(HEADER))] for i in range(3)]
+
+
+def test_csv_texts_differing_only_in_wall_s_hash_alike():
+    rows = sample_rows()
+    other = [list(row) for row in rows]
+    other[1][HEADER.index("wall_s")] = "123.456"
+    assert digest.digest_line("a.csv", csv_text(rows)) == digest.digest_line("a.csv", csv_text(other))
+
+
+@pytest.mark.parametrize("column", [c for c in HEADER if c != "wall_s"])
+def test_csv_texts_differing_in_another_column_hash_apart(column):
+    rows = sample_rows()
+    other = [list(row) for row in rows]
+    other[1][HEADER.index(column)] = "123.456"
+    assert digest.digest_line("a.csv", csv_text(rows)) != digest.digest_line("a.csv", csv_text(other))
+
+
+def test_summaries_differing_only_in_repeat_wall_s_hash_alike():
+    text = b"label = a\nrepeat0.wall_s = %s\nrepeat0.stop_reason = max_iters\nrepeat12.wall_s = %s\n"
+    assert (digest.digest_line("a_summary.txt", text % (b"0.1", b"2.0"))
+            == digest.digest_line("a_summary.txt", text % (b"0.3", b"9.5")))
+    assert (digest.digest_line("a_summary.txt", text.replace(b"max_iters", b"converged") % (b"0.1", b"2.0"))
+            != digest.digest_line("a_summary.txt", text % (b"0.1", b"2.0")))
+
+
+def test_a_run_hashes_alike_twice():
+    extra = ["--repeats", "2", "--max-iters", "20"]
+    first = digest.run_digest(ROOT, "synthetic-rsagda", extra)
+    assert first == digest.run_digest(ROOT, "synthetic-rsagda", extra)
+    # A CSV trace and two .point files per repeat, and one summary.
+    assert [line.split("  ")[1] for line in first] == [
+        f"synthetic-rsagda/synthetic-quadratic-rsagda_{name}" for name in (
+            "rep0.csv", "rep0_x.point", "rep0_y.point", "rep1.csv", "rep1_x.point", "rep1_y.point", "summary.txt")
+    ]

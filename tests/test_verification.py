@@ -162,10 +162,8 @@ def test_sphere_retraction_report():
 
 def test_sphere_gap_constant_matches_cubic_coefficient():
     # For the rescaling retraction on the unit sphere the leading gap term is
-    # t^3/3, so gap / t^2 at the largest grid scale t = 0.1 is close to t/3.
-    rep = estimate_retraction_constants(
-        Sphere(4), trials=30, t_grid=np.logspace(-3, -1, 9), rng=np.random.default_rng(2)
-    )
+    # t^3/3, so gap / t^2 at the largest scale t = 0.1 is close to t/3.
+    rep = estimate_retraction_constants(Sphere(4), trials=30, rng=np.random.default_rng(2))
     assert rep.cr_hat == pytest.approx(0.1 / 3.0, rel=0.05)
 
 
@@ -179,28 +177,12 @@ def test_exp_as_retraction_has_zero_gap():
 
 def test_retraction_constants_unsupported_without_log():
     with pytest.raises(UnsupportedOperation):
-        estimate_retraction_constants(Stiefel(5, 2), trials=5)
+        estimate_retraction_constants(Stiefel(5, 2), trials=5, rng=np.random.default_rng(0))
 
 
 def test_retraction_constants_validation():
     with pytest.raises(InvalidInput):
-        estimate_retraction_constants(Sphere(3), trials=0)
-    with pytest.raises(InvalidInput):
-        estimate_retraction_constants(Sphere(3), t_grid=np.array([0.1, -0.2]))
-
-
-@pytest.mark.parametrize("t_grid", [[0.1], [0.1, 0.01, 0.001]], ids=["one-scale", "three-scales"])
-def test_retraction_constants_need_four_scales_like_fit_rate(t_grid):
-    # Fewer scales fit no slope: the same floor as fit_rate, not a RankWarning.
-    with pytest.raises(InsufficientData, match="at least 4 scales"):
-        estimate_retraction_constants(Sphere(3), trials=1, t_grid=t_grid)
-
-
-@pytest.mark.parametrize("t_grid", [[0.1] * 4, [0.01, 0.02, 0.05, 0.1]], ids=["one-scale-four-times", "one-decade"])
-def test_retraction_constants_need_two_decades_like_fit_rate(t_grid):
-    # A grid narrower than two decades fits no meaningful slope: fit_rate's floor.
-    with pytest.raises(InsufficientData, match="two decades"):
-        estimate_retraction_constants(Sphere(3), trials=1, t_grid=t_grid)
+        estimate_retraction_constants(Sphere(3), trials=0, rng=np.random.default_rng(0))
 
 
 # -- finite differences ------------------------------------------------------------------
@@ -212,7 +194,8 @@ def test_finite_diff_matches_analytic_gradient():
     x = prob.mx.random_point(rng)
     y = prob.my.random_point(rng)
     u = prob.my.random_tangent(y, rng, norm=1.0)
-    got = finite_diff_directional(prob, x, y, u, "y", h=1e-6)
+    # The objective is quadratic in y, so the central difference is exact to roundoff.
+    got = finite_diff_directional(prob, x, y, u, "y")
     want = prob.my.inner(prob.grad_y(x, y), u)
     assert got == pytest.approx(want, rel=1e-7)
 
@@ -223,8 +206,6 @@ def test_finite_diff_validation():
     x = prob.mx.random_point(rng)
     y = prob.my.random_point(rng)
     u = prob.mx.random_tangent(x, rng)
-    with pytest.raises(InvalidInput):
-        finite_diff_directional(prob, x, y, u, "x", h=0.0)
     with pytest.raises(InvalidInput):
         finite_diff_directional(prob, x, y, u, "z")
 
@@ -240,7 +221,7 @@ def test_transport_audit_clean_manifolds(man):
 
 def test_transport_audit_rejects_stiefel():
     with pytest.raises(UnsupportedOperation):
-        audit_transport_isometry(Stiefel(4, 2))
+        audit_transport_isometry(Stiefel(4, 2), trials=20, rng=np.random.default_rng(0))
 
 
 def test_transport_audit_rejects_a_product_with_a_stiefel_factor():
@@ -278,26 +259,26 @@ def test_pyproject_version_is_the_package_version():
 
 def test_transport_audit_validation():
     with pytest.raises(InvalidInput):
-        audit_transport_isometry(Sphere(3), trials=0)
+        audit_transport_isometry(Sphere(3), trials=0, rng=np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("audit", [estimate_retraction_constants, audit_transport_isometry], ids=lambda f: f.__name__)
+def test_audits_take_the_generator_as_a_required_keyword(audit):
+    # No hidden default generator: a call without one, or with one passed by position, is refused.
+    with pytest.raises(TypeError, match="rng"):
+        audit(Sphere(3), 3)
+    with pytest.raises(TypeError, match="positional"):
+        audit(Sphere(3), 3, np.random.default_rng(0))
 
 
 # -- scalar arguments ------------------------------------------------------------
 
 
-def _fd(h):
-    prob = generate_quadratic_instance(6, 4, 1.0, 0, noise_sigma=0.0)
-    x, y = prob.default_start(np.random.default_rng(0))
-    return finite_diff_directional(prob, x, y, prob.mx.random_tangent(x, np.random.default_rng(1)), "x", h=h)
-
-
 @pytest.mark.parametrize("build", [
-    pytest.param(lambda: _fd("x"), id="fd-text-h"),
-    pytest.param(lambda: _fd(math.nan), id="fd-nan-h"),
-    pytest.param(lambda: _fd(True), id="fd-bool-h"),
-    pytest.param(lambda: estimate_retraction_constants(Sphere(3), trials=2.5), id="retraction-float-trials"),
-    pytest.param(lambda: estimate_retraction_constants(Sphere(3), trials=True), id="retraction-bool-trials"),
-    pytest.param(lambda: audit_transport_isometry(Sphere(3), trials=2.5), id="transport-float-trials"),
-    pytest.param(lambda: audit_transport_isometry(Sphere(3), trials="3"), id="transport-text-trials"),
+    pytest.param(lambda: estimate_retraction_constants(Sphere(3), trials=2.5, rng=RNG), id="retraction-float-trials"),
+    pytest.param(lambda: estimate_retraction_constants(Sphere(3), trials=True, rng=RNG), id="retraction-bool-trials"),
+    pytest.param(lambda: audit_transport_isometry(Sphere(3), trials=2.5, rng=RNG), id="transport-float-trials"),
+    pytest.param(lambda: audit_transport_isometry(Sphere(3), trials="3", rng=RNG), id="transport-text-trials"),
     pytest.param(lambda: check_adaptive_sum_inequality([1.0, 2.0], alpha=True), id="sum-bool-alpha"),
     pytest.param(lambda: check_adaptive_sum_inequality([1.0, 2.0], alpha="0.5"), id="sum-text-alpha"),
 ])
@@ -309,10 +290,6 @@ def test_scalar_argument_of_the_wrong_type_or_range_is_invalid_input(build):
 # -- array arguments -------------------------------------------------------------
 
 
-def _constants(t_grid):
-    return lambda: estimate_retraction_constants(Sphere(3), trials=1, t_grid=t_grid)
-
-
 @pytest.mark.parametrize("build, name", [
     pytest.param(lambda: fit_rate([(1, "a"), (10, 1), (100, 1), (1000, 1)]), "pairs", id="fit-text"),
     pytest.param(lambda: fit_rate([(1,), (10, 1), (100, 1), (1000, 1)]), "pairs", id="fit-short-first-pair"),
@@ -321,10 +298,6 @@ def _constants(t_grid):
                  id="fit-long-pairs"),
     pytest.param(lambda: check_adaptive_sum_inequality(["a"], 0.5), "sequence", id="sum-text"),
     pytest.param(lambda: check_adaptive_sum_inequality([[1.0, 2.0]], 0.5), "sequence", id="sum-2d"),
-    pytest.param(_constants(["x"]), "t_grid", id="t-grid-text"),
-    pytest.param(_constants([]), "t_grid", id="t-grid-empty"),
-    pytest.param(_constants([math.nan, 0.1, 0.01, 0.001]), "t_grid", id="t-grid-nan"),
-    pytest.param(_constants(np.full((2, 2), 0.1)), "t_grid", id="t-grid-2d"),
 ])
 def test_malformed_array_argument_is_invalid_input(build, name):
     with pytest.raises(InvalidInput, match=name):

@@ -1,0 +1,73 @@
+"""Digest of every output that `manimax run` and `manimax verify` write, so that
+"outputs stay byte-identical" between two trees is one diff.
+
+Run from the root of a checkout, with no arguments:
+
+    python tools/output_digest.py
+
+With seed 0 and data seed 0, and the checkout's own `src/` on the path, it
+runs the four packaged presets (`synthetic-rsagda` with 4 repeats of 5000
+steps) and `verify --suite all`, and prints one line `<sha256>  <name>` per
+output. Clocks are left out of the hash: the `wall_s` column of each CSV
+trace and the `repeat<i>.wall_s` lines of each summary. `.point` files and
+the verify stdout are hashed as written. To compare two trees, run the same
+script from the root of each and diff the two listings.
+"""
+from __future__ import annotations
+
+import hashlib
+import os
+import re
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+RUNS = {
+    "robust-mle-ragda": [],
+    "robust-mle-gda": [],
+    "synthetic-ragda": [],
+    "synthetic-rsagda": ["--repeats", "4", "--max-iters", "5000"],
+}
+SEEDS = ["--seed", "0", "--data-seed", "0"]
+_WALL_LINE = re.compile(rb"repeat\d+\.wall_s = ")
+
+
+def digest_line(name: str, data: bytes) -> str:
+    """`<sha256>  <name>` of output `name`, hashed without its clocks."""
+    if name.endswith(".csv"):
+        rows = [line.split(",") for line in data.decode("utf-8").split("\n")]
+        col = rows[0].index("wall_s")
+        data = "\n".join(",".join(row[:col] + row[col + 1:]) for row in rows).encode("utf-8")
+    elif name.endswith("_summary.txt"):
+        data = b"".join(line for line in data.splitlines(keepends=True) if not _WALL_LINE.match(line))
+    return f"{hashlib.sha256(data).hexdigest()}  {name}"
+
+
+def manimax(root: Path, argv: list[str]) -> str:
+    """Stdout of `manimax <argv>` run on `root/src`; any exit code but 0 stops the digest."""
+    env = {key: value for key, value in os.environ.items() if key != "RM_SEED"}  # RM_SEED overrides --seed
+    env["PYTHONPATH"] = str(root / "src")
+    done = subprocess.run([sys.executable, "-m", "manimax.cli", *argv], cwd=root, env=env,
+                          capture_output=True, text=True)
+    if done.returncode != 0:
+        raise SystemExit(f"manimax {' '.join(argv)} exited {done.returncode}:\n{done.stderr}")
+    return done.stdout
+
+
+def run_digest(root: Path, preset: str, extra: list[str]) -> list[str]:
+    """One digest line per file that `manimax run --preset <preset>` writes."""
+    with tempfile.TemporaryDirectory() as out:
+        manimax(root, ["run", "--preset", preset, *extra, *SEEDS, "--out", out])
+        return [digest_line(f"{preset}/{path.name}", path.read_bytes()) for path in sorted(Path(out).iterdir())]
+
+
+def main() -> None:
+    root = Path.cwd()
+    for preset, extra in RUNS.items():
+        print("\n".join(run_digest(root, preset, extra)))
+    print(digest_line("verify/stdout", manimax(root, ["verify", "--suite", "all", *SEEDS]).encode("utf-8")))
+
+
+if __name__ == "__main__":
+    main()

@@ -347,6 +347,9 @@ def _collect_fields(args: argparse.Namespace) -> dict[str, object]:
 
 # -- verify suites -----------------------------------------------------------
 
+# Iteration budgets 10^2, 10^2.5, ..., 10^4 of the rates suite.
+_RATE_BUDGETS = tuple(round(10 ** (2 + 0.5 * i)) for i in range(5))
+
 
 def _check_roundtrip(manifold, pairs: int, rng: np.random.Generator) -> tuple[bool, str]:
     worst = 0.0
@@ -420,20 +423,13 @@ def _gradients_suite(
             for wrt, err in worst.items()]
 
 
-def _budget_ladder(decades: int) -> list[int]:
-    """Iteration budgets 10^2, 10^2.5, ..., 10^(2 + decades) of the rates suite."""
-    # At 5, the top budget of 10^7 RAGDA steps already takes about 15 minutes.
-    _count(decades, "--budget-decades", 2, 5, ConfigError)
-    return [round(10 ** (2 + 0.5 * i)) for i in range(2 * decades + 1)]
-
-
-def _rates_suite(cfg: ExperimentConfig, budgets: list[int]) -> list[tuple[str, bool, str]]:
+def _rates_suite(cfg: ExperimentConfig) -> list[tuple[str, bool, str]]:
     problem = generate_multiscale_instance(30, 20, cfg.data_seed)
     # RAGDA with the default stepsizes, and beta < alpha for the deterministic rate.
-    solver = SolverConfig(method=Method.RAGDA, beta=0.3, max_iters=budgets[-1], seed=cfg.solver.seed)
+    solver = SolverConfig(method=Method.RAGDA, beta=0.3, max_iters=_RATE_BUDGETS[-1], seed=cfg.solver.seed)
     trace = run(problem, solver)
-    mins = running_min_checkpoints(trace, budgets)
-    fit = fit_rate(list(zip(budgets, mins)))
+    mins = running_min_checkpoints(trace, _RATE_BUDGETS)
+    fit = fit_rate(list(zip(_RATE_BUDGETS, mins)))
     return [("adaptive descent-ascent rate on the synthetic quadratic", fit.slope <= -0.4 and fit.r2 >= 0.9,
              f"slope {fit.slope:.3f} (need <= -0.4), r2 {fit.r2:.3f} (need >= 0.9)")]
 
@@ -453,7 +449,6 @@ def _adaptive_sum_suite(rng: np.random.Generator) -> list[tuple[str, bool, str]]
 
 def cli_verify(args: argparse.Namespace) -> int:
     cfg = ExperimentConfig.from_fields(_collect_fields(args))
-    budgets = _budget_ladder(args.budget_decades)
     problem = build_problem(cfg)
     rng = np.random.default_rng(cfg.solver.seed)
     suites = ("geometry", "gradients", "rates", "adaptive-sum") if args.suite == "all" else (args.suite,)
@@ -464,7 +459,7 @@ def cli_verify(args: argparse.Namespace) -> int:
         elif suite == "gradients":
             rows += _gradients_suite(cfg, problem, rng)
         elif suite == "rates":
-            rows += _rates_suite(cfg, budgets)
+            rows += _rates_suite(cfg)
         elif suite == "adaptive-sum":
             rows += _adaptive_sum_suite(rng)
     width = max(len(name) for name, _, _ in rows)
@@ -493,7 +488,6 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=("geometry", "gradients", "rates", "adaptive-sum", "all"),
         default="all",
     )
-    verp.add_argument("--budget-decades", type=int, dest="budget_decades", default=2)
     verp.set_defaults(func=cli_verify)
 
     # Values stay text here and are parsed by _collect_fields, so that a flag

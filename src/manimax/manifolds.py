@@ -78,9 +78,7 @@ __all__ = [
     "SPDFactors",
     "ProductManifold",
     "manifold_to_header",
-    "manifold_from_header",
     "serialize_point",
-    "deserialize_point",
 ]
 
 
@@ -231,6 +229,14 @@ def _real(value, what: str, inside=None, error: type = InvalidGeometry):
         ok = False
     if not ok:
         raise error(f"{what}, got {_shown(value)}")
+    return value
+
+
+def _generator(value, error: type = InvalidGeometry) -> np.random.Generator:
+    """The rule for generator arguments, beside ``_count``, ``_real`` and ``_floats``: a
+    ``np.random.Generator``, checked before any draw; not None, a seed or a legacy ``RandomState``."""
+    if not isinstance(value, np.random.Generator):
+        raise error(f"rng must be a numpy.random.Generator, got {type(value).__name__}")
     return value
 
 
@@ -424,11 +430,12 @@ class Manifold:
     # -- sampling -----------------------------------------------------------
 
     def random_point(self, rng: np.random.Generator) -> Point:
-        return Point(self, self._random_point(rng))
+        return Point(self, self._random_point(_generator(rng)))
 
     def random_tangent(self, x: Point, rng: np.random.Generator, norm: float = 1.0) -> Tangent:
         """A tangent at x with the requested Riemannian norm."""
         _real(norm, "tangent norm must lie in [0, inf)", lambda v: 0 <= v < math.inf)
+        _generator(rng)
         self._require_point(x)
         if norm == 0.0:
             return self.zero_tangent(x)
@@ -910,7 +917,7 @@ class ProductManifold(Manifold):
 # Wire format of a point: a JSON header line {kind, dims, radius[, factors]}
 # terminated by a newline, then the flat little-endian float64 payload.
 
-# The reader's table: every concrete manifold, by its kind.
+# The writer's table: every concrete manifold, by its kind.
 _CLASSES = {cls.kind: cls for cls in (Euclidean, Sphere, Stiefel, SPD, ProductManifold)}
 
 
@@ -927,47 +934,6 @@ def manifold_to_header(m: Manifold) -> dict:
     return {"kind": kind, "dims": dims, "radius": radius}
 
 
-def manifold_from_header(header: dict) -> Manifold:
-    """The manifold whose header is exactly ``header``: anything else that
-    ``manifold_to_header`` would not write raises InvalidGeometry."""
-    if not isinstance(header, dict):
-        raise InvalidGeometry(f"manifold header must be an object, got {header!r}")
-    kind = header.get("kind")
-    if not isinstance(kind, str) or kind not in _CLASSES:
-        raise InvalidGeometry(f"unknown manifold kind {kind!r}")
-    cls = _CLASSES[kind]
-    try:
-        if cls is ProductManifold:
-            m = ProductManifold([manifold_from_header(h) for h in header["factors"]])
-            # dims must be an int, which == cannot tell from a float: 5.0 == 5.
-            _count(header["dims"][0], "product size", 1)
-        else:
-            m = cls(*header["dims"], header["radius"]) if cls is Sphere else cls(*header["dims"])
-    except (KeyError, IndexError, TypeError, ValueError, OverflowError) as err:
-        raise InvalidGeometry(f"malformed {kind} header: {type(err).__name__}: {err}") from None
-    if manifold_to_header(m) != header:
-        raise InvalidGeometry(f"{kind} header {header!r} is not the one {m!r} writes")
-    return m
-
-
 def serialize_point(p: Point) -> bytes:
     head = json.dumps(manifold_to_header(p.manifold), sort_keys=True).encode("utf-8") + b"\n"
     return head + np.ascontiguousarray(p.data, dtype="<f8").tobytes()
-
-
-def deserialize_point(blob: bytes) -> Point:
-    if not isinstance(blob, (bytes, bytearray, memoryview)):
-        raise InvalidGeometry(f"blob must be bytes, bytearray or memoryview, got {type(blob).__name__}")
-    head, newline, body = bytes(blob).partition(b"\n")
-    if not newline:
-        raise InvalidGeometry("blob has no header line")
-    try:
-        header = json.loads(head.decode("utf-8"))
-    except (ValueError, RecursionError) as err:
-        raise InvalidGeometry(f"unreadable header: {err}") from None
-    if len(body) % 8:
-        raise InvalidGeometry(f"payload of {len(body)} bytes is not a whole number of float64 values")
-    m, payload = manifold_from_header(header), np.frombuffer(body, dtype="<f8")
-    if payload.size != m.ambient_size:
-        raise InvalidGeometry(f"payload size {payload.size} != ambient {m.ambient_size}")
-    return Point(m, payload)

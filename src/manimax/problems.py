@@ -76,11 +76,12 @@ class Batch:
 
     @classmethod
     def full(cls, n: int) -> "Batch":
-        return cls(np.arange(n, dtype=np.int64))
+        return cls(np.arange(_count(n, "sample count", 1, error=EmptyBatch), dtype=np.int64))
 
     @classmethod
     def sample(cls, rng: np.random.Generator, n: int, size: int) -> "Batch":
         """Uniform i.i.d. draw with replacement from range(n)."""
+        _count(n, "sample count", 1, error=EmptyBatch)
         _count(size, "batch size", 1, error=EmptyBatch)
         return cls(rng.integers(0, n, size=size, dtype=np.int64))
 

@@ -190,7 +190,7 @@ def running_min_checkpoints(trace: Trace, budgets, squared: bool = False) -> lis
     shorter runs of the same config and seed, a single trace serves every
     budget.
     """
-    budgets = sorted(int(b) for b in budgets)
+    budgets = sorted(_count(b, "budget", 1, error=ConfigError) for b in budgets)
     if not budgets:
         raise ConfigError("need at least one budget")
     if not trace.records or budgets[0] <= trace.records[0].t:

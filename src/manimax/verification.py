@@ -19,6 +19,7 @@ from .manifolds import (
     UnsupportedOperation,
     _count,
     _floats,
+    _generator,
     _real,
 )
 from .problems import MinimaxProblem
@@ -143,6 +144,7 @@ def estimate_retraction_constants(manifold: Manifold, trials: int, *, rng: np.ra
     if not manifold.has_exp:
         raise UnsupportedOperation("retraction constants need the log map for reference")
     _count(trials, "trials", 1, error=InvalidInput)
+    _generator(rng, InvalidInput)
     cbar_hat = 0.0
     cr_hat = 0.0
     gap_sums = np.zeros_like(_SCALES)
@@ -220,6 +222,7 @@ def audit_transport_isometry(manifold: Manifold, trials: int, *, rng: np.random.
     if not manifold.has_exp:
         raise UnsupportedOperation("projection transport on Stiefel is not an isometry")
     _count(trials, "trials", 1, error=InvalidInput)
+    _generator(rng, InvalidInput)
     worst = 0.0
     done = 0
     while done < trials:

@@ -47,6 +47,12 @@ def test_batch_rejects_empty():
         Batch(np.array([], dtype=np.int64))
     with pytest.raises(EmptyBatch):
         Batch.sample(np.random.default_rng(0), 4, 0)
+    # The sample count n is a count of at least 1, like the batch size.
+    for build in (lambda: Batch.sample(np.random.default_rng(0), 0, 1),
+                  lambda: Batch.sample(np.random.default_rng(0), 1.5, 1),
+                  lambda: Batch.full(1.5), lambda: Batch.full("a")):
+        with pytest.raises(EmptyBatch, match="^sample count must be"):
+            build()
 
 
 # -- robust MLE ----------------------------------------------------------------

@@ -487,6 +487,11 @@ def test_running_min_checkpoints():
     want0 = min(r.grad_x_norm**2 + r.grad_y_norm**2 for r in trace.records if r.t < 10)
     assert sq[0] == pytest.approx(want0, rel=1e-15)
 
+    # Budgets are counts: no truncated float, bool or text.
+    for bad in (2.7, True, "a"):
+        with pytest.raises(ConfigError, match="^budget must be an integer"):
+            running_min_checkpoints(trace, [bad, 100])
+
 
 def test_running_min_checkpoints_rejects_empty_budget():
     prob = generate_quadratic_instance(4, 3, 1.0, 0, 0.0)

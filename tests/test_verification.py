@@ -271,6 +271,15 @@ def test_audits_take_the_generator_as_a_required_keyword(audit):
         audit(Sphere(3), 3, np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("rng", [None, 0, np.random.RandomState(0)], ids=["none", "seed", "random-state"])
+@pytest.mark.parametrize("audit", [estimate_retraction_constants, audit_transport_isometry], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("man", [Sphere(3), SPD(2), Euclidean(2), ProductManifold([Sphere(3), SPD(2)])], ids=repr)
+def test_audits_take_a_numpy_generator(man, audit, rng):
+    # InvalidInput from the audit itself, not InvalidGeometry from the first draw.
+    with pytest.raises(InvalidInput, match=rf"^rng must be a numpy.random.Generator, got {type(rng).__name__}$"):
+        audit(man, 3, rng=rng)
+
+
 # -- scalar arguments ------------------------------------------------------------
 
 

@@ -12,8 +12,8 @@ tangents, derived from validated values, are checked for finiteness only, by
 ``_frozen``, and wrapped by ``_trusted``.
 
 The kernels a solver step calls (``_retract``, ``_exp``, ``_inner_data``,
-``_project``, ``check_tangent``, ``_move``) take one flat array (n,) or a stack
-of them (R, n), and give each row the same bits whatever R is.
+``Sphere._project``, ``check_tangent``, ``_move``) take one flat array (n,) or
+a stack of them (R, n), and give each row the same bits whatever R is.
 """
 from __future__ import annotations
 
@@ -31,9 +31,9 @@ import numpy as np
 # Absolute elementwise tolerance when two tangents must share a base point, and
 # when an operation checks that a tangent is rooted at the point it was handed.
 _BASE_MATCH = 1e-12
-# Relative tolerance on | ||x|| - r | for sphere membership.
+# Tolerance on | ||x|| - 1 | for sphere membership.
 _SPHERE_POINT_REL = 1e-10
-# |<x, u>| <= _SPHERE_TANGENT_REL * r * ||u|| for sphere tangency.
+# |<x, u>| <= _SPHERE_TANGENT_REL * ||u|| for sphere tangency.
 _SPHERE_TANGENT_REL = 1e-10
 # Frobenius tolerances on ||X^T X - I|| (Stiefel points) and on
 # ||X^T U + U^T X|| (Stiefel tangents).
@@ -45,7 +45,7 @@ _SPD_SYMMETRY = 1e-12
 # Below this norm the sphere retraction input x + u (or a QR pivot) counts as
 # collapsed and raises DegenerateRetraction.
 _DEGENERATE_NORM = 1e-14
-# The sphere log raises AntipodalPoints when <x,y>/r^2 <= -1 + _ANTIPODAL_MARGIN.
+# The sphere log raises AntipodalPoints when <x,y> <= -1 + _ANTIPODAL_MARGIN.
 _ANTIPODAL_MARGIN = 1e-10
 # SPD matrix functions clamp eigenvalues below _EIG_FLOOR_REL * lambda_max
 # before inverting or taking logs.
@@ -266,16 +266,18 @@ class Manifold:
     """Base class owning validation and every public map.
 
     A concrete manifold implements array kernels on flat float64 arrays:
-    ``_check_point``, ``_check_tangent``, ``_exp``, ``_log``, ``_transport``,
-    ``_project``, ``_random_point`` and ``_random_tangent_data``, plus
-    ``_retract``, ``_dist`` and ``_inner_data`` where the defaults here (the
-    exponential map, the ambient distance, the ambient metric) do not fit.
-    Kernels trust their arguments and raise only for their own degenerate
-    cases. The public maps check the relations between their arguments once,
-    here, and then wrap the kernel's array: retract and exp results through
-    ``_move``, which the solver loop also calls on bare arrays, log, transport
-    and project_tangent results as validated Tangents, random_point results
-    as validated Points.
+    ``_check_point`` and ``_check_tangent`` (unless it has no invariants),
+    ``_exp``, ``_log`` and ``_transport`` (unless it has no exp),
+    ``_random_point`` and ``_random_tangent_data``, plus ``_retract``,
+    ``_dist`` and ``_inner_data`` where the defaults here (the exponential
+    map, the ambient distance, the ambient metric) do not fit. Kernels trust
+    their arguments and raise only for their own degenerate cases. The public
+    maps check the relations between their arguments once, here, and then
+    wrap the kernel's array: retract and exp results through ``_move``, which
+    the solver loop also calls on bare arrays, log and transport results as
+    validated Tangents, random_point results as validated Points. The
+    sphere's tangent projection, ``Sphere._project``, is a helper of the
+    problems' gradient kernels, not a kernel of this contract.
     """
 
     kind: str = "abstract"
@@ -341,7 +343,7 @@ class Manifold:
 
     def _require_exp(self) -> None:
         if not self.has_exp:
-            raise UnsupportedOperation(f"{self!r} provides no exponential or logarithm map")
+            raise UnsupportedOperation(f"{self!r} provides no exponential map, logarithm or transport")
 
     # -- metric -----------------------------------------------------------
 
@@ -400,6 +402,7 @@ class Manifold:
         return Tangent(x, self._log(x.data, y.data))
 
     def transport(self, src: Point, dst: Point, u: Tangent) -> Tangent:
+        self._require_exp()
         self._require_rooted(src, u)
         self._require_point(dst)
         return Tangent(dst, self._transport(src.data, dst.data, u.data))
@@ -407,13 +410,6 @@ class Manifold:
     def dist(self, x: Point, y: Point) -> float:
         self._require_point(x, y)
         return self._dist(x.data, y.data)
-
-    def project_tangent(self, x: Point, ambient: np.ndarray) -> Tangent:
-        """Map an ambient (Euclidean) gradient to the tangent representation."""
-        self._require_point(x)
-        a = _floats(ambient, f"{self.kind} ambient array").reshape(-1)
-        self._check_array(a, "ambient array")
-        return Tangent(x, self._project(x.data, a))
 
     def zero_tangent(self, x: Point) -> Tangent:
         self._require_point(x)
@@ -457,12 +453,6 @@ class Euclidean(Manifold):
         self.dim = _count(dim, "Euclidean dimension", 1)
         super().__init__(self.dim, self.dim)
 
-    def _check_point(self, data: np.ndarray) -> None:
-        pass
-
-    def _check_tangent(self, base: np.ndarray, data: np.ndarray) -> None:
-        pass
-
     def _exp(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
         return x + u
 
@@ -472,9 +462,6 @@ class Euclidean(Manifold):
     def _transport(self, x: np.ndarray, y: np.ndarray, u: np.ndarray) -> np.ndarray:
         return u
 
-    def _project(self, x: np.ndarray, ambient: np.ndarray) -> np.ndarray:
-        return ambient
-
     def _random_point(self, rng: np.random.Generator) -> np.ndarray:
         return rng.standard_normal(self.dim)
 
@@ -483,52 +470,47 @@ class Euclidean(Manifold):
 
 
 class Sphere(Manifold):
-    """The radius-r sphere in R^d with the induced (ambient) metric."""
+    """The unit sphere in R^d with the induced (ambient) metric."""
 
     kind = "sphere"
 
-    def __init__(self, dim: int, radius: float = 1.0) -> None:
+    def __init__(self, dim: int) -> None:
         self.dim = _count(dim, "sphere ambient dimension", 2)
-        self.radius = float(_real(radius, "sphere radius must be positive and finite", lambda r: 0 < r < math.inf))
-        super().__init__(self.dim, self.dim, self.radius)
+        # The radius stays in the identity, for the repr and the .point header.
+        super().__init__(self.dim, self.dim, 1.0)
 
     def _check_point(self, data: np.ndarray) -> None:
-        r = self.radius
-        if abs(np.linalg.norm(data) - r) > _SPHERE_POINT_REL * r:
-            raise InvalidGeometry(f"point norm {np.linalg.norm(data):.17g} != radius {r}")
+        if abs(np.linalg.norm(data) - 1.0) > _SPHERE_POINT_REL:
+            raise InvalidGeometry(f"point norm {np.linalg.norm(data):.17g} != radius 1.0")
 
     def _check_tangent(self, base: np.ndarray, data: np.ndarray) -> None:
-        r = self.radius
         # Relative bound plus an absolute floor: the radial residue left by
         # roundoff is proportional to the base scale, not the tangent scale,
         # so near-zero tangents would otherwise fail a purely relative test.
         for sq, dot in zip(np.vecdot(data, data).ravel().tolist(), np.vecdot(base, data).ravel().tolist()):
-            bound = _SPHERE_TANGENT_REL * r * math.sqrt(sq) + _DEGENERATE_NORM * r * r
+            bound = _SPHERE_TANGENT_REL * math.sqrt(sq) + _DEGENERATE_NORM
             if not abs(dot) <= bound:
                 raise InvalidGeometry("tangent is not orthogonal to the sphere point")
 
     def _retract(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """Metric rescaling: r * (x + u) / ||x + u||."""
+        """Metric rescaling: (x + u) / ||x + u||."""
         s = x + u
         ns = np.sqrt(np.vecdot(s, s, keepdims=True))
         # An overflowed norm would scale x + u to the zero vector.
         for v in ns.ravel().tolist():
             if not _DEGENERATE_NORM <= v < np.inf:
                 raise DegenerateRetraction(f"||x + u|| = {v:.3g}: collapsed to the origin or overflowed")
-        return (self.radius / ns) * s
+        # The reciprocal form, not s / ns, which rounds differently and would change every run's output.
+        return (1.0 / ns) * s
 
     def _exp(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
         nu = np.sqrt(np.vecdot(u, u, keepdims=True))
-        t = nu / self.radius
-        z = np.cos(t) * x + (self.radius * np.sin(t) / nu) * u
+        z = np.cos(nu) * x + (np.sin(nu) / nu) * u
         # A nonzero u whose squared entries all underflow has norm 0.
         return np.where(nu == 0.0, x, z)
 
-    def _cos_angle(self, x: np.ndarray, y: np.ndarray) -> float:
-        return float(np.dot(x, y)) / self.radius**2
-
     def _log(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        c = self._cos_angle(x, y)
+        c = float(np.dot(x, y))
         if c <= -1.0 + _ANTIPODAL_MARGIN:
             raise AntipodalPoints("logarithm is undefined for antipodal points")
         theta = float(np.arccos(np.clip(c, -1.0, 1.0)))
@@ -536,7 +518,7 @@ class Sphere(Manifold):
         np_norm = float(np.linalg.norm(perp))
         if np_norm == 0.0:
             return np.zeros(self.dim)
-        return (theta * self.radius / np_norm) * perp
+        return (theta / np_norm) * perp
 
     def _transport(self, x: np.ndarray, y: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Parallel transport along the minimizing geodesic from x to y.
@@ -551,21 +533,19 @@ class Sphere(Manifold):
         if d == 0.0:
             return u
         e = v / d
-        t = d / self.radius
         along = float(np.dot(u, e))
-        rotated = np.cos(t) * e - (np.sin(t) / self.radius) * x
+        rotated = np.cos(d) * e - np.sin(d) * x
         return u + along * (rotated - e)
 
     def _dist(self, x: np.ndarray, y: np.ndarray) -> float:
-        c = np.clip(self._cos_angle(x, y), -1.0, 1.0)
-        return self.radius * float(np.arccos(c))
+        return float(np.arccos(np.clip(float(np.dot(x, y)), -1.0, 1.0)))
 
     def _project(self, x: np.ndarray, ambient: np.ndarray) -> np.ndarray:
-        r2 = self.radius**2
-        out = ambient - (np.vecdot(x, ambient, keepdims=True) / r2) * x
+        """The tangent part of an ambient gradient, which the problems' gradient kernels take."""
+        out = ambient - np.vecdot(x, ambient, keepdims=True) * x
         # Second pass scrubs the residual normal component left by cancellation
         # when the input is nearly parallel to x.
-        out -= (np.vecdot(x, out, keepdims=True) / r2) * x
+        out -= np.vecdot(x, out, keepdims=True) * x
         return out
 
     def _random_point(self, rng: np.random.Generator) -> np.ndarray:
@@ -573,12 +553,12 @@ class Sphere(Manifold):
             v = rng.standard_normal(self.dim)
             n = float(np.linalg.norm(v))
             if n > 1e-12:
-                return (self.radius / n) * v
+                return (1.0 / n) * v  # not v / n, which rounds differently and would change every run's start
         raise InvalidGeometry("failed to draw a sphere point")
 
     def _random_tangent_data(self, base: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         v = rng.standard_normal(self.dim)
-        v -= (float(np.dot(base, v)) / self.radius**2) * base
+        v -= float(np.dot(base, v)) * base
         return v
 
 
@@ -631,8 +611,7 @@ def _eigh_expm(S: np.ndarray) -> np.ndarray:
 class Stiefel(Manifold):
     """Matrices with orthonormal columns, embedded metric, QR retraction.
 
-    The exponential, logarithm, and an isometric transport are deliberately
-    absent; projection transport is available but is not an isometry.
+    The exponential and logarithm maps and transport are deliberately absent.
     """
 
     kind = "stiefel"
@@ -670,17 +649,6 @@ class Stiefel(Manifold):
         if np.any(np.abs(diag) < floor):
             raise DegenerateRetraction("x + u is numerically rank deficient")
         return (Q * np.sign(diag)[..., None, :]).reshape(x.shape)
-
-    def _transport(self, x: np.ndarray, y: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """Projection transport: project u onto the tangent space at y."""
-        return self._project(y, u)
-
-    def _project(self, x: np.ndarray, ambient: np.ndarray) -> np.ndarray:
-        X = self._mat(x)
-        A = self._mat(ambient)
-        U = A - X @ _sym(X.mT @ A)
-        U -= X @ _sym(X.mT @ U)
-        return U.reshape(x.shape)
 
     def _random_point(self, rng: np.random.Generator) -> np.ndarray:
         Q, R = np.linalg.qr(rng.standard_normal((self.rows, self.cols)))
@@ -837,11 +805,6 @@ class SPD(Manifold):
         ws, _ = self.spectrum(self._whitened(x, y)[2])
         return float(np.linalg.norm(np.log(ws)))
 
-    def _project(self, x: np.ndarray, ambient: np.ndarray) -> np.ndarray:
-        """X sym(a) X: converts a Euclidean gradient to the Riemannian one."""
-        X = self._mat(x)
-        return _sym(X @ _sym(self._mat(ambient)) @ X).reshape(x.shape)
-
     def _random_point(self, rng: np.random.Generator) -> np.ndarray:
         A = rng.standard_normal((self.order, self.order))
         w, Q = np.linalg.eigh(_sym(A) / np.sqrt(self.order))
@@ -875,14 +838,16 @@ class ProductManifold(Manifold):
         return zip(self.factors, *([a[..., off[i]:off[i + 1]] for i in range(len(self.factors))] for a in arrays))
 
     # The whole array has passed the shape and finiteness checks, so each
-    # factor checks only its own invariants on its slice.
+    # factor with invariants checks only those on its slice.
     def _check_point(self, data: np.ndarray) -> None:
         for f, part in self._split(data):
-            f._check_point(part)
+            if f._has_invariants:
+                f._check_point(part)
 
     def _check_tangent(self, base: np.ndarray, data: np.ndarray) -> None:
         for f, b, part in self._split(base, data):
-            f._check_tangent(b, part)
+            if f._has_invariants:
+                f._check_tangent(b, part)
 
     def _inner_data(self, base: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         return sum(f._inner_data(b, uu, vv) for f, b, uu, vv in self._split(base, u, v))
@@ -901,9 +866,6 @@ class ProductManifold(Manifold):
 
     def _dist(self, x: np.ndarray, y: np.ndarray) -> float:
         return float(np.sqrt(sum(f._dist(xx, yy) ** 2 for f, xx, yy in self._split(x, y))))
-
-    def _project(self, x: np.ndarray, ambient: np.ndarray) -> np.ndarray:
-        return np.concatenate([f._project(xx, aa) for f, xx, aa in self._split(x, ambient)], axis=-1)
 
     def _random_point(self, rng: np.random.Generator) -> np.ndarray:
         return np.concatenate([f._random_point(rng) for f in self.factors])

@@ -23,6 +23,7 @@ from .manifolds import (
     _all_finite,
     _count,
     _floats,
+    _generator,
     _real,
 )
 
@@ -83,7 +84,7 @@ class Batch:
         """Uniform i.i.d. draw with replacement from range(n)."""
         _count(n, "sample count", 1, error=EmptyBatch)
         _count(size, "batch size", 1, error=EmptyBatch)
-        return cls(rng.integers(0, n, size=size, dtype=np.int64))
+        return cls(_generator(rng, ProblemError).integers(0, n, size=size, dtype=np.int64))
 
 
 class MinimaxProblem:
@@ -119,10 +120,10 @@ class MinimaxProblem:
         return Tangent(y, self._grad_y(*self._arrays(x, y)))
 
     def stoch_grad_x(self, x: Point, y: Point, batch: Batch, rng: np.random.Generator) -> Tangent:
-        return Tangent(x, self._stoch_grad_x(*self._arrays(x, y), self._indices(batch), rng))
+        return Tangent(x, self._stoch_grad_x(*self._arrays(x, y), self._indices(batch), _generator(rng, ProblemError)))
 
     def stoch_grad_y(self, x: Point, y: Point, batch: Batch, rng: np.random.Generator) -> Tangent:
-        return Tangent(y, self._stoch_grad_y(*self._arrays(x, y), self._indices(batch), rng))
+        return Tangent(y, self._stoch_grad_y(*self._arrays(x, y), self._indices(batch), _generator(rng, ProblemError)))
 
     def _stoch_grad_x(self, x: np.ndarray, y: np.ndarray, idx: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         raise UnsupportedOperation(f"{type(self).__name__} has no stochastic oracles")
@@ -173,7 +174,7 @@ class RobustMleProblem(MinimaxProblem):
         self.n, self.d = self.a.shape
         self.z = np.hstack([self.a, np.ones((self.n, 1))])
         self.z.setflags(write=False)
-        self.mx: Sphere = Sphere(self.d + 1, 1.0)
+        self.mx: Sphere = Sphere(self.d + 1)
         self.my: SPD = SPD(self.d + 1)
         self.sample_count = self.n
 
@@ -245,7 +246,7 @@ class SyntheticQuadratic(MinimaxProblem):
         self._a_t = self.a_mat.T  # one view for every A^T y
         self.mu = float(mu)
         self.noise_sigma = float(noise_sigma)
-        self.mx: Sphere = Sphere(self.k, 1.0)
+        self.mx: Sphere = Sphere(self.k)
         self.my: Euclidean = Euclidean(self.m)
         self.sample_count = 1
 

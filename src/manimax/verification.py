@@ -107,7 +107,9 @@ def fit_rate(pairs: list[tuple[float, float]]) -> SlopeFit:
     ts, vals = table.T.copy()
     if ts.size < 4:
         raise InsufficientData(f"need at least 4 budgets, got {ts.size}")
-    if ts.max() / ts.min() < 100.0 * (1.0 - 1e-9):
+    with np.errstate(over="ignore"):  # an infinite ratio covers two decades too
+        span = ts.max() / ts.min()
+    if span < 100.0 * (1.0 - 1e-9):
         raise InsufficientData("budgets must cover at least two decades")
     return _loglog_fit(ts, vals)
 
@@ -191,17 +193,20 @@ def check_adaptive_sum_inequality(a, alpha: float) -> bool:
         S^(1-alpha) <= sum_t a_t / S_t^alpha <= S^(1-alpha) / (1 - alpha)
 
     and at alpha = 1 the upper bound becomes 1 + log(S / a_1). The first
-    entry must be positive. Returns True when every applicable inequality
-    holds up to a relative slack of 1e-12.
+    entry must be positive and the total finite. Returns True when every
+    applicable inequality holds up to a relative slack of 1e-12.
     """
     seq = _floats(a, "sequence", InvalidInput, ndim=1, inside=("nonnegative", lambda v: v >= 0))
     if seq[0] <= 0:
         raise InvalidInput("first entry must be positive")
     _real(alpha, "alpha must lie in (0, 1]", lambda v: 0 < v <= 1, InvalidInput)
 
-    prefix = np.cumsum(seq)
-    middle = float(np.sum(seq / prefix**alpha))
+    with np.errstate(over="ignore"):
+        prefix = np.cumsum(seq)
     total = float(prefix[-1])
+    if not math.isfinite(total):
+        raise InvalidInput("the sum of the sequence must be finite")
+    middle = float(np.sum(seq / prefix**alpha))
     if alpha == 1.0:
         upper = 1.0 + math.log(total / float(seq[0]))
         slack = 1e-12 * max(1.0, abs(middle), abs(upper))
@@ -215,12 +220,11 @@ def check_adaptive_sum_inequality(a, alpha: float) -> bool:
 def audit_transport_isometry(manifold: Manifold, trials: int, *, rng: np.random.Generator) -> float:
     """Worst relative defect of <Gu, Gv> against <u, v> over random transports.
 
-    Raises UnsupportedOperation when the manifold's transport is not an
-    isometry by construction: projection transport on Stiefel, alone or as a
-    factor of a product, the manifolds without exp.
+    Raises UnsupportedOperation on a manifold without exp, which has no
+    transport: Stiefel, alone or as a factor of a product.
     """
     if not manifold.has_exp:
-        raise UnsupportedOperation("projection transport on Stiefel is not an isometry")
+        raise UnsupportedOperation(f"{manifold!r} has no transport to audit")
     _count(trials, "trials", 1, error=InvalidInput)
     _generator(rng, InvalidInput)
     worst = 0.0

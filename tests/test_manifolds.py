@@ -33,7 +33,7 @@ RNG = np.random.default_rng(20260816)
 
 def sphere_point(man, v):
     v = np.asarray(v, dtype=float)
-    return Point(man, man.radius * v / np.linalg.norm(v))
+    return Point(man, v / np.linalg.norm(v))
 
 
 # -- frozen hand values ------------------------------------------------------
@@ -72,14 +72,6 @@ def test_sphere_log_frozen():
     assert_allclose(man.log(x, y).data, [0.0, np.pi / 2], atol=1e-15)
 
 
-def test_sphere_radius_two_dist():
-    # Orthogonal points on radius r sit r * pi/2 apart.
-    man = Sphere(3, radius=2.0)
-    x = Point(man, [2.0, 0.0, 0.0])
-    y = Point(man, [0.0, 2.0, 0.0])
-    assert_allclose(man.dist(x, y), np.pi, rtol=1e-15)
-
-
 def test_spd_exp_log_diagonal():
     man = SPD(2)
     eye = Point(man, np.eye(2).ravel())
@@ -113,11 +105,10 @@ def test_spd_transport_frozen():
 
 def sphere_transport_oracle(man, x, y, u):
     """Rotation in the plane spanned by x and the direction toward y."""
-    r = man.radius
     lg = man.log(x, y)
-    theta = np.linalg.norm(lg.data) / r
+    theta = np.linalg.norm(lg.data)
     e = lg.data / np.linalg.norm(lg.data)
-    xh = x.data / r
+    xh = x.data
     rot = (
         np.eye(x.data.size)
         + (np.cos(theta) - 1.0) * (np.outer(xh, xh) + np.outer(e, e))
@@ -126,9 +117,9 @@ def sphere_transport_oracle(man, x, y, u):
     return rot @ u.data
 
 
-@pytest.mark.parametrize("dim,radius", [(3, 1.0), (5, 1.0), (4, 2.5)])
-def test_sphere_transport_matches_rotation(dim, radius):
-    man = Sphere(dim, radius=radius)
+@pytest.mark.parametrize("dim", [3, 5, 4])
+def test_sphere_transport_matches_rotation(dim):
+    man = Sphere(dim)
     for _ in range(25):
         x = man.random_point(RNG)
         y = man.random_point(RNG)
@@ -242,7 +233,7 @@ def test_spd_exp_of_a_small_step_matches_the_eigendecomposition(order):
 
 @pytest.mark.parametrize(
     "man",
-    [Sphere(3), Sphere(31), Sphere(4, radius=3.0), SPD(2), SPD(5), Euclidean(7)],
+    [Sphere(3), Sphere(31), Sphere(4), SPD(2), SPD(5), Euclidean(7)],
     ids=repr,
 )
 def test_exp_log_round_trip(man):
@@ -257,7 +248,7 @@ def test_exp_log_round_trip(man):
         assert_allclose(back.data, u.data, rtol=1e-8, atol=1e-10)
 
 
-@pytest.mark.parametrize("man", [Sphere(3), Sphere(8, radius=0.5), SPD(2), SPD(4), Euclidean(5)], ids=repr)
+@pytest.mark.parametrize("man", [Sphere(3), Sphere(8), SPD(2), SPD(4), Euclidean(5)], ids=repr)
 def test_transport_isometry(man):
     for _ in range(40):
         x = man.random_point(RNG)
@@ -284,32 +275,16 @@ def test_dist_symmetry_and_triangle():
     assert man.dist(x, x) <= 1e-12
 
 
-def test_project_tangent_idempotent():
-    # Only where the conversion is an orthogonal projection; on SPD it is the
-    # metric pairing X sym(a) X, which is not a projection.
-    for man in (Sphere(5), Stiefel(6, 2)):
-        x = man.random_point(RNG)
-        a = RNG.standard_normal(x.data.size)
-        u = man.project_tangent(x, a)
-        again = man.project_tangent(x, u.data)
-        assert_allclose(again.data, u.data, rtol=1e-12, atol=1e-14)
-        # projecting a tangent changes nothing
-        v = man.random_tangent(x, RNG)
-        assert_allclose(man.project_tangent(x, v.data).data, v.data, rtol=1e-12, atol=1e-14)
-
-
-def test_spd_project_tangent_is_metric_pairing():
-    man = SPD(3)
+def test_sphere_project_idempotent():
+    man = Sphere(5)
     x = man.random_point(RNG)
-    a = RNG.standard_normal((3, 3))
-    X = man._mat(x.data)
-    want = X @ (0.5 * (a + a.T)) @ X
-    assert_allclose(man._mat(man.project_tangent(x, a.ravel()).data), want, rtol=1e-12)
-    # at the identity the pairing reduces to symmetrization
-    eye = Point(man, np.eye(3).ravel())
-    assert_allclose(
-        man._mat(man.project_tangent(eye, a.ravel()).data), 0.5 * (a + a.T), rtol=1e-13
-    )
+    a = RNG.standard_normal(x.data.size)
+    u = man._project(x.data, a)
+    again = man._project(x.data, u)
+    assert_allclose(again, u, rtol=1e-12, atol=1e-14)
+    # projecting a tangent changes nothing
+    v = man.random_tangent(x, RNG)
+    assert_allclose(man._project(x.data, v.data), v.data, rtol=1e-12, atol=1e-14)
 
 
 def test_zero_tangent_moves_nowhere():
@@ -385,6 +360,15 @@ def test_stiefel_unsupported_maps():
         man.exp(x, man.zero_tangent(x))
     with pytest.raises(UnsupportedOperation):
         man.log(x, y)
+
+
+@pytest.mark.parametrize("man", [Stiefel(5, 2), ProductManifold([Sphere(3), Stiefel(5, 2)])], ids=repr)
+def test_transport_needs_exp(man):
+    # Stiefel has no transport at all, so neither has a product with a Stiefel factor.
+    rng = np.random.default_rng(13)
+    x, y = man.random_point(rng), man.random_point(rng)
+    with pytest.raises(UnsupportedOperation):
+        man.transport(x, y, man.random_tangent(x, rng))
 
 
 def test_point_data_read_only():
@@ -570,8 +554,6 @@ def test_invalid_constructions():
     with pytest.raises(InvalidGeometry):
         Sphere(1)
     with pytest.raises(InvalidGeometry):
-        Sphere(3, radius=0.0)
-    with pytest.raises(InvalidGeometry):
         Stiefel(2, 3)
     with pytest.raises(InvalidGeometry):
         SPD(0)
@@ -583,26 +565,32 @@ def test_invalid_constructions():
     "make",
     [lambda: Sphere(3.7), lambda: Sphere(3.0), lambda: Euclidean(True), lambda: Euclidean("3"),
      lambda: Stiefel(4, 2.0), lambda: SPD(np.float64(2)), lambda: SPD(np.True_),
-     lambda: Sphere(3, radius=True), lambda: Sphere(3, radius="1"),
      lambda: ProductManifold([Sphere(3), 5])],
     ids=["sphere-3.7", "sphere-3.0", "euclidean-true", "euclidean-str", "stiefel-float-cols",
-         "spd-float64", "spd-numpy-bool", "radius-true", "radius-str", "product-non-manifold-factor"],
+         "spd-float64", "spd-numpy-bool", "product-non-manifold-factor"],
 )
-def test_constructors_reject_non_integer_sizes_and_non_numeric_radius(make):
+def test_constructors_reject_non_integer_sizes(make):
     with pytest.raises(InvalidGeometry):
         make()
 
 
 def test_constructors_accept_numpy_integers():
     assert SPD(np.int64(3)).order == 3 and type(SPD(np.int64(3)).order) is int
-    assert Sphere(np.int32(4), radius=np.float64(2.0)).spec_key() == ("sphere", 4, 2.0)
+    assert Sphere(np.int32(4)).spec_key() == ("sphere", 4, 1.0)
+
+
+def test_sphere_is_the_unit_sphere():
+    # The radius is fixed at 1: it stays in the identity, and no argument sets it.
+    assert repr(Sphere(3)) == "Sphere(3, 1.0)"
+    with pytest.raises(TypeError):
+        Sphere(3, 2.0)
 
 
 # -- the Point/Tangent boundary in Manifold ------------------------------------
 
 
 BOUNDARY_MANIFOLDS = [
-    Euclidean(3), Sphere(4, radius=2.0), Stiefel(5, 2), SPD(3),
+    Euclidean(3), Sphere(4), Stiefel(5, 2), SPD(3),
     ProductManifold([Sphere(3), Euclidean(2)]), ProductManifold([Stiefel(4, 2), SPD(2)]),
 ]
 
@@ -627,7 +615,6 @@ def test_public_maps_check_once_at_the_boundary(man, check_calls):
     rng = np.random.default_rng(3)
     x, y = man.random_point(rng), man.random_point(rng)
     u = man.random_tangent(x, rng, norm=0.3)
-    a = rng.standard_normal(man.ambient_size)
 
     def counts(call):
         check_calls.update(point=0, tangent=0)
@@ -636,14 +623,13 @@ def test_public_maps_check_once_at_the_boundary(man, check_calls):
 
     # Retraction and exp results are trusted: no membership check at all.
     assert counts(lambda: man.retract(x, u)) == (0, 0)
-    # Tangent results are validated exactly once.
-    assert counts(lambda: man.transport(x, y, u)) == (0, 1)
-    assert counts(lambda: man.project_tangent(x, a)) == (0, 1)
     if man.has_exp:
         assert counts(lambda: man.exp(x, u)) == (0, 0)
+        # Tangent results are validated exactly once.
         assert counts(lambda: man.log(x, y)) == (0, 1)
+        assert counts(lambda: man.transport(x, y, u)) == (0, 1)
     else:
-        for call in (lambda: man.exp(x, u), lambda: man.log(x, y)):
+        for call in (lambda: man.exp(x, u), lambda: man.log(x, y), lambda: man.transport(x, y, u)):
             with pytest.raises(UnsupportedOperation):
                 call()
 
@@ -652,34 +638,31 @@ def test_public_maps_check_once_at_the_boundary(man, check_calls):
     xo = other.random_point(rng)
     uo = other.random_tangent(xo, rng)
     for call in (
-        lambda: man.retract(xo, u), lambda: man.retract(x, uo), lambda: man.transport(xo, y, u),
-        lambda: man.transport(x, xo, u), lambda: man.transport(x, y, uo), lambda: man.dist(x, xo),
-        lambda: man.dist(xo, y), lambda: man.project_tangent(xo, a), lambda: man.inner(u, uo),
+        lambda: man.retract(xo, u), lambda: man.retract(x, uo), lambda: man.dist(x, xo),
+        lambda: man.dist(xo, y), lambda: man.inner(u, uo),
         lambda: man.norm(uo), lambda: man.zero_tangent(xo), lambda: man.random_tangent(xo, rng),
     ):
         with pytest.raises(InvalidGeometry):
             call()
-    # An ambient array of the wrong size is rejected before the kernel sees it.
-    for size in (man.ambient_size - 1, man.ambient_size + 1):
-        with pytest.raises(InvalidGeometry, match="ambient array"):
-            man.project_tangent(x, rng.standard_normal(size))
-    # exp and log report a missing map before they look at their arguments.
-    for call in (lambda: man.exp(xo, u), lambda: man.exp(x, uo), lambda: man.log(xo, y), lambda: man.log(x, xo)):
+    # exp, log and transport report a missing map before they look at their arguments.
+    for call in (lambda: man.exp(xo, u), lambda: man.exp(x, uo), lambda: man.log(xo, y), lambda: man.log(x, xo),
+                 lambda: man.transport(xo, y, u), lambda: man.transport(x, xo, u), lambda: man.transport(x, y, uo)):
         with pytest.raises(InvalidGeometry if man.has_exp else UnsupportedOperation):
             call()
 
     # A tangent rooted at another point of the same manifold is rejected.
     v = man.random_tangent(y, rng)
-    for call in (lambda: man.retract(x, v), lambda: man.transport(x, y, v), lambda: man.inner(u, v)):
+    for call in (lambda: man.retract(x, v), lambda: man.inner(u, v)):
         with pytest.raises(BaseMismatch):
             call()
-    with pytest.raises(BaseMismatch if man.has_exp else UnsupportedOperation):
-        man.exp(x, v)
+    for call in (lambda: man.exp(x, v), lambda: man.transport(x, y, v)):
+        with pytest.raises(BaseMismatch if man.has_exp else UnsupportedOperation):
+            call()
 
 
 @pytest.mark.parametrize(
     "factors",
-    [[Sphere(3), SPD(2), Euclidean(2)], [Stiefel(4, 2), Sphere(3, radius=0.5)]],
+    [[Sphere(3), SPD(2), Euclidean(2)], [Stiefel(4, 2), Sphere(3)]],
     ids=lambda fs: " x ".join(map(repr, fs)),
 )
 @pytest.mark.parametrize("zero_slice", [None, 0, 1])
@@ -695,7 +678,6 @@ def test_product_maps_are_factor_maps_concatenated(factors, zero_slice):
     if zero_slice is not None:
         data[cuts[zero_slice]:cuts[zero_slice + 1]] = 0.0
     u = Tangent(x, data)
-    a = rng.standard_normal(prod.ambient_size)
 
     def parts(arr):
         return [arr[cuts[i]:cuts[i + 1]] for i in range(len(factors))]
@@ -711,9 +693,7 @@ def test_product_maps_are_factor_maps_concatenated(factors, zero_slice):
     if prod.has_exp:
         maps["exp"] = (prod.exp(x, u), [f.exp(*a_) for f, *a_ in zip(factors, xs, us)])
         maps["log"] = (prod.log(x, y), [f.log(*a_) for f, *a_ in zip(factors, xs, ys)])
-    maps["transport"] = (prod.transport(x, y, u), [f.transport(*a_) for f, *a_ in zip(factors, xs, ys, us)])
-    maps["project_tangent"] = (prod.project_tangent(x, a),
-                               [f.project_tangent(xf, p) for f, xf, p in zip(factors, xs, parts(a))])
+        maps["transport"] = (prod.transport(x, y, u), [f.transport(*a_) for f, *a_ in zip(factors, xs, ys, us)])
     for name, (whole, pieces) in maps.items():
         assert np.array_equal(whole.data, joined(pieces)), name
     if zero_slice is not None:
@@ -777,7 +757,7 @@ def test_product_dist():
 
 @pytest.mark.parametrize(
     "man",
-    [Sphere(4), Sphere(3, radius=2.0), SPD(3), Stiefel(5, 2), Euclidean(6),
+    [Sphere(4), Sphere(3), SPD(3), Stiefel(5, 2), Euclidean(6),
      ProductManifold([Sphere(3), Euclidean(2)])],
     ids=repr,
 )
@@ -792,7 +772,7 @@ def test_point_serialization_round_trip(man):
 
 # The header lines of the 0.11.0 writer, byte for byte.
 _WIRE_HEADERS = [
-    (Sphere(5, radius=1.5), b'{"dims": [5], "kind": "sphere", "radius": 1.5}'),
+    (Sphere(5), b'{"dims": [5], "kind": "sphere", "radius": 1.0}'),
     (SPD(4), b'{"dims": [4], "kind": "spd", "radius": null}'),
     (Stiefel(6, 3), b'{"dims": [6, 3], "kind": "stiefel", "radius": null}'),
     (Euclidean(2), b'{"dims": [2], "kind": "euclidean", "radius": null}'),
@@ -866,8 +846,8 @@ def test_spd_exp_rejects_underflow_to_singular():
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**31 - 1), scale=st.floats(1e-3, 2.5))
 def test_sphere_exp_preserves_speed(seed, scale):
-    # dist(x, exp_x(u)) equals ||u|| whenever ||u|| < pi * r.
-    man = Sphere(4, radius=1.25)
+    # dist(x, exp_x(u)) equals ||u|| whenever ||u|| < pi.
+    man = Sphere(4)
     rng = np.random.default_rng(seed)
     x = man.random_point(rng)
     u = man.random_tangent(x, rng, norm=scale)
@@ -903,7 +883,7 @@ def test_stiefel_retraction_stays_feasible(seed):
 @pytest.mark.parametrize(
     "man, norms",
     [pytest.param(man, (0.3,) * 4, id=repr(man))
-     for man in [Euclidean(3), Sphere(4, radius=2.0), Sphere(5), Stiefel(5, 2), SPD(3),
+     for man in [Euclidean(3), Sphere(4), Sphere(5), Stiefel(5, 2), SPD(3),
                  ProductManifold([Sphere(3), SPD(2), Euclidean(2)]), ProductManifold([Stiefel(4, 2), Sphere(3)])]]
     # ||S||_1 <= sqrt(3) * norm and >= norm / sqrt(3): SPD exp sums Taylor
     # series of two degrees on rows 0 and 3 and decomposes row 1.
@@ -919,19 +899,21 @@ def test_kernels_on_a_stack_equal_the_single_rows(man, norms):
     tangents[2] = man.zero_tangent(points[2])
     xs = np.stack([p.data for p in points])
     us = np.stack([u.data for u in tangents])
-    ambient = rng.standard_normal(xs.shape)
     man.check_tangent(xs, us)
     kernels = [man._retract] + ([man._exp] if man.has_exp else [])
     with np.errstate(over="ignore", invalid="ignore"):
         moved = [man._move(k, xs, us) for k in kernels]
     inner = man._inner_data(xs, us, us)
-    projected = man._project(xs, ambient)
     for row, (p, u) in enumerate(zip(points, tangents)):
         with np.errstate(over="ignore", invalid="ignore"):
             for k, stack in zip(kernels, moved):
                 assert stack[row].tobytes() == man._move(k, p.data, u.data).tobytes()
         assert inner[row] == man._inner_data(p.data, u.data, u.data)
-        assert projected[row].tobytes() == man._project(p.data, ambient[row]).tobytes()
+    if isinstance(man, Sphere):  # the problems' gradient kernels project onto the sphere
+        ambient = rng.standard_normal(xs.shape)
+        projected = man._project(xs, ambient)
+        for row, p in enumerate(points):
+            assert projected[row].tobytes() == man._project(p.data, ambient[row]).tobytes()
     assert all(stack[2].tobytes() == xs[2].tobytes() for stack in moved)
     assert man._move(man._retract, xs, np.zeros_like(us)) is xs
 
@@ -962,8 +944,6 @@ def test_stacked_tangent_check_rejects_a_bad_row(man):
     pytest.param(lambda: Sphere(3).random_tangent(Sphere(3).random_point(RNG), RNG, norm="1"), id="norm-text"),
     pytest.param(lambda: Sphere(3).random_tangent(Sphere(3).random_point(RNG), RNG, norm=True), id="norm-bool"),
     pytest.param(lambda: Sphere(3).random_tangent(Sphere(3).random_point(RNG), RNG, norm=np.nan), id="norm-nan"),
-    pytest.param(lambda: Sphere(3, 10**400), id="radius-beyond-float"),
-    pytest.param(lambda: Sphere(3, "1"), id="radius-text"),
     pytest.param(lambda: Stiefel(4, np.float64(2)), id="stiefel-float-cols"),
     pytest.param(lambda: SPD(None), id="spd-none"),
     pytest.param(lambda: Euclidean(-10**5000), id="euclidean-huge-negative"),
@@ -1007,9 +987,6 @@ U3 = Tangent(X3, [0.0, 0.5, 0.0])
     pytest.param(lambda: Point(Sphere(3), np.array([1j, 0, 0])), "sphere point", id="point-complex"),
     pytest.param(lambda: Point(Euclidean(2), [True, False]), "euclidean point", id="point-bool"),
     pytest.param(lambda: Tangent(X3, ["a", "b", "c"]), "sphere tangent", id="tangent-text"),
-    pytest.param(lambda: Sphere(3).project_tangent(X3, ["a", "b", "c"]), "ambient array", id="project-text"),
-    pytest.param(lambda: Sphere(3).project_tangent(X3, [[1.0], [0.0, 0.0]]), "ambient array",
-                 id="project-ragged"),
     pytest.param(lambda: U3.scaled(1j), "scale factor", id="scaled-complex"),
     pytest.param(lambda: U3.scaled(True), "scale factor", id="scaled-bool"),
     pytest.param(lambda: U3.scaled("2"), "scale factor", id="scaled-text"),

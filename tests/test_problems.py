@@ -55,6 +55,23 @@ def test_batch_rejects_empty():
             build()
 
 
+@pytest.mark.parametrize("rng", [None, 0, np.random.RandomState(0)], ids=["none", "seed", "random-state"])
+@pytest.mark.parametrize("draw", [
+    lambda prob, x, y, rng: Batch.sample(rng, 4, 1),
+    lambda prob, x, y, rng: prob.stoch_grad_x(x, y, Batch.full(1), rng),
+    lambda prob, x, y, rng: prob.stoch_grad_y(x, y, Batch.full(1), rng),
+], ids=["batch-sample", "stoch-grad-x", "stoch-grad-y"])
+def test_stochastic_draws_take_a_numpy_generator(draw, rng):
+    # Checked before any draw: a legacy RandomState keeps its state.
+    prob = generate_quadratic_instance(5, 4, mu=1.0, seed=0, noise_sigma=0.5)
+    x, y = random_pair(prob, np.random.default_rng(0))
+    state = rng.get_state()[1].copy() if isinstance(rng, np.random.RandomState) else None
+    with pytest.raises(ProblemError, match=rf"^rng must be a numpy.random.Generator, got {type(rng).__name__}$"):
+        draw(prob, x, y, rng)
+    if state is not None:
+        assert np.array_equal(rng.get_state()[1], state)
+
+
 # -- robust MLE ----------------------------------------------------------------
 
 

@@ -12,8 +12,8 @@ tangents, derived from validated values, are checked for finiteness only, by
 ``_frozen``, and wrapped by ``_trusted``.
 
 The kernels a solver step calls (``_retract``, ``_exp``, ``_inner_data``,
-``Sphere._project``, ``check_tangent``, ``_move``) take one flat array (n,) or
-a stack of them (R, n), and give each row the same bits whatever R is.
+``Sphere._project``, ``_validate_tangent``, ``_move``) take one flat array
+(n,) or a stack of them (R, n), and give each row the same bits whatever R is.
 """
 from __future__ import annotations
 
@@ -320,10 +320,14 @@ class Manifold:
 
     def check_tangent(self, base: np.ndarray, data: np.ndarray) -> None:
         """Tangent data at base; a stack of rows is checked row by row."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            self._validate_tangent(base, data)
+
+    def _validate_tangent(self, base: np.ndarray, data: np.ndarray) -> None:
+        """``check_tangent`` without its errstate, for a caller that holds one: the solver run."""
         self._check_array(data, "tangent", base.shape)
         if self._has_invariants:
-            with np.errstate(over="ignore", invalid="ignore"):
-                self._check_tangent(base, data)
+            self._check_tangent(base, data)
 
     def _check_array(self, data: np.ndarray, what: str, shape: tuple | None = None) -> None:
         if data.shape != (shape or (self.ambient_size,)):
@@ -348,8 +352,8 @@ class Manifold:
     # -- metric -----------------------------------------------------------
 
     def inner(self, u: Tangent, v: Tangent) -> float:
-        """Riemannian inner product of two tangents at the same base. It runs
-        under the solver step's errstate: a non-finite value, as where the
+        """Riemannian inner product of two tangents at the same base, under
+        the errstate of a solver run: a non-finite value, as where the
         eigenvalue products of an SPD metric underflow to 0, raises
         InvalidGeometry instead of a warning."""
         self._require_rooted(u.base, v)
@@ -594,9 +598,9 @@ def _taylor_expm(S: np.ndarray, m: int, eye: np.ndarray) -> np.ndarray:
 
 def _eigh_expm(S: np.ndarray) -> np.ndarray:
     """expm of a stack of symmetric matrices from their eigendecompositions.
-    Under the errstate of ``Manifold._move``, which ignores overflow, an
-    overflow or an underflow to a singular matrix raises DegenerateRetraction
-    instead of a warning."""
+    Under the errstate of ``Manifold._moved`` or of a solver run, which
+    ignores overflow, an overflow or an underflow to a singular matrix raises
+    DegenerateRetraction instead of a warning."""
     ws, Qs = np.linalg.eigh(S)
     if not _all_finite(ws):
         raise InvalidGeometry("exp map inner matrix is not finite")

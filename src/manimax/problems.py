@@ -270,8 +270,9 @@ class SyntheticQuadratic(MinimaxProblem):
     _stoch_grad_x, _stoch_grad_y = _grad_x, _grad_y
 
     def _noisy(self, g: np.ndarray, idx: np.ndarray | None, rng: np.random.Generator | None) -> np.ndarray:
+        """g, a fresh gradient array, with the batch's noise added in place."""
         if idx is not None and self.noise_sigma > 0.0:
-            g = g + (self.noise_sigma / math.sqrt(idx.shape[-1])) * rng.standard_normal(g.shape)
+            g += (self.noise_sigma / math.sqrt(idx.shape[-1])) * rng.standard_normal(g.shape)
         return g
 
     def inner_max_oracle(self, x: Point) -> tuple[Point, float]:

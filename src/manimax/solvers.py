@@ -215,14 +215,16 @@ _FAILURES = (GeometryError, NumericalOverflow, NumericalError, FloatingPointErro
 # The settings that the rows of one batch share; the others may differ by row.
 _SHARED = ("method", "max_iters", "grad_tol", "batch_size", "eval_stride")
 _NORMAL_BLOCK = 64  # standard normals drawn ahead per row, in calls
+_NORMAL_FLOATS = 2**20  # and in floats over all rows, unless one call needs more
 
 
 class _Draws:
     """One side's random stream for a stack of rows, one generator per row.
 
     A draw of shape (R, ...) takes row i from generator i. Standard normals
-    come from a block drawn _NORMAL_BLOCK calls ahead, which yields what
-    drawing call by call would while the generator draws nothing else.
+    come from a block drawn _NORMAL_BLOCK calls ahead, or fewer where that
+    would pass _NORMAL_FLOATS, which yields what drawing call by call would
+    while the generator draws nothing else.
     """
 
     def __init__(self, gens) -> None:
@@ -232,8 +234,10 @@ class _Draws:
     def standard_normal(self, shape: tuple[int, ...]) -> np.ndarray:
         size = math.prod(shape[1:])
         if self.pos + size > self.block.shape[1]:
-            fresh = np.stack([g.standard_normal(_NORMAL_BLOCK * size) for g in self.gens])
-            self.block, self.pos = np.concatenate([self.block[:, self.pos:], fresh], axis=1), 0
+            calls = max(1, min(_NORMAL_BLOCK, _NORMAL_FLOATS // (len(self.gens) * size)))
+            fresh = np.stack([g.standard_normal(calls * size) for g in self.gens])
+            rest = self.block[:, self.pos:]
+            self.block, self.pos = np.concatenate([rest, fresh], axis=1) if rest.size else fresh, 0
         out = self.block[:, self.pos:self.pos + size]
         self.pos += size
         return out if len(shape) == 2 else out.reshape(shape)
@@ -259,56 +263,52 @@ def _step(problem: MinimaxProblem, configs: list[SolverConfig], x: np.ndarray, y
     for the others); else None. Per-row scalars are lists of Python floats,
     cheaper than arrays for a few rows, and numpy's ** rounds some powers
     differently. GDA uses eta_x on both sides, TSGDA (eta_x, eta_y); the
-    adaptive methods use the law in the module docstring.
+    adaptive methods use the law in the module docstring. It opens no errstate:
+    it runs under the one of ``run_seeds``.
     """
     mx, my = problem.mx, problem.my
     cfg, rows = configs[0], len(x)
-    # Overflow, invalid results and division by zero read as inf or nan here,
-    # not as warnings: a non-finite oracle output fails its tangent check,
-    # non-finite norms (an SPD metric whose eigenvalue products underflow to
-    # 0 among them) or scaled steps raise NumericalError, and a retraction's
-    # own guard or ``_frozen`` reports the rest.
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        if draws is None:
-            gx, gy = problem._grad_x(x, y), problem._grad_y(x, y)
+    if draws is None:
+        gx, gy = problem._grad_x(x, y), problem._grad_y(x, y)
+    else:
+        n, size = full.size, cfg.batch_size
+        if size >= n:
+            idx_x = idx_y = full
         else:
-            n, size = full.size, cfg.batch_size
-            if size >= n:
-                idx_x = idx_y = full
-            else:
-                idx_x, idx_y = (side.integers(0, n, (rows, size)) for side in draws)
-            gx = problem._stoch_grad_x(x, y, idx_x, draws[0])
-            gy = problem._stoch_grad_y(x, y, idx_y, draws[1])
-        mx.check_tangent(x, gx)
-        my.check_tangent(y, gy)
-        nx2, ny2 = _sq_norms(problem, x, y, gx, gy)
-        if cfg.method in (Method.RAGDA, Method.RSAGDA):
-            vxs, vys, eta, gamma = vx, vy, [], []
-            vx, vy = [], []
-            for c, a, b, sx2, sy2 in zip(configs, vxs, vys, nx2, ny2):
-                a, b = a + sx2, b + sy2
-                vx.append(a)
-                vy.append(b)
-                eta.append(c.eta_x / (a if a > b else b) ** c.alpha)
-                gamma.append(c.eta_y / b**c.beta)
-        else:
-            eta = [c.eta_x for c in configs]
-            gamma = eta if cfg.method is Method.GDA else [c.eta_y for c in configs]
-        # A single row takes the cheaper scalar product, with the same bits.
-        if rows == 1:
-            ux, uy = gx * -eta[0], gy * gamma[0]
-        else:
-            ux, uy = np.array([-e for e in eta])[:, None] * gx, np.array(gamma)[:, None] * gy
-        if not (_all_finite(ux) and _all_finite(uy)):
-            raise NumericalError("a scaled gradient step overflowed")
-        out = mx._move(mx._retract, x, ux), my._move(my._retract, y, uy), vx, vy, eta, gamma, nx2, ny2
-        if not evaluate:
-            return out + (None, None, None)
-        if draws is not None:
-            nx2, ny2 = _sq_norms(problem, x, y, problem._grad_x(x, y), problem._grad_y(x, y))
-        sx, sy = [math.sqrt(v) for v in nx2], [math.sqrt(v) for v in ny2]
-        recording = record or any(a + b <= cfg.grad_tol for a, b in zip(sx, sy))
-        return out + (sx, sy, problem._value(x, y).tolist() if recording else [math.nan] * rows)
+            idx_x, idx_y = (side.integers(0, n, (rows, size)) for side in draws)
+        gx = problem._stoch_grad_x(x, y, idx_x, draws[0])
+        gy = problem._stoch_grad_y(x, y, idx_y, draws[1])
+    mx._validate_tangent(x, gx)
+    my._validate_tangent(y, gy)
+    nx2, ny2 = _sq_norms(problem, x, y, gx, gy)
+    if cfg.method in (Method.RAGDA, Method.RSAGDA):
+        vxs, vys, eta, gamma = vx, vy, [], []
+        vx, vy = [], []
+        for c, a, b, sx2, sy2 in zip(configs, vxs, vys, nx2, ny2):
+            a, b = a + sx2, b + sy2
+            vx.append(a)
+            vy.append(b)
+            eta.append(c.eta_x / (a if a > b else b) ** c.alpha)
+            gamma.append(c.eta_y / b**c.beta)
+    else:
+        eta = [c.eta_x for c in configs]
+        gamma = eta if cfg.method is Method.GDA else [c.eta_y for c in configs]
+    # A single row takes the cheaper scalar product, with the same bits.
+    if rows == 1:
+        ux, uy = gx * -eta[0], gy * gamma[0]
+    else:
+        ux, uy = np.array(eta)[:, None] * gx, np.array(gamma)[:, None] * gy
+        np.negative(ux, out=ux)
+    if not (_all_finite(ux) and _all_finite(uy)):
+        raise NumericalError("a scaled gradient step overflowed")
+    out = mx._move(mx._retract, x, ux), my._move(my._retract, y, uy), vx, vy, eta, gamma, nx2, ny2
+    if not evaluate:
+        return out + (None, None, None)
+    if draws is not None:
+        nx2, ny2 = _sq_norms(problem, x, y, problem._grad_x(x, y), problem._grad_y(x, y))
+    sx, sy = [math.sqrt(v) for v in nx2], [math.sqrt(v) for v in ny2]
+    recording = record or any(a + b <= cfg.grad_tol for a, b in zip(sx, sy))
+    return out + (sx, sy, problem._value(x, y).tolist() if recording else [math.nan] * rows)
 
 
 def _sq_norms(problem: MinimaxProblem, x: np.ndarray, y: np.ndarray,
@@ -397,53 +397,59 @@ def run_seeds(problem: MinimaxProblem, configs, *, x0: Point | None = None, y0: 
                           stoch_grad_calls=2 * steps if stochastic else 0,
                           max_step_grad_norm=math.sqrt(peak[j]), wall_s=time.perf_counter() - start, error=error)
 
-    for t in range(cfg.max_iters):
-        last = t == cfg.max_iters - 1
-        evaluate = not stochastic or t % cfg.eval_stride == 0 or last
-        record = t % record_stride == 0 or last
-        try:
-            out = _step(problem, live_configs, x, y, vx, vy, draws, full, evaluate, record)
-        except _FAILURES as err:
-            if len(live) == 1:
-                close(0, t, StopReason.NUMERICAL_ERROR, f"{type(err).__name__}: {err}")
+    # The run's one errstate: overflow, invalid results and division by zero
+    # in a step read as inf or nan, not as warnings. A non-finite oracle
+    # output fails its tangent check, non-finite norms (an SPD metric whose
+    # eigenvalue products underflow to 0 among them) or scaled steps raise
+    # NumericalError, and a retraction's guard or ``_frozen`` reports the rest.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for t in range(cfg.max_iters):
+            last = t == cfg.max_iters - 1
+            evaluate = not stochastic or t % cfg.eval_stride == 0 or last
+            record = t % record_stride == 0 or last
+            try:
+                out = _step(problem, live_configs, x, y, vx, vy, draws, full, evaluate, record)
+            except _FAILURES as err:
+                if len(live) == 1:
+                    close(0, t, StopReason.NUMERICAL_ERROR, f"{type(err).__name__}: {err}")
+                    return traces
+                # Rows do not depend on the batch, so each half of the live rows,
+                # rerun from the start, finds its failing rows with solo traces.
+                half = len(live) // 2
+                for part in (live[:half], live[half:]):
+                    reruns = run_seeds(problem, [configs[i] for i in part], x0=x0, y0=y0)
+                    for i, trace in zip(part, reruns):
+                        traces[i] = trace
                 return traces
-            # Rows do not depend on the batch, so each half of the live rows,
-            # rerun from the start, finds its failing rows with solo traces.
-            half = len(live) // 2
-            for part in (live[:half], live[half:]):
-                reruns = run_seeds(problem, [configs[i] for i in part], x0=x0, y0=y0)
-                for i, trace in zip(part, reruns):
-                    traces[i] = trace
-            return traces
-        x1, y1, vx1, vy1, eta, gamma, nx2, ny2, sx, sy, f = out
-        steps += 1
-        peak = [max(p, a, b) for p, a, b in zip(peak, nx2, ny2)]
+            x1, y1, vx1, vy1, eta, gamma, nx2, ny2, sx, sy, f = out
+            steps += 1
+            peak = [max(p, a, b) for p, a, b in zip(peak, nx2, ny2)]
 
-        # Iterate t is evaluated and recorded with the stepsizes of step t; a
-        # converged iterate ends its row and is kept as its final state.
-        if sx is not None:
-            evals += 1
-            converged, wall = [], None
-            for j, i in enumerate(live):
-                stat = sx[j] + sy[j]
-                low[j] = min(low[j], stat)
-                if stat <= cfg.grad_tol:
-                    converged.append(j)
-                elif not record:
-                    continue
-                wall = time.perf_counter() - start if wall is None else wall
-                records[i].append(IterationRecord(t, sx[j], sy[j], eta[j], gamma[j], f[j], wall))
-            if converged:
-                for j in converged:
-                    close(j, t, StopReason.CONVERGED)
-                keep = [j for j in range(len(live)) if j not in converged]
-                live, live_configs, x1, y1, vx1, vy1, low, peak = _rows(
-                    keep, live, live_configs, x1, y1, vx1, vy1, low, peak)
-                for side in draws or ():
-                    side.keep(keep)
-                if not live:
-                    break
-        x, y, vx, vy = x1, y1, vx1, vy1
+            # Iterate t is evaluated and recorded with the stepsizes of step t; a
+            # converged iterate ends its row and is kept as its final state.
+            if sx is not None:
+                evals += 1
+                converged, wall = [], None
+                for j, i in enumerate(live):
+                    stat = sx[j] + sy[j]
+                    low[j] = min(low[j], stat)
+                    if stat <= cfg.grad_tol:
+                        converged.append(j)
+                    elif not record:
+                        continue
+                    wall = time.perf_counter() - start if wall is None else wall
+                    records[i].append(IterationRecord(t, sx[j], sy[j], eta[j], gamma[j], f[j], wall))
+                if converged:
+                    for j in converged:
+                        close(j, t, StopReason.CONVERGED)
+                    keep = [j for j in range(len(live)) if j not in converged]
+                    live, live_configs, x1, y1, vx1, vy1, low, peak = _rows(
+                        keep, live, live_configs, x1, y1, vx1, vy1, low, peak)
+                    for side in draws or ():
+                        side.keep(keep)
+                    if not live:
+                        break
+            x, y, vx, vy = x1, y1, vx1, vy1
     for j in range(len(live)):
         close(j, cfg.max_iters, StopReason.MAX_ITERS)
     return traces

@@ -3,6 +3,7 @@
 Every row of a batch must be the solo run of its config, bit for bit, whatever
 the batch size, including rows that converge or fail and leave the batch.
 """
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -10,7 +11,6 @@ import pytest
 
 from manimax import (
     ConfigError,
-    NumericalError,
     Method,
     NumericalOverflow,
     SolverConfig,
@@ -197,17 +197,106 @@ def test_stochastic_rows_that_fail_mid_step_replay_their_draws(problem, cfg):
         assert fingerprint(row) == fingerprint(solo(problem, cfg, seed))
 
 
-def test_a_row_whose_scaled_step_overflows_leaves_the_batch():
-    # The second row's ascent step eta_y * grad_y overflows at t = 0; the
-    # first row runs on as it runs alone.
-    problem = generate_quadratic_instance(20, 10, 1.0, seed=0, noise_sigma=0.0)
-    healthy = SolverConfig(method=Method.TSGDA, eta_y=0.5, max_iters=30)
-    ok, failed = run_seeds(problem, [healthy, replace(healthy, eta_y=1.7e308)])
-    assert failed.stop_reason is StopReason.NUMERICAL_ERROR
-    assert failed.error == f"{NumericalError.__name__}: a scaled gradient step overflowed"
-    assert failed.final_state.t == 0 and failed.records == []
+def poisoned(problem, side, bad, start):
+    """``problem`` whose exact gradient on ``side`` ("x" or "y") is bad(x_row, g_row)
+    on a row whose x is ``start``, so it fails at step 0 of that row only."""
+    base = type(problem)
+
+    def grad(self, x, y, idx=None, rng=None):
+        g = getattr(base, f"_grad_{side}")(self, x, y, idx, rng)
+        hit = np.all(x == start, axis=-1)
+        if hit.any():
+            g[hit] = bad(x[hit], g[hit])
+        return g
+
+    twin = object.__new__(type(f"Poisoned{base.__name__}", (base,), {f"_grad_{side}": grad}))
+    twin.__dict__.update(problem.__dict__)
+    return twin
+
+
+def failing_row(problem, healthy, side, bad):
+    """(problem, healthy, failing), where the failing row takes seed
+    healthy.seed + 1 and the problem's gradient fails on its start."""
+    failing = replace(healthy, seed=healthy.seed + 1)
+    start = run(problem, replace(failing, max_iters=0)).final_state.x.data
+    return poisoned(problem, side, bad, start), healthy, failing
+
+
+def _failing_rows():
+    quad = generate_quadratic_instance(20, 10, 1.0, seed=0, noise_sigma=0.0)
+    quad_cfg = SolverConfig(method=Method.TSGDA, eta_y=0.5, max_iters=30)
+    mle_cfg = SolverConfig(method=Method.RAGDA, max_iters=30)
+    nan = lambda x, g: np.nan
+    return {
+        # The ascent step eta_y * grad_y overflows at t = 0.
+        "scaled-step-overflows": (quad, quad_cfg, replace(quad_cfg, eta_y=1.7e308),
+                                  "NumericalError: a scaled gradient step overflowed"),
+        "nan-gradient-sphere": (*failing_row(quad, quad_cfg, "x", nan),
+                                "InvalidGeometry: sphere tangent contains non-finite entries"),
+        "nan-gradient-spd": (*failing_row(MLE, mle_cfg, "y", nan),
+                             "InvalidGeometry: spd tangent contains non-finite entries"),
+        "gradient-not-tangent": (*failing_row(quad, quad_cfg, "x", lambda x, g: x),
+                                 "InvalidGeometry: tangent is not orthogonal to the sphere point"),
+        # Finite and tangent, but its squared norm overflows.
+        "squared-norm-overflows": (*failing_row(quad, quad_cfg, "x", lambda x, g: 1e200 * g),
+                                   "NumericalError: non-finite gradient norm"),
+    }
+
+
+FAILING_ROWS = _failing_rows()
+
+
+@pytest.mark.parametrize("case", FAILING_ROWS)
+def test_a_row_whose_step_fails_leaves_the_batch(case):
+    # The failing row stops at t = 0 with a typed error and no warning, alone
+    # and as the second row of a batch; the first row runs on as it runs alone.
+    problem, healthy, failing, error = FAILING_ROWS[case]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        alone = run(problem, failing)
+        ok, failed = run_seeds(problem, [healthy, failing])
+        healthy_alone = run(problem, healthy)
+    assert caught == []
+    for trace in (alone, failed):
+        assert trace.stop_reason is StopReason.NUMERICAL_ERROR
+        assert trace.error == error
+        assert trace.final_state.t == 0 and trace.records == []
     assert ok.stop_reason is StopReason.MAX_ITERS
-    assert fingerprint(ok) == fingerprint(run(problem, healthy))
+    assert fingerprint(ok) == fingerprint(healthy_alone)
+
+
+@pytest.mark.parametrize("size", [4, 13])
+@pytest.mark.parametrize("cap", [2**20, 100, 7])
+def test_normal_look_ahead_is_capped_in_floats(monkeypatch, cap, size):
+    # One side's block of standard normals holds 64 calls, or as many as fit
+    # in the cap, and one call when even one does not fit (3 rows of 4 or 13
+    # floats pass a cap of 7). Across refills and a row that leaves, each row
+    # draws what its own generator draws call by call.
+    monkeypatch.setattr(solvers, "_NORMAL_FLOATS", cap)
+    live = [0, 1, 2]
+    draws = solvers._Draws(np.random.default_rng(seed) for seed in live)
+    alone = [np.random.default_rng(seed) for seed in live]
+    for call in range(150):
+        if call == 70:
+            live = [0, 2]
+            draws.keep([0, 2])
+        got = draws.standard_normal((len(live), size))
+        assert got.tobytes() == np.stack([alone[i].standard_normal(size) for i in live]).tobytes()
+        assert draws.block.shape[1] <= 64 * size
+        assert draws.block.size <= max(cap, len(live) * size)
+    if cap == 2**20:
+        assert draws.block.shape[1] == 64 * size
+
+
+def test_normal_draws_of_mixed_sizes_keep_the_stream(monkeypatch):
+    # Calls of different sizes leave part of a block unread at a refill; it is
+    # served before the fresh block, so the stream is still the call-by-call one.
+    monkeypatch.setattr(solvers, "_NORMAL_FLOATS", 40)
+    draws = solvers._Draws(np.random.default_rng(seed) for seed in (4, 5))
+    alone = [np.random.default_rng(seed) for seed in (4, 5)]
+    for size in [3, 3, 7, 1, 25, 3, 2, 9, 3, 3, 4, 6] * 4:
+        got = draws.standard_normal((2, size))
+        assert got.tobytes() == np.stack([g.standard_normal(size) for g in alone]).tobytes()
 
 
 def test_run_seeds_checks_its_seeds(monkeypatch):

@@ -1,4 +1,5 @@
-"""tools/output_digest.py hashes outputs without their clocks, and a run hashes alike twice."""
+"""tools/output_digest.py hashes outputs without their clocks, a run hashes alike
+twice, and every output of the tree keeps the bits pinned in tests/output_digest.txt."""
 import importlib.util
 from pathlib import Path
 
@@ -12,6 +13,7 @@ digest = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(digest)
 
 HEADER = [column for column, _ in cli._CSV_COLUMNS]
+PINNED = ROOT / "tests" / "output_digest.txt"
 
 
 def csv_text(rows: list[list[str]]) -> bytes:
@@ -54,3 +56,18 @@ def test_a_run_hashes_alike_twice():
         f"synthetic-rsagda/synthetic-quadratic-rsagda_{name}" for name in (
             "rep0.csv", "rep0_x.point", "rep0_y.point", "rep1.csv", "rep1_x.point", "rep1_y.point", "summary.txt")
     ]
+
+
+def test_outputs_keep_their_pinned_bits():
+    # Bits depend on the Python, numpy and BLAS builds: a pin made on other
+    # builds says nothing here, so the test fails and names both. To change an
+    # output on purpose, rewrite the pin as tools/output_digest.py says.
+    lines = PINNED.read_text(encoding="utf-8").splitlines()
+    pinned_env = [line for line in lines if line.startswith("#")]
+    here = digest.environment()
+    assert pinned_env == here, f"the pin was made on {pinned_env}, this environment is {here}"
+    pinned = dict(reversed(line.split("  ", 1)) for line in lines if not line.startswith("#"))
+    now = dict(reversed(line.split("  ", 1)) for line in digest.digest(ROOT))
+    changed = sorted(name for name in pinned.keys() | now.keys() if pinned.get(name) != now.get(name))
+    assert not changed, f"outputs whose bits differ from the pin: {changed}"
+    assert len(now) == 26

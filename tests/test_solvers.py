@@ -261,9 +261,11 @@ def test_initial_point_on_wrong_manifold_rejected():
 def test_geometry_checked_only_at_the_boundary(monkeypatch, prob, method):
     # Per step, only the two oracle outputs are validated; retraction
     # results are built without membership checks, and the exact gradients
-    # of a stochastic run's evaluations are not checked either.
+    # of a stochastic run's evaluations are not checked either. The step
+    # checks its tangents through _validate_tangent, which the public
+    # check_tangent wraps, so counting it counts both.
     counts = {"point": 0, "tangent": 0}
-    check_point, check_tangent = Manifold.check_point, Manifold.check_tangent
+    check_point, check_tangent = Manifold.check_point, Manifold._validate_tangent
 
     def counted_point(self, data):
         counts["point"] += 1
@@ -274,7 +276,7 @@ def test_geometry_checked_only_at_the_boundary(monkeypatch, prob, method):
         check_tangent(self, base, data)
 
     monkeypatch.setattr(Manifold, "check_point", counted_point)
-    monkeypatch.setattr(Manifold, "check_tangent", counted_tangent)
+    monkeypatch.setattr(Manifold, "_validate_tangent", counted_tangent)
     seen = {}
     for steps in (0, 20):
         counts.update(point=0, tangent=0)
@@ -320,9 +322,9 @@ def test_robust_mle_small_step_decomposes_once(monkeypatch, method):
 )
 def test_batched_step_checks_two_stacked_tangents(monkeypatch, prob, method):
     # A step of a batch of 3 seeds validates the two stacked oracle outputs,
-    # one check_tangent call each, and no point.
+    # one _validate_tangent call each, and no point.
     counts = {"point": 0, "tangent": 0}
-    check_point, check_tangent = Manifold.check_point, Manifold.check_tangent
+    check_point, check_tangent = Manifold.check_point, Manifold._validate_tangent
 
     def counted_point(self, data):
         counts["point"] += 1
@@ -334,7 +336,7 @@ def test_batched_step_checks_two_stacked_tangents(monkeypatch, prob, method):
         check_tangent(self, base, data)
 
     monkeypatch.setattr(Manifold, "check_point", counted_point)
-    monkeypatch.setattr(Manifold, "check_tangent", counted_tangent)
+    monkeypatch.setattr(Manifold, "_validate_tangent", counted_tangent)
     seen = {}
     for steps in (0, 20):
         counts.update(point=0, tangent=0)

@@ -8,20 +8,32 @@ Run from the root of a checkout, with no arguments:
 With seed 0 and data seed 0, and the checkout's own `src/` on the path, it
 runs the four packaged presets (`synthetic-rsagda` with 4 repeats of 5000
 steps) and `verify --suite all`, and prints one line `<sha256>  <name>` per
-output. Clocks are left out of the hash: the `wall_s` column of each CSV
-trace and the `repeat<i>.wall_s` lines of each summary. `.point` files and
-the verify stdout are hashed as written. To compare two trees, run the same
-script from the root of each and diff the two listings.
+output, after three `#` lines naming the Python, numpy and BLAS builds that
+the bits depend on. Clocks are left out of the hash: the `wall_s` column of
+each CSV trace and the `repeat<i>.wall_s` lines of each summary. `.point`
+files and the verify stdout are hashed as written. To compare two trees, run
+the same script from the root of each and diff the two listings.
+
+`tests/output_digest.txt` pins this listing, and `tests/test_output_digest.py`
+checks the tree against it. A change that means to alter an output rewrites
+the pin, from the root of the checkout, with
+
+    python tools/output_digest.py > tests/output_digest.txt
+
+and says which outputs changed and why.
 """
 from __future__ import annotations
 
 import hashlib
 import os
+import platform
 import re
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 RUNS = {
     "robust-mle-ragda": [],
@@ -62,11 +74,21 @@ def run_digest(root: Path, preset: str, extra: list[str]) -> list[str]:
         return [digest_line(f"{preset}/{path.name}", path.read_bytes()) for path in sorted(Path(out).iterdir())]
 
 
+def environment() -> list[str]:
+    """The `#` header lines: the Python, numpy and BLAS builds that the bits depend on."""
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    return [f"# python {platform.python_version()}", f"# numpy {np.__version__}",
+            f"# blas {blas.get('name')} {blas.get('version')}"]
+
+
+def digest(root: Path) -> list[str]:
+    """The digest lines of every output of the presets and of `verify` run on `root/src`."""
+    lines = [line for preset, extra in RUNS.items() for line in run_digest(root, preset, extra)]
+    return lines + [digest_line("verify/stdout", manimax(root, ["verify", "--suite", "all", *SEEDS]).encode("utf-8"))]
+
+
 def main() -> None:
-    root = Path.cwd()
-    for preset, extra in RUNS.items():
-        print("\n".join(run_digest(root, preset, extra)))
-    print(digest_line("verify/stdout", manimax(root, ["verify", "--suite", "all", *SEEDS]).encode("utf-8")))
+    print("\n".join(environment() + digest(Path.cwd())))
 
 
 if __name__ == "__main__":

@@ -755,7 +755,7 @@ class SPD(Manifold):
         f = self.point_factors(base)
         U = f.Q.mT @ self._mat(u) @ f.Q
         V = U if v is u else f.Q.mT @ self._mat(v) @ f.Q
-        return np.sum(U * V / f.ww, axis=(-2, -1))
+        return np.add.reduce(U * V / f.ww, axis=(-2, -1))
 
     def _whitened(self, x: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(rt, irt, S) with X^1/2 = rt @ Q.T, X^-1/2 = irt @ Q.T, S = X^-1/2 M X^-1/2."""

@@ -97,6 +97,9 @@ class MinimaxProblem:
     arguments; the public oracles here check the points and the batch, and
     return validated Tangents.
 
+    ``_value`` runs under its caller's errstate, as the gradient kernels do:
+    the public ``value`` or a solver run.
+
     Kernels are row-wise: x and y are points (n,) or stacks of them (R, n),
     results stack the same way, idx is one batch or one per row (R, b), and
     ``rng.standard_normal(shape)`` draws row i of an (R, ...) result from row
@@ -109,7 +112,9 @@ class MinimaxProblem:
     sample_count: int = 1
 
     def value(self, x: Point, y: Point) -> float:
-        return float(self._value(*self._arrays(x, y)))
+        x, y = self._arrays(x, y)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return float(self._value(x, y))
 
     def grad_x(self, x: Point, y: Point) -> Tangent:
         """Exact Riemannian gradient in the minimization variable."""
@@ -174,6 +179,8 @@ class RobustMleProblem(MinimaxProblem):
         self.n, self.d = self.a.shape
         self.z = np.hstack([self.a, np.ones((self.n, 1))])
         self.z.setflags(write=False)
+        # (key, rows) of the last x whose full-data rows were formed; replaced whole.
+        self._rows_memo: tuple[tuple, np.ndarray] | None = None
         self.mx: Sphere = Sphere(self.d + 1)
         self.my: SPD = SPD(self.d + 1)
         self.sample_count = self.n
@@ -182,23 +189,31 @@ class RobustMleProblem(MinimaxProblem):
     # quadratic term scaled by n / |idx|; they draw nothing from rng.
 
     def _quad_rows(self, x: np.ndarray, idx: np.ndarray | None) -> np.ndarray:
-        rows = self.z if idx is None else self.z[idx]
-        return rows - x[..., None, :]
+        """z - x on the rows in idx; the full rows, read-only, are kept for the last x by shape and bytes."""
+        if idx is not None:
+            return self.z[idx] - x[..., None, :]
+        key, memo = (x.shape, x.dtype, x.tobytes()), self._rows_memo
+        if memo is not None and memo[0] == key:
+            return memo[1]
+        self._rows_memo = None  # drop the old rows before the new ones exist
+        W = self.z - x[..., None, :]
+        W.setflags(write=False)
+        self._rows_memo = (key, W)
+        return W
 
     def _value(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         f = self.my.point_factors(y)
         logs = np.log(f.w)
-        logdet = logs.sum(axis=-1)
+        logdet = np.add.reduce(logs, axis=-1)
         W = self._quad_rows(x, None)
-        with np.errstate(over="ignore", invalid="ignore"):
-            quad = np.sum((W @ f.inv) * W, axis=(-2, -1))
-            val = -0.5 * self.n * logdet - 0.5 * quad + self.c * np.vecdot(logs, logs)
+        quad = np.add.reduce((W @ f.inv) * W, axis=(-2, -1))
+        val = -0.5 * self.n * logdet - 0.5 * quad + self.c * np.vecdot(logs, logs)
         if not _all_finite(val):
             raise NumericalOverflow(f"objective overflowed (logdet={np.min(logdet):.6g})")
         return val
 
     def _grad_x(self, x: np.ndarray, y: np.ndarray, idx: np.ndarray | None = None, rng=None) -> np.ndarray:
-        g = np.matvec(self.my.point_factors(y).inv, self._quad_rows(x, idx).sum(axis=-2))
+        g = np.matvec(self.my.point_factors(y).inv, np.add.reduce(self._quad_rows(x, idx), axis=-2))
         return self.mx._project(x, g if idx is None else (self.n / idx.shape[-1]) * g)
 
     def _grad_y(self, x: np.ndarray, y: np.ndarray, idx: np.ndarray | None = None, rng=None) -> np.ndarray:
@@ -251,10 +266,9 @@ class SyntheticQuadratic(MinimaxProblem):
         self.sample_count = 1
 
     def _value(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        # Huge finite y can overflow y @ y where A^T y does not: that reads as inf here.
-        with np.errstate(over="ignore", invalid="ignore"):
-            val = np.vecdot(y, np.matvec(self.a_mat, x)) - 0.5 * self.mu * np.vecdot(y, y)
-            val = val + np.vecdot(self.b, x)
+        # Huge finite y can overflow y @ y where A^T y does not: under the caller's errstate, an inf.
+        val = np.vecdot(y, np.matvec(self.a_mat, x)) - 0.5 * self.mu * np.vecdot(y, y)
+        val = val + np.vecdot(self.b, x)
         if not _all_finite(val):
             raise NumericalOverflow("objective overflowed")
         return val

@@ -10,10 +10,13 @@ from numpy.testing import assert_allclose
 from manimax import (
     Batch,
     EmptyBatch,
+    Method,
     NumericalOverflow,
     Point,
     ProblemError,
     RobustMleProblem,
+    SolverConfig,
+    StopReason,
     SyntheticQuadratic,
     Tangent,
     UnsupportedOperation,
@@ -21,6 +24,7 @@ from manimax import (
     generate_gaussian_instance,
     generate_multiscale_instance,
     generate_quadratic_instance,
+    run,
 )
 
 RNG = np.random.default_rng(7151)
@@ -145,6 +149,57 @@ def test_robust_mle_full_batch_equals_exact_bitwise():
     sy = prob.stoch_grad_y(x, y, full, rng)
     assert np.array_equal(sx.data, prob.grad_x(x, y).data)
     assert np.array_equal(sy.data, prob.grad_y(x, y).data)
+
+
+def test_robust_mle_memo_rows_have_the_bits_of_fresh_rows():
+    # The full rows z - x of the last x are kept read-only and served again
+    # to an equal x; a stack's row i is the single row, and every kernel on
+    # a warm memo has the bits of the kernel on a fresh problem.
+    prob = generate_gaussian_instance(4, 9, -5.0, seed=1)
+    rng = np.random.default_rng(4)
+    pairs = [random_pair(prob, rng) for _ in range(3)]
+    xs, ys = (np.stack([p.data for p in side]) for side in zip(*pairs))
+    for x in (xs, xs[1]):
+        first = prob._quad_rows(x, None)
+        assert prob._quad_rows(x.copy(), None) is first and not first.flags.writeable
+        assert np.array_equal(first, prob.z - x[..., None, :])
+    for i in range(3):
+        assert np.array_equal(prob._quad_rows(xs, None)[i], prob._quad_rows(xs[i], None))
+    for kernel in ("_value", "_grad_x", "_grad_y"):
+        prob._quad_rows(xs, None)
+        fresh = generate_gaussian_instance(4, 9, -5.0, seed=1)
+        assert np.array_equal(getattr(prob, kernel)(xs, ys), getattr(fresh, kernel)(xs, ys))
+
+
+def test_robust_mle_rows_of_an_x_changed_in_place_are_fresh():
+    prob = generate_gaussian_instance(4, 9, -5.0, seed=1)
+    x, y = random_pair(prob, np.random.default_rng(6))
+    x, y = x.data.copy(), y.data
+    before = prob._quad_rows(x, None)
+    g = prob._grad_x(x, y)
+    x[:2] = x[1::-1]  # another point of the sphere, in the same array
+    after = prob._quad_rows(x, None)
+    assert not np.array_equal(after, before)
+    assert np.array_equal(after, prob.z - x)
+    fresh = generate_gaussian_instance(4, 9, -5.0, seed=1)
+    assert np.array_equal(prob._grad_x(x, y), fresh._grad_x(x, y))
+    assert not np.array_equal(prob._grad_x(x, y), g)
+
+
+def test_robust_mle_batches_never_read_the_row_memo():
+    # With the memo poisoned, a batch's gradients still have the bits of
+    # the same batch on a fresh problem, and the memo is left as it was.
+    prob = generate_gaussian_instance(4, 9, -5.0, seed=1)
+    x, y = (p.data for p in random_pair(prob, np.random.default_rng(8)))
+    prob._quad_rows(x, None)
+    key, rows = prob._rows_memo
+    prob._rows_memo = poisoned = (key, np.zeros_like(rows))
+    fresh = generate_gaussian_instance(4, 9, -5.0, seed=1)
+    for idx in (np.arange(prob.sample_count), np.array([2, 0, 2])):
+        for kernel in ("_stoch_grad_x", "_stoch_grad_y"):
+            assert np.array_equal(getattr(prob, kernel)(x, y, idx), getattr(fresh, kernel)(x, y, idx))
+    assert prob._rows_memo is poisoned
+    assert not np.array_equal(prob._grad_x(x, y), fresh._grad_x(x, y))  # the exact kernel reads the poison
 
 
 def test_robust_mle_singleton_batches_average_to_exact():
@@ -384,13 +439,31 @@ def test_overflow_guard():
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("scale", [1e154, 1e300])
 def test_quadratic_value_overflow_is_typed_not_a_warning(scale):
-    # y @ y overflows where A^T y does not: a NumericalOverflow, no warning.
+    # y @ y overflows where A^T y does not: a NumericalOverflow, no warning,
+    # from the public value, which opens its own errstate, and from the
+    # kernel under the errstate that its caller holds.
     prob = generate_quadratic_instance(20, 10, 1.0, 0)
-    x = prob.mx.random_point(RNG).data
+    x = prob.mx.random_point(RNG)
     with pytest.raises(NumericalOverflow):
-        prob._value(x, np.full(10, scale))
-    with pytest.raises(NumericalOverflow):
-        prob._value(np.stack([x, x]), np.stack([np.zeros(10), np.full(10, scale)]))
+        prob.value(x, Point(prob.my, np.full(10, scale)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericalOverflow):
+            prob._value(x.data, np.full(10, scale))
+        with pytest.raises(NumericalOverflow):
+            prob._value(np.stack([x.data, x.data]), np.stack([np.zeros(10), np.full(10, scale)]))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scale", [1e154, 1e300])
+def test_a_run_whose_value_overflows_stops_typed_not_with_a_warning(scale):
+    # y = scale * (1, 1) has A^T y = 0 exactly and mu y tiny, so the gradients,
+    # their norms and the step stay finite, while y @ y overflows in the value
+    # that iterate 0 records.
+    prob = SyntheticQuadratic(np.array([[1.0, 1.0], [-1.0, -1.0]]), 1e-300, np.array([0.5, -0.25]), 0.0)
+    trace = run(prob, SolverConfig(method=Method.RAGDA, max_iters=5, seed=0), y0=Point(prob.my, np.full(2, scale)))
+    assert trace.stop_reason is StopReason.NUMERICAL_ERROR
+    assert trace.error == "NumericalOverflow: objective overflowed"
+    assert (trace.final_state.t, trace.records) == (0, [])
 
 
 # -- row-wise kernels --------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Solver tests: hand-stepped updates, determinism, stepsize laws, traces."""
 import math
+import sys
 from dataclasses import replace
 from fractions import Fraction
 
@@ -147,14 +148,20 @@ def test_rsagda_full_batch_no_noise_is_ragda_bitwise():
 
 
 def test_rsagda_full_batch_robust_mle_bitwise():
+    # RSAGDA's full batch forms its rows z - x fresh, and RAGDA's come from
+    # the problem's row memo; on one shared problem, alone and as a stack of
+    # seeds, the two agree bit for bit in their final states and records.
     prob = generate_gaussian_instance(3, 6, -5.0, seed=2)
-    a = SolverConfig(method=Method.RAGDA, eta_x=0.5, eta_y=5.0, max_iters=100, seed=4)
-    b = SolverConfig(method=Method.RSAGDA, eta_x=0.5, eta_y=5.0, max_iters=100,
-                     seed=4, batch_size=6, eval_stride=1)
-    ta = run(prob, a)
-    tb = run(prob, b)
-    assert np.array_equal(ta.final_state.x.data, tb.final_state.x.data)
-    assert np.array_equal(ta.final_state.y.data, tb.final_state.y.data)
+    a = SolverConfig(method=Method.RAGDA, eta_x=0.5, eta_y=5.0, max_iters=100)
+    b = replace(a, method=Method.RSAGDA, batch_size=6, eval_stride=1)
+    for seeds in ([4], [4, 7, 8]):
+        ta = run_seeds(prob, [replace(a, seed=seed) for seed in seeds])
+        tb = run_seeds(prob, [replace(b, seed=seed) for seed in seeds])
+        for u, v in zip(ta, tb):
+            assert np.array_equal(u.final_state.x.data, v.final_state.x.data)
+            assert np.array_equal(u.final_state.y.data, v.final_state.y.data)
+            assert (u.final_state.vx, u.final_state.vy) == (v.final_state.vx, v.final_state.vy)
+            assert [replace(r, wall_s=0.0) for r in u.records] == [replace(r, wall_s=0.0) for r in v.records]
 
 
 def test_rsagda_step_draws_two_independent_batches():
@@ -284,7 +291,38 @@ def test_geometry_checked_only_at_the_boundary(monkeypatch, prob, method):
         assert trace.final_state.t == steps
         seen[steps] = dict(counts)
     assert seen[20]["point"] - seen[0]["point"] == 0
-    assert seen[20]["tangent"] - seen[0]["tangent"] <= 2 * 20
+    assert seen[20]["tangent"] - seen[0]["tangent"] == 2 * 20
+
+
+@pytest.mark.parametrize(
+    "prob, method",
+    [(generate_gaussian_instance(4, 12, -5.0, seed=0), Method.RAGDA),
+     (generate_gaussian_instance(4, 12, -5.0, seed=0), Method.GDA),
+     (generate_quadratic_instance(6, 4, 1.0, 0, 0.1), Method.RAGDA),
+     (generate_quadratic_instance(6, 4, 1.0, 0, 0.1), Method.RSAGDA)],
+    ids=["robust-mle-ragda", "robust-mle-gda", "quadratic-ragda", "quadratic-rsagda"],
+)
+def test_a_run_opens_one_error_scope_whatever_its_step_count(monkeypatch, prob, method):
+    # The run's one np.errstate covers its whole step loop, and a step opens
+    # none, the value kernels included. Before the loop, the public check of
+    # each start point opens its own. numpy's linalg binds its own errstate,
+    # so the scope inside eigh is numpy's and is not counted.
+    opened = []
+    errstate = np.errstate
+
+    def counted(*args, **kwargs):
+        opened.append(sys._getframe(1).f_code.co_name)
+        return errstate(*args, **kwargs)
+
+    monkeypatch.setattr(np, "errstate", counted)
+    seen = {}
+    for steps in (0, 20):
+        opened.clear()
+        cfg = SolverConfig(method=method, max_iters=steps, seed=1, eta_x=5e-4, eta_y=5e-4, eval_stride=5)
+        assert run(prob, cfg).final_state.t == steps
+        seen[steps] = list(opened)
+    assert [name for name in seen[0] if name != "check_point"] == ["run_seeds"]
+    assert seen[20] == seen[0]
 
 
 def _count_decompositions(monkeypatch) -> list[int]:
@@ -310,6 +348,34 @@ def test_robust_mle_small_step_decomposes_once(monkeypatch, method):
         count[0] = 0
         trace = run(prob, SolverConfig(method=method, max_iters=steps, seed=1, eta_x=5e-4, eta_y=5e-4))
         assert trace.final_state.t == steps
+        seen[steps] = count[0]
+    assert seen[20] - seen[0] == 20
+
+
+def _count_row_formations(prob) -> list[int]:
+    """Counts each z - x that the robust-MLE problem forms from its data rows z."""
+    count = [0]
+
+    class CountedRows(np.ndarray):
+        def __sub__(self, other):
+            count[0] += 1
+            return np.subtract(self.view(np.ndarray), other)
+
+    prob.z = prob.z.view(CountedRows)
+    return count
+
+
+@pytest.mark.parametrize("method", [Method.RAGDA, Method.GDA])
+def test_robust_mle_step_forms_its_residual_rows_once(method):
+    # The value and both oracles of a step read one z - x of the iterate.
+    prob = generate_gaussian_instance(4, 12, -5.0, seed=0)
+    count = _count_row_formations(prob)
+    seen = {}
+    for steps in (0, 20):
+        count[0] = 0
+        trace = run(prob, SolverConfig(method=method, max_iters=steps, seed=1, eta_x=5e-4, eta_y=5e-4))
+        assert trace.final_state.t == steps
+        assert len(trace.records) == steps  # each step records, so each evaluates the value
         seen[steps] = count[0]
     assert seen[20] - seen[0] == 20
 

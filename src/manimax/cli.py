@@ -16,15 +16,15 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import Field, dataclass, field, fields, replace
 from importlib import resources
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
-from .manifolds import (SPD, Euclidean, InvalidGeometry, Sphere, Stiefel, UnsupportedOperation, _count, _real,
-                        _shown, serialize_point)
+from .manifolds import (SPD, Euclidean, InvalidGeometry, Sphere, Stiefel, UnsupportedOperation, _count, _shown,
+                        serialize_point)
 from .problems import (
     MinimaxProblem,
     ProblemError,
@@ -32,8 +32,8 @@ from .problems import (
     generate_multiscale_instance,
     generate_quadratic_instance,
 )
-from .solvers import (RECORD_CAP, ConfigError, Method, SolverConfig, StopReason, Trace, run, run_seeds,
-                      running_min_checkpoints)
+from .solvers import (RECORD_CAP, ConfigError, Method, SolverConfig, StopReason, Trace, _check_settings, _setting,
+                      run, run_seeds, running_min_checkpoints)
 from .verification import (
     audit_transport_isometry,
     check_adaptive_sum_inequality,
@@ -64,53 +64,6 @@ def _finite(text: str) -> float:
     return value
 
 
-@dataclass(frozen=True)
-class _Field:
-    parse: Callable[[str], object]
-    help: str
-    verify: bool = False  # also a flag of ``manimax verify``
-
-
-# Every setting a preset line, a flag or RM_SEED can give. The key "solver"
-# sets SolverConfig.method; every other key sets the SolverConfig or
-# ExperimentConfig attribute of the same name, with "-" read as "_". A key
-# left unset keeps that dataclass's default.
-_FIELDS: dict[str, _Field] = {
-    "problem": _Field(str, f"one of {', '.join(_PROBLEMS)}", verify=True),
-    "solver": _Field(str, f"one of {', '.join(m.value for m in Method)}"),
-    "alpha": _Field(_finite, "descent stepsize exponent, in (0, 1)"),
-    "beta": _Field(_finite, "ascent stepsize exponent, in (0, 1)"),
-    "eta-x": _Field(_finite, "descent stepsize scale"),
-    "eta-y": _Field(_finite, "ascent stepsize scale"),
-    "v0-x": _Field(_finite, "initial descent accumulator"),
-    "v0-y": _Field(_finite, "initial ascent accumulator"),
-    "max-iters": _Field(_integer, "iteration budget"),
-    "grad-tol": _Field(_finite, "stop once ||grad_x|| + ||grad_y|| <= this"),
-    "batch-size": _Field(_integer, "minibatch size of the stochastic method"),
-    "seed": _Field(_integer, "base seed (RM_SEED env overrides)", verify=True),
-    "repeats": _Field(_integer, "independent runs, each with its own derived seed"),
-    "eval-stride": _Field(_integer, "steps between exact evaluations of stochastic runs"),
-    "label": _Field(str, "output filename stem (default: <problem>-<solver>)"),
-    "d": _Field(_integer, "robust-mle data dimension", verify=True),
-    "n": _Field(_integer, "robust-mle sample count", verify=True),
-    "c": _Field(_finite, "robust-mle regularization weight", verify=True),
-    "k": _Field(_integer, "synthetic-quadratic sphere dimension", verify=True),
-    "m": _Field(_integer, "synthetic-quadratic ascent dimension", verify=True),
-    "mu": _Field(_finite, "synthetic-quadratic concavity", verify=True),
-    "sigma": _Field(_finite, "synthetic-quadratic oracle noise"),
-    "data-seed": _Field(_integer, "seed of the generated instance", verify=True),
-}
-
-_SOLVER_ATTRS = {f.name for f in fields(SolverConfig)}
-
-
-def _parse(key: str, text: str, where: str) -> object:
-    try:
-        return _FIELDS[key].parse(text)
-    except ValueError as err:
-        raise ConfigError(f"{where} {err}") from None
-
-
 # What one ``run`` may ask for before any work starts: the repeats, the
 # IterationRecords that they may keep in all, at about 320 bytes each, and the
 # floats of their points (800 MB a stacked copy), of the instance and of a
@@ -119,23 +72,25 @@ _MAX_REPEATS = 10_000
 _MAX_RECORDS = 10**6
 _MAX_POINT_FLOATS = 10**8
 
+_NUMBER = ("must be a number", None)  # the rule of a real that the problem checks further
 
-@dataclass
+
+@dataclass(frozen=True)
 class ExperimentConfig:
     """Everything one ``run`` invocation needs: problem, solver, and output."""
 
-    problem: str = "robust-mle"
+    problem: str = _setting("robust-mle", f"one of {', '.join(_PROBLEMS)}", verify=True)
     solver: SolverConfig = field(default_factory=SolverConfig)
-    repeats: int = 1
-    label: str = ""
-    d: int = 30
-    n: int = 100
-    c: float = -5.0
-    k: int = 20
-    m: int = 10
-    mu: float = 1.0
-    sigma: float = 0.1
-    data_seed: int = 0
+    repeats: int = _setting(1, "independent runs, each with its own derived seed", count=(1, _MAX_REPEATS))
+    label: str = _setting("", "output filename stem (default: <problem>-<solver>)")
+    d: int = _setting(30, "robust-mle data dimension", count=(), verify=True)
+    n: int = _setting(100, "robust-mle sample count", count=(), verify=True)
+    c: float = _setting(-5.0, "robust-mle regularization weight", real=_NUMBER, verify=True)
+    k: int = _setting(20, "synthetic-quadratic sphere dimension", count=(), verify=True)
+    m: int = _setting(10, "synthetic-quadratic ascent dimension", count=(), verify=True)
+    mu: float = _setting(1.0, "synthetic-quadratic concavity", real=_NUMBER, verify=True)
+    sigma: float = _setting(0.1, "synthetic-quadratic oracle noise", real=_NUMBER)
+    data_seed: int = _setting(0, "seed of the generated instance", count=(0,), verify=True)
 
     def __post_init__(self) -> None:
         if not isinstance(self.problem, str) or self.problem not in _PROBLEMS:
@@ -145,13 +100,9 @@ class ExperimentConfig:
         if not isinstance(self.label, str):
             raise ConfigError(f"label must be a string, got {self.label!r}")
         # Types, and the ranges of the chosen problem's sizes, before the budgets below; the problem checks the rest.
-        _count(self.repeats, "repeats", 1, _MAX_REPEATS, ConfigError)
-        _count(self.data_seed, "data-seed", 0, error=ConfigError)
-        sizes = ("d", "n") if self.problem == "robust-mle" else ("k", "m")
-        for name in ("d", "n", "k", "m"):
-            _count(getattr(self, name), name, 1 if name in sizes else -math.inf, error=ConfigError)
-        for name in ("c", "mu", "sigma"):
-            _real(getattr(self, name), f"{name} must be a number", error=ConfigError)
+        _check_settings(self)
+        for name in ("d", "n") if self.problem == "robust-mle" else ("k", "m"):
+            _count(getattr(self, name), name, 1, error=ConfigError)
         if self.repeats * (min(self.solver.max_iters, RECORD_CAP) + 1) > _MAX_RECORDS:
             raise ConfigError(f"{self.repeats} repeats of {_shown(self.solver.max_iters)} steps "
                               f"may keep over {_MAX_RECORDS} records")
@@ -161,7 +112,7 @@ class ExperimentConfig:
         if self.repeats * row > _MAX_POINT_FLOATS:
             raise ConfigError(f"{self.repeats} repeats of {_shown(row)} point floats each "
                               f"exceed {_MAX_POINT_FLOATS} floats")
-        self.label = self.label or f"{self.problem}-{self.solver.method.value}"
+        object.__setattr__(self, "label", self.label or f"{self.problem}-{self.solver.method.value}")
         if not self.label.isprintable() or set(self.label) & {"/", os.sep, os.altsep or "/"}:
             raise ConfigError(f"label {self.label!r} must be printable and must not contain a path separator")
         # The longest output name (<label>_summary.txt is shorter) must fit the usual 255-byte limit.
@@ -178,9 +129,28 @@ class ExperimentConfig:
     @classmethod
     def from_fields(cls, values: dict[str, object]) -> "ExperimentConfig":
         """Config from parsed ``_FIELDS`` values; keys left out keep their defaults."""
-        attrs = {"method" if key == "solver" else key.replace("-", "_"): v for key, v in values.items()}
-        solver = SolverConfig(**{a: v for a, v in attrs.items() if a in _SOLVER_ATTRS})
-        return cls(solver=solver, **{a: v for a, v in attrs.items() if a not in _SOLVER_ATTRS})
+        attrs = {_FIELDS[key].name: value for key, value in values.items()}
+        solver = {f.name: attrs.pop(f.name) for f in fields(SolverConfig) if f.name in attrs}
+        return cls(solver=SolverConfig(**solver), **attrs)
+
+
+# Every setting a preset line, a flag or RM_SEED can give: its key, and the
+# SolverConfig or ExperimentConfig field that declares it. A key left unset
+# keeps that field's default.
+_FIELDS: dict[str, Field] = {f.metadata["key"] or f.name.replace("_", "-"): f
+                             for cls in (SolverConfig, ExperimentConfig) for f in fields(cls) if "help" in f.metadata}
+
+
+def _parser(spec: Field) -> Callable[[str], object]:
+    """The parser of a key's text: a count's is ``_integer``, a real's ``_finite``, any other's ``str``."""
+    return _integer if "count" in spec.metadata else _finite if "real" in spec.metadata else str
+
+
+def _parse(key: str, text: str, where: str) -> object:
+    try:
+        return _parser(_FIELDS[key])(text)
+    except ValueError as err:
+        raise ConfigError(f"{where} {err}") from None
 
 
 def _parse_fields(text: str, source: str) -> dict[str, object]:
@@ -334,7 +304,7 @@ def cli_run(args: argparse.Namespace) -> int:
 def _collect_fields(args: argparse.Namespace) -> dict[str, object]:
     """The preset (``run`` only), then the flags actually passed (argparse
     defaults are None), then RM_SEED for the seed."""
-    values = load_preset(args.preset) if getattr(args, "preset", None) else {}
+    values = load_preset(args.preset) if getattr(args, "preset", None) is not None else {}
     for key in _FIELDS:
         text = getattr(args, key, None)
         if text is not None:
@@ -493,8 +463,8 @@ def _build_parser() -> argparse.ArgumentParser:
     # Values stay text here and are parsed by _collect_fields, so that a flag
     # and a preset line go through the same parser and errors.
     for key, spec in _FIELDS.items():
-        for subparser in (runp, verp) if spec.verify else (runp,):
-            subparser.add_argument(f"--{key}", dest=key, help=spec.help)
+        for subparser in (runp, verp) if spec.metadata["verify"] else (runp,):
+            subparser.add_argument(f"--{key}", dest=key, help=spec.metadata["help"])
     return parser
 
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from enum import Enum
 
 import numpy as np
@@ -72,40 +72,51 @@ class StopReason(str, Enum):
     NUMERICAL_ERROR = "numerical_error"
 
 
+def _setting(default, help: str, key: str | None = None, verify: bool = False, **rule):
+    """A config field that declares its setting once: its default, its command line help and its
+    rule, ``count=`` the bounds ``_count`` takes or ``real=`` the (message, interval) ``_real`` takes;
+    a field without one parses as text and is checked by hand. Its command line key is ``key``, else
+    its name with "_" written "-"; ``verify=True`` makes the key a flag of ``manimax verify`` too."""
+    return field(default=default, metadata={"help": help, "key": key, "verify": verify, **rule})
+
+
+def _check_settings(config) -> None:
+    """Check every field of a config that has a rule by that rule, in field order."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if "count" in f.metadata:
+            _count(value, f.name, *f.metadata["count"], error=ConfigError)
+        elif "real" in f.metadata:
+            message, inside = f.metadata["real"]
+            _real(value, f"{f.name} {message}", inside, error=ConfigError)
+
+
+_POSITIVE = ("must be positive and finite", lambda v: 0 < v < math.inf)
+_EXPONENT = ("must lie in (0, 1)", lambda v: 0 < v < 1)
+
+
 @dataclass(frozen=True)
 class SolverConfig:
-    method: Method = Method.RAGDA
-    eta_x: float = 0.5
-    eta_y: float = 5.0
-    alpha: float = 0.5
-    beta: float = 0.5
-    v0_x: float = 1e-6
-    v0_y: float = 1e-6
-    max_iters: int = 1000
-    grad_tol: float = 0.0
-    batch_size: int = 1
-    seed: int = 0
-    eval_stride: int = 50
+    method: Method = _setting(Method.RAGDA, f"one of {', '.join(m.value for m in Method)}", key="solver")
+    eta_x: float = _setting(0.5, "descent stepsize scale", real=_POSITIVE)
+    eta_y: float = _setting(5.0, "ascent stepsize scale", real=_POSITIVE)
+    alpha: float = _setting(0.5, "descent stepsize exponent, in (0, 1)", real=_EXPONENT)
+    beta: float = _setting(0.5, "ascent stepsize exponent, in (0, 1)", real=_EXPONENT)
+    v0_x: float = _setting(1e-6, "initial descent accumulator", real=_POSITIVE)
+    v0_y: float = _setting(1e-6, "initial ascent accumulator", real=_POSITIVE)
+    max_iters: int = _setting(1000, "iteration budget", count=(0,))
+    grad_tol: float = _setting(0.0, "stop once ||grad_x|| + ||grad_y|| <= this",
+                               real=("must be nonnegative and finite", lambda v: 0 <= v < math.inf))
+    batch_size: int = _setting(1, "minibatch size of the stochastic method", count=(1,))
+    seed: int = _setting(0, "base seed (RM_SEED env overrides)", count=(0,), verify=True)
+    eval_stride: int = _setting(50, "steps between exact evaluations of stochastic runs", count=(1,))
 
     def __post_init__(self) -> None:
         try:
             object.__setattr__(self, "method", Method(self.method))
         except ValueError:
-            raise ConfigError(
-                f"unknown method {self.method!r}; choose from "
-                f"{[m.value for m in Method]}"
-            ) from None
-        positive = lambda v: 0 < v < math.inf
-        for check, names, what, bound in (
-            (_real, "eta_x eta_y", "stepsize scales eta_x, eta_y must be positive and finite", positive),
-            (_real, "alpha beta", "alpha and beta must lie in (0, 1)", lambda v: 0 < v < 1),
-            (_real, "v0_x v0_y", "accumulator seeds v0_x, v0_y must be positive and finite", positive),
-            (_real, "grad_tol", "grad_tol must be nonnegative and finite", lambda v: 0 <= v < math.inf),
-            (_count, "max_iters seed", None, 0),
-            (_count, "batch_size eval_stride", None, 1),
-        ):
-            for name in names.split():
-                check(getattr(self, name), what or name, bound, error=ConfigError)
+            raise ConfigError(f"unknown method {self.method!r}; choose from {[m.value for m in Method]}") from None
+        _check_settings(self)
 
     def regime_flags(self) -> list[str]:
         """Notes on where (alpha, beta) sits relative to the known rate regimes."""
@@ -369,7 +380,8 @@ def run_seeds(problem: MinimaxProblem, configs, *, x0: Point | None = None, y0: 
     starts, gens = [], []
     for row in configs:
         init_ss, step_ss = np.random.SeedSequence(row.seed).spawn(2)
-        x_init, y_init = problem.default_start(np.random.default_rng(init_ss))
+        if x0 is None or y0 is None:
+            x_init, y_init = problem.default_start(np.random.default_rng(init_ss))
         starts.append(((x0 or x_init).data, (y0 or y_init).data))
         gens.append([np.random.default_rng(s) for s in step_ss.spawn(2)])
     x, y = (np.stack(points) for points in zip(*starts))

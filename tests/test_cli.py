@@ -2,15 +2,16 @@
 import argparse
 import json
 import warnings
-from dataclasses import fields
+from dataclasses import FrozenInstanceError, fields
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from manimax import ConfigError, Euclidean, Point, SolverConfig, Sphere, SPD, cli, manifold_to_header
-from manimax.cli import _FIELDS, ExperimentConfig, _build_parser, _collect_fields, _finite, load_preset, main
+from manimax import ConfigError, Euclidean, Method, Point, SolverConfig, Sphere, SPD, cli, manifold_to_header
+from manimax.cli import (_FIELDS, ExperimentConfig, _build_parser, _collect_fields, _finite, _parser, load_preset,
+                         main)
 
 
 def read_rows(path):
@@ -326,7 +327,7 @@ def parsed_config(argv):
 
 
 def test_table_values_cover_every_key():
-    assert set(TABLE_VALUES) == set(_FIELDS)
+    assert set(TABLE_VALUES) == set(SURFACE) == set(_FIELDS)
 
 
 def test_every_config_field_has_exactly_one_key():
@@ -344,7 +345,7 @@ def test_every_key_reaches_the_config_and_a_flag_overrides_the_preset(tmp_path, 
     in_preset, in_flag = TABLE_VALUES[key]
     preset = tmp_path / "p.cfg"
     preset.write_text(f"{key} = {in_preset}\n")
-    parse = _FIELDS[key].parse
+    parse = _parser(_FIELDS[key])
     default = config_value(ExperimentConfig(), key)
     from_preset = config_value(parsed_config(["run", "--preset", str(preset)]), key)
     assert from_preset == parse(in_preset) != default
@@ -353,8 +354,7 @@ def test_every_key_reaches_the_config_and_a_flag_overrides_the_preset(tmp_path, 
 
 
 def flags_of(command):
-    sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    return {opt for action in sub.choices[command]._actions for opt in action.option_strings} - {"-h", "--help"}
+    return set(actions_of(command)) - {"-h", "--help"}
 
 
 def test_accepted_flag_sets():
@@ -367,6 +367,76 @@ def test_accepted_flag_sets():
         "--v0-x", "--v0-y", "--max-iters", "--grad-tol", "--batch-size", "--seed", "--repeats",
         "--eval-stride", "--label", "--d", "--n", "--c", "--k", "--m", "--mu", "--sigma", "--data-seed",
     }
+
+
+# Per key: whether `manimax verify` takes it too, its help text, the type its
+# text parses to (integer, finite float or text) and its default, as the
+# command line has had them since before the keys were derived from the fields.
+SURFACE = {
+    "problem": (True, "one of robust-mle, synthetic-quadratic", str, "robust-mle"),
+    "solver": (False, "one of ragda, rsagda, gda, tsgda", str, Method.RAGDA),
+    "alpha": (False, "descent stepsize exponent, in (0, 1)", float, 0.5),
+    "beta": (False, "ascent stepsize exponent, in (0, 1)", float, 0.5),
+    "eta-x": (False, "descent stepsize scale", float, 0.5),
+    "eta-y": (False, "ascent stepsize scale", float, 5.0),
+    "v0-x": (False, "initial descent accumulator", float, 1e-6),
+    "v0-y": (False, "initial ascent accumulator", float, 1e-6),
+    "max-iters": (False, "iteration budget", int, 1000),
+    "grad-tol": (False, "stop once ||grad_x|| + ||grad_y|| <= this", float, 0.0),
+    "batch-size": (False, "minibatch size of the stochastic method", int, 1),
+    "seed": (True, "base seed (RM_SEED env overrides)", int, 0),
+    "repeats": (False, "independent runs, each with its own derived seed", int, 1),
+    "eval-stride": (False, "steps between exact evaluations of stochastic runs", int, 50),
+    "label": (False, "output filename stem (default: <problem>-<solver>)", str, ""),
+    "d": (True, "robust-mle data dimension", int, 30),
+    "n": (True, "robust-mle sample count", int, 100),
+    "c": (True, "robust-mle regularization weight", float, -5.0),
+    "k": (True, "synthetic-quadratic sphere dimension", int, 20),
+    "m": (True, "synthetic-quadratic ascent dimension", int, 10),
+    "mu": (True, "synthetic-quadratic concavity", float, 1.0),
+    "sigma": (False, "synthetic-quadratic oracle noise", float, 0.1),
+    "data-seed": (True, "seed of the generated instance", int, 0),
+}
+
+
+def actions_of(command):
+    sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {opt: action for action in sub.choices[command]._actions for opt in action.option_strings}
+
+
+@pytest.mark.parametrize("key", sorted(SURFACE))
+def test_each_key_keeps_its_flag_help_parser_and_default(key):
+    verify, help_text, kind, default = SURFACE[key]
+    run_flags, verify_flags = actions_of("run"), actions_of("verify")
+    assert run_flags[f"--{key}"].help == help_text and run_flags[f"--{key}"].dest == key
+    assert (f"--{key}" in verify_flags) is verify
+    if verify:
+        assert verify_flags[f"--{key}"].help == help_text
+    assert type(cli._parse(key, "7", key)) is kind
+    declared = {f.name: f.default for cls in (SolverConfig, ExperimentConfig) for f in fields(cls)}
+    attr = "method" if key == "solver" else key.replace("-", "_")
+    assert type(declared[attr]) is type(default) and declared[attr] == default
+
+
+# The fields checked by a per-field rule: every field but method, problem,
+# solver and label, whose checks are written out by hand.
+RULED = [(SolverConfig, f.name) for f in fields(SolverConfig) if f.name != "method"] + [
+    (ExperimentConfig, f.name) for f in fields(ExperimentConfig) if f.name not in ("problem", "solver", "label")]
+
+
+@pytest.mark.parametrize("cls, name", RULED, ids=[name for _, name in RULED])
+def test_a_bad_value_is_named_by_its_own_field(cls, name):
+    with pytest.raises(ConfigError, match=f"^{name} must "):
+        cls(**{name: None})
+
+
+def test_an_experiment_config_is_frozen():
+    cfg = ExperimentConfig()
+    with pytest.raises(FrozenInstanceError):
+        cfg.repeats = 10**6
+    with pytest.raises(FrozenInstanceError):
+        cfg.label = "a/b"
+    assert cfg.repeats == 1 and cfg.label == "robust-mle-ragda"
 
 
 def test_budget_decades_is_gone(capsys, no_runs):
@@ -439,7 +509,7 @@ def test_negative_rm_seed_is_a_config_error(tmp_path, monkeypatch, capsys, argv)
     assert_config_error(argv + (["--out", str(tmp_path)] if argv[0] == "run" else []), capsys)
 
 
-FLOAT_KEYS = sorted(key for key, spec in _FIELDS.items() if spec.parse is _finite)
+FLOAT_KEYS = sorted(key for key, spec in _FIELDS.items() if _parser(spec) is _finite)
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
@@ -575,6 +645,12 @@ def test_unreadable_preset_is_a_config_error(tmp_path, capsys):
     binary.write_bytes(b"problem = robust-mle\n\xff\xfe = 3\n")
     assert_config_error(["run", "--preset", str(binary), "--out", str(tmp_path)], capsys)
     assert_config_error(["run", "--preset", str(tmp_path), "--out", str(tmp_path)], capsys)
+
+
+def test_empty_preset_name_is_a_config_error(tmp_path, capsys, no_runs):
+    out = tmp_path / "out"
+    assert_config_error(["run", "--preset", "", "--out", str(out)], capsys)
+    assert list(tmp_path.iterdir()) == []
 
 
 PRESET_LINES = st.lists(

@@ -609,6 +609,24 @@ def test_config_rejects_negative_seed_non_finite_floats_and_non_integer_counts(k
         SolverConfig(method=Method.RAGDA, **kwargs)
 
 
+def test_a_run_given_both_starts_draws_no_default_start(monkeypatch):
+    prob = generate_gaussian_instance(4, 20, -5.0, 0)
+    x0, y0 = prob.default_start(np.random.default_rng(3))
+    cfg = SolverConfig(method=Method.RAGDA, max_iters=5, seed=1)
+    before = run(prob, cfg, x0=x0, y0=y0)
+
+    def forbidden(rng):
+        raise AssertionError("drew a default start for given starts")
+
+    monkeypatch.setattr(prob, "default_start", forbidden)
+    after = run(prob, cfg, x0=x0, y0=y0)
+    assert after.stop_reason is StopReason.MAX_ITERS
+    assert [r.f_value for r in after.records] == [r.f_value for r in before.records]
+    assert after.final_state.x.data.tobytes() == before.final_state.x.data.tobytes()
+    with pytest.raises(AssertionError, match="default start"):
+        run(prob, cfg, x0=x0)
+
+
 def test_method_coercion_from_string():
     cfg = SolverConfig(method="ragda")
     assert cfg.method is Method.RAGDA

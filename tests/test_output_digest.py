@@ -47,10 +47,13 @@ def test_summaries_differing_only_in_repeat_wall_s_hash_alike():
             != digest.digest_line("a_summary.txt", text % (b"0.1", b"2.0")))
 
 
-def test_a_run_hashes_alike_twice():
-    extra = ["--repeats", "2", "--max-iters", "20"]
-    first = digest.run_digest(ROOT, "synthetic-rsagda", extra)
-    assert first == digest.run_digest(ROOT, "synthetic-rsagda", extra)
+def test_a_run_hashes_alike_twice_whatever_the_thread_variables(monkeypatch):
+    flags = ["--preset", "synthetic-rsagda", "--repeats", "2", "--max-iters", "20"]
+    first = digest.run_digest(ROOT, "synthetic-rsagda", flags)
+    # The summaries write these variables, so the digest's commands run without them.
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setenv("OMP_NUM_THREADS", "1")
+    assert first == digest.run_digest(ROOT, "synthetic-rsagda", flags)
     # A CSV trace and two .point files per repeat, and one summary.
     assert [line.split("  ")[1] for line in first] == [
         f"synthetic-rsagda/synthetic-quadratic-rsagda_{name}" for name in (
@@ -70,4 +73,4 @@ def test_outputs_keep_their_pinned_bits():
     now = dict(reversed(line.split("  ", 1)) for line in digest.digest(ROOT))
     changed = sorted(name for name in pinned.keys() | now.keys() if pinned.get(name) != now.get(name))
     assert not changed, f"outputs whose bits differ from the pin: {changed}"
-    assert len(now) == 26
+    assert len(now) == 54

@@ -266,7 +266,7 @@ class Manifold:
     """Base class owning validation and every public map.
 
     A concrete manifold implements array kernels on flat float64 arrays:
-    ``_check_point`` and ``_check_tangent`` (unless it has no invariants),
+    ``_check_point`` and ``_check_tangent`` (where it has invariants),
     ``_exp``, ``_log`` and ``_transport`` (unless it has no exp),
     ``_random_point`` and ``_random_tangent_data``, plus ``_retract``,
     ``_dist`` and ``_inner_data`` where the defaults here (the exponential
@@ -308,15 +308,11 @@ class Manifold:
     # -- validation -------------------------------------------------------
 
     # The invariant checks run under an errstate: a huge finite array can
-    # overflow inside them, and then fails the check instead of warning. A
-    # manifold whose only invariants are shape and finiteness has none to run.
-    _has_invariants = True
-
+    # overflow inside them, and then fails the check instead of warning.
     def check_point(self, data: np.ndarray) -> None:
         self._check_array(data, "point")
-        if self._has_invariants:
-            with np.errstate(over="ignore", invalid="ignore"):
-                self._check_point(data)
+        with np.errstate(over="ignore", invalid="ignore"):
+            self._check_point(data)
 
     def check_tangent(self, base: np.ndarray, data: np.ndarray) -> None:
         """Tangent data at base; a stack of rows is checked row by row."""
@@ -326,8 +322,13 @@ class Manifold:
     def _validate_tangent(self, base: np.ndarray, data: np.ndarray) -> None:
         """``check_tangent`` without its errstate, for a caller that holds one: the solver run."""
         self._check_array(data, "tangent", base.shape)
-        if self._has_invariants:
-            self._check_tangent(base, data)
+        self._check_tangent(base, data)
+
+    def _check_point(self, data: np.ndarray) -> None:
+        """Invariants of a point beyond its shape and finiteness; none here."""
+
+    def _check_tangent(self, base: np.ndarray, data: np.ndarray) -> None:
+        """Invariants of tangent data at base beyond its shape and finiteness; none here."""
 
     def _check_array(self, data: np.ndarray, what: str, shape: tuple | None = None) -> None:
         if data.shape != (shape or (self.ambient_size,)):
@@ -451,7 +452,6 @@ class Euclidean(Manifold):
     """Flat R^m with the usual inner product."""
 
     kind = "euclidean"
-    _has_invariants = False
 
     def __init__(self, dim: int) -> None:
         self.dim = _count(dim, "Euclidean dimension", 1)
@@ -842,16 +842,14 @@ class ProductManifold(Manifold):
         return zip(self.factors, *([a[..., off[i]:off[i + 1]] for i in range(len(self.factors))] for a in arrays))
 
     # The whole array has passed the shape and finiteness checks, so each
-    # factor with invariants checks only those on its slice.
+    # factor checks only its own invariants on its slice.
     def _check_point(self, data: np.ndarray) -> None:
         for f, part in self._split(data):
-            if f._has_invariants:
-                f._check_point(part)
+            f._check_point(part)
 
     def _check_tangent(self, base: np.ndarray, data: np.ndarray) -> None:
         for f, b, part in self._split(base, data):
-            if f._has_invariants:
-                f._check_tangent(b, part)
+            f._check_tangent(b, part)
 
     def _inner_data(self, base: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         return sum(f._inner_data(b, uu, vv) for f, b, uu, vv in self._split(base, u, v))

@@ -90,12 +90,12 @@ class Batch:
 class MinimaxProblem:
     """min over x in mx, max over y in my, of a smooth objective.
 
-    A concrete problem implements kernels on flat float64 arrays: ``_value``,
-    ``_grad_x`` and ``_grad_y`` at (x, y), the gradients as tangent arrays,
-    and, if it has stochastic oracles, ``_stoch_grad_x`` and ``_stoch_grad_y``
-    at (x, y, idx, rng) for sample indices idx. Kernels trust their
-    arguments; the public oracles here check the points and the batch, and
-    return validated Tangents.
+    A concrete problem implements three kernels on flat float64 arrays:
+    ``_value(x, y)``, and ``_grad_x`` and ``_grad_y`` at (x, y, idx=None,
+    rng=None), the gradients as tangent arrays: exact when idx is None, else
+    estimated from the samples in idx, with any noise drawn from rng. Kernels
+    trust their arguments; the public oracles here check the points and the
+    batch, and return validated Tangents.
 
     ``_value`` runs under its caller's errstate, as the gradient kernels do:
     the public ``value`` or a solver run.
@@ -125,15 +125,10 @@ class MinimaxProblem:
         return Tangent(y, self._grad_y(*self._arrays(x, y)))
 
     def stoch_grad_x(self, x: Point, y: Point, batch: Batch, rng: np.random.Generator) -> Tangent:
-        return Tangent(x, self._stoch_grad_x(*self._arrays(x, y), self._indices(batch), _generator(rng, ProblemError)))
+        return Tangent(x, self._grad_x(*self._arrays(x, y), self._indices(batch), _generator(rng, ProblemError)))
 
     def stoch_grad_y(self, x: Point, y: Point, batch: Batch, rng: np.random.Generator) -> Tangent:
-        return Tangent(y, self._stoch_grad_y(*self._arrays(x, y), self._indices(batch), _generator(rng, ProblemError)))
-
-    def _stoch_grad_x(self, x: np.ndarray, y: np.ndarray, idx: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        raise UnsupportedOperation(f"{type(self).__name__} has no stochastic oracles")
-
-    _stoch_grad_y = _stoch_grad_x
+        return Tangent(y, self._grad_y(*self._arrays(x, y), self._indices(batch), _generator(rng, ProblemError)))
 
     def inner_max_oracle(self, x: Point) -> tuple[Point, float]:
         """Closed-form argmax over y and the resulting envelope value."""
@@ -185,8 +180,8 @@ class RobustMleProblem(MinimaxProblem):
         self.my: SPD = SPD(self.d + 1)
         self.sample_count = self.n
 
-    # The stochastic kernels are the exact ones on the rows in idx, with the
-    # quadratic term scaled by n / |idx|; they draw nothing from rng.
+    # Given idx, the gradient kernels are the exact ones on the rows in idx,
+    # with the quadratic term scaled by n / |idx|; they draw nothing from rng.
 
     def _quad_rows(self, x: np.ndarray, idx: np.ndarray | None) -> np.ndarray:
         """z - x on the rows in idx; the full rows, read-only, are kept for the last x by shape and bytes."""
@@ -227,8 +222,6 @@ class RobustMleProblem(MinimaxProblem):
         M = -0.5 * self.n * self.my._mat(y) + 0.5 * quad + (2.0 * self.c) * reg
         return (0.5 * (M + M.mT)).reshape(y.shape)
 
-    _stoch_grad_x, _stoch_grad_y = _grad_x, _grad_y
-
     def default_start(self, rng: np.random.Generator) -> tuple[Point, Point]:
         """Random location on the sphere; the covariance starts at identity."""
         x0 = self.mx.random_point(rng)
@@ -263,7 +256,6 @@ class SyntheticQuadratic(MinimaxProblem):
         self.noise_sigma = float(noise_sigma)
         self.mx: Sphere = Sphere(self.k)
         self.my: Euclidean = Euclidean(self.m)
-        self.sample_count = 1
 
     def _value(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         # Huge finite y can overflow y @ y where A^T y does not: under the caller's errstate, an inf.
@@ -280,8 +272,6 @@ class SyntheticQuadratic(MinimaxProblem):
 
     def _grad_y(self, x: np.ndarray, y: np.ndarray, idx: np.ndarray | None = None, rng=None) -> np.ndarray:
         return self._noisy(np.matvec(self.a_mat, x) - self.mu * y, idx, rng)
-
-    _stoch_grad_x, _stoch_grad_y = _grad_x, _grad_y
 
     def _noisy(self, g: np.ndarray, idx: np.ndarray | None, rng: np.random.Generator | None) -> np.ndarray:
         """g, a fresh gradient array, with the batch's noise added in place."""

@@ -279,16 +279,11 @@ def _step(problem: MinimaxProblem, configs: list[SolverConfig], x: np.ndarray, y
     """
     mx, my = problem.mx, problem.my
     cfg, rows = configs[0], len(x)
-    if draws is None:
-        gx, gy = problem._grad_x(x, y), problem._grad_y(x, y)
-    else:
-        n, size = full.size, cfg.batch_size
-        if size >= n:
-            idx_x = idx_y = full
-        else:
-            idx_x, idx_y = (side.integers(0, n, (rows, size)) for side in draws)
-        gx = problem._stoch_grad_x(x, y, idx_x, draws[0])
-        gy = problem._stoch_grad_y(x, y, idx_y, draws[1])
+    rng_x, rng_y = draws or (None, None)
+    idx_x = idx_y = None if draws is None else full
+    if draws is not None and cfg.batch_size < full.size:
+        idx_x, idx_y = (side.integers(0, full.size, (rows, cfg.batch_size)) for side in draws)
+    gx, gy = problem._grad_x(x, y, idx_x, rng_x), problem._grad_y(x, y, idx_y, rng_y)
     mx._validate_tangent(x, gx)
     my._validate_tangent(y, gy)
     nx2, ny2 = _sq_norms(problem, x, y, gx, gy)

@@ -170,10 +170,10 @@ class BrittleQuadratic(SyntheticQuadratic):
     """Fails a row whose first x coordinate leaves [-0.5, 0.5], after that
     row's x-side noise is drawn and before its y-side noise is."""
 
-    def _stoch_grad_y(self, x, y, idx, rng):
-        if np.any(np.abs(x[..., 0]) > 0.5):
+    def _grad_y(self, x, y, idx=None, rng=None):
+        if idx is not None and np.any(np.abs(x[..., 0]) > 0.5):
             raise NumericalOverflow("x left the band")
-        return super()._stoch_grad_y(x, y, idx, rng)
+        return super()._grad_y(x, y, idx, rng)
 
 
 @pytest.mark.parametrize(

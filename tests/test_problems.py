@@ -196,7 +196,7 @@ def test_robust_mle_batches_never_read_the_row_memo():
     prob._rows_memo = poisoned = (key, np.zeros_like(rows))
     fresh = generate_gaussian_instance(4, 9, -5.0, seed=1)
     for idx in (np.arange(prob.sample_count), np.array([2, 0, 2])):
-        for kernel in ("_stoch_grad_x", "_stoch_grad_y"):
+        for kernel in ("_grad_x", "_grad_y"):
             assert np.array_equal(getattr(prob, kernel)(x, y, idx), getattr(fresh, kernel)(x, y, idx))
     assert prob._rows_memo is poisoned
     assert not np.array_equal(prob._grad_x(x, y), fresh._grad_x(x, y))  # the exact kernel reads the poison
@@ -498,7 +498,7 @@ def test_kernels_on_a_stack_equal_the_single_rows(prob):
 
     n = prob.sample_count
     per_row = np.random.default_rng(4).integers(0, n, size=(5, 3))
-    for kernel in (prob._stoch_grad_x, prob._stoch_grad_y):
+    for kernel in (prob._grad_x, prob._grad_y):
         for idx in (per_row, np.arange(n)):
             stacked = kernel(xs, ys, idx, Rows(range(5)))
             for row, (x, y) in enumerate(pairs):

@@ -39,10 +39,11 @@ class SaddleToy(MinimaxProblem):
     def _value(self, x, y):
         return x[..., 0] * y[..., 0] - 0.5 * y[..., 0] ** 2
 
-    def _grad_x(self, x, y):
+    # Exact whatever the batch: its estimate has zero variance.
+    def _grad_x(self, x, y, idx=None, rng=None):
         return y.copy()
 
-    def _grad_y(self, x, y):
+    def _grad_y(self, x, y, idx=None, rng=None):
         return x - y
 
     def default_start(self, rng):
@@ -145,6 +146,17 @@ def test_rsagda_full_batch_no_noise_is_ragda_bitwise():
     assert np.array_equal(ta.final_state.y.data, tb.final_state.y.data)
     assert ta.final_state.vx == tb.final_state.vx
     assert ta.final_state.vy == tb.final_state.vy
+
+
+def test_rsagda_on_kernels_that_ignore_the_batch_steps_as_ragda():
+    # SaddleToy's gradient kernels ignore idx and rng, so their estimate is
+    # the exact gradient and RSAGDA takes RAGDA's steps to the end.
+    a = SolverConfig(method=Method.RAGDA, max_iters=50, seed=5)
+    ta, tb = run(SaddleToy(), a), run(SaddleToy(), replace(a, method=Method.RSAGDA))
+    assert tb.stop_reason is StopReason.MAX_ITERS and tb.final_state.t == 50
+    assert ta.final_state.x.data.tobytes() == tb.final_state.x.data.tobytes()
+    assert ta.final_state.y.data.tobytes() == tb.final_state.y.data.tobytes()
+    assert (ta.final_state.vx, ta.final_state.vy) == (tb.final_state.vx, tb.final_state.vy)
 
 
 def test_rsagda_full_batch_robust_mle_bitwise():

@@ -168,11 +168,11 @@ def _parse_fields(text: str, source: str) -> dict[str, object]:
 
 
 def load_preset(name: str) -> dict[str, object]:
-    """Read a preset by packaged name or by filesystem path."""
+    """Read a preset by the path of a file, or else by packaged name."""
     path = Path(name)
     packaged = resources.files("manimax").joinpath("presets", f"{name}.cfg")
     try:
-        if path.exists():
+        if path.is_file():
             source, raw = str(path), path.read_bytes()
         elif packaged.is_file():
             source, raw = f"preset {name}", packaged.read_bytes()

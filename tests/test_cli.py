@@ -644,12 +644,14 @@ def test_unreadable_preset_is_a_config_error(tmp_path, capsys):
     binary = tmp_path / "binary.cfg"
     binary.write_bytes(b"problem = robust-mle\n\xff\xfe = 3\n")
     assert_config_error(["run", "--preset", str(binary), "--out", str(tmp_path)], capsys)
-    assert_config_error(["run", "--preset", str(tmp_path), "--out", str(tmp_path)], capsys)
 
 
-def test_empty_preset_name_is_a_config_error(tmp_path, capsys, no_runs):
-    out = tmp_path / "out"
-    assert_config_error(["run", "--preset", "", "--out", str(out)], capsys)
+@pytest.mark.parametrize("directory", [False, True], ids=["empty-name", "directory"])
+def test_preset_that_names_no_file_is_not_found(tmp_path, capsys, no_runs, directory):
+    # "" is the path ".", a directory: neither is read as a preset file.
+    name = str(tmp_path) if directory else ""
+    err = assert_config_error(["run", "--preset", name, "--out", str(tmp_path / "out")], capsys)
+    assert f"preset {name!r} not found (not a file, not a packaged preset)" in err
     assert list(tmp_path.iterdir()) == []
 
 

@@ -47,7 +47,7 @@ def test_summaries_differing_only_in_repeat_wall_s_hash_alike():
             != digest.digest_line("a_summary.txt", text % (b"0.1", b"2.0")))
 
 
-def test_a_run_hashes_alike_twice_whatever_the_thread_variables(monkeypatch):
+def test_a_run_hashes_alike_twice(monkeypatch):
     flags = ["--preset", "synthetic-rsagda", "--repeats", "2", "--max-iters", "20"]
     first = digest.run_digest(ROOT, "synthetic-rsagda", flags)
     # The summaries write these variables, so the digest's commands run without them.

@@ -9,10 +9,10 @@ With seed 0 and data seed 0, and the checkout's own `src/` on the path, it
 runs the `manimax run` commands of `RUNS` and `verify --suite all`, and prints
 one line `<sha256>  <name>` per output, after three `#` lines naming the
 Python, numpy and BLAS builds that the bits depend on. `RUNS` holds the four
-packaged presets (`synthetic-rsagda` with 4 repeats of 5000 steps), then four
+packaged presets (`synthetic-rsagda` with 4 repeats of 5000 steps), then five
 short runs of paths that no preset reaches: robust-mle RSAGDA on batches of
-10 of its 100 samples, a stacked robust-mle RAGDA run of 3 repeats, and TSGDA
-and GDA on the quadratic. Clocks are left out of the hash: the `wall_s`
+10 of its 100 samples, a stacked robust-mle RAGDA run of 3 repeats, TSGDA
+and GDA on the quadratic, and TSGDA on robust-mle. Clocks are left out of the hash: the `wall_s`
 column of each CSV trace and the `repeat<i>.wall_s` lines of each summary.
 `.point` files and the verify stdout are hashed as written. The commands run
 without `RM_SEED`, which overrides `--seed`, and without the BLAS thread
@@ -53,6 +53,8 @@ RUNS = {  # output directory: the flags of its `manimax run`
                         "--max-iters", "1000"],
     "synthetic-gda": ["--preset", "synthetic-ragda", "--solver", "gda", "--eta-x", "0.05", "--eta-y", "0.05",
                       "--max-iters", "1000"],
+    "robust-mle-tsgda": ["--preset", "robust-mle-ragda", "--solver", "tsgda", "--eta-x", "0.001", "--eta-y", "0.01",
+                         "--max-iters", "300"],
 }
 SEEDS = ["--seed", "0", "--data-seed", "0"]
 # RM_SEED overrides --seed, and the summaries write the thread variables.

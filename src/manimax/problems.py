@@ -2,8 +2,8 @@
 
 Both problems expose exact and stochastic first-order oracles over a product
 of manifolds: the minimization variable lives on ``mx`` and the maximization
-variable on ``my``. Stochastic oracles take an explicit index batch plus an
-rng handle so the solver controls all randomness.
+variable on ``my``. A gradient oracle given an index batch and an rng handle
+returns the batch's estimate, so the solver controls all randomness.
 """
 from __future__ import annotations
 
@@ -30,7 +30,6 @@ from .manifolds import (
 __all__ = [
     "ProblemError",
     "NumericalOverflow",
-    "EmptyBatch",
     "Batch",
     "MinimaxProblem",
     "RobustMleProblem",
@@ -49,10 +48,6 @@ class NumericalOverflow(ProblemError):
     """An objective or oracle evaluation left the representable range."""
 
 
-class EmptyBatch(ProblemError):
-    """A stochastic oracle was called with no sample indices."""
-
-
 @dataclass(frozen=True)
 class Batch:
     """Sample indices for a stochastic oracle; duplicates are allowed."""
@@ -65,7 +60,7 @@ class Batch:
         except ValueError:  # ragged rows
             raise ProblemError("batch indices must be a 1-d integer array, got ragged rows") from None
         if idx.size == 0:
-            raise EmptyBatch("batch must contain at least one index")
+            raise ProblemError("batch must contain at least one index")
         if idx.ndim != 1 or idx.dtype.kind not in ("i", "u"):
             raise ProblemError(f"batch indices must be a 1-d integer array, got {idx.dtype} of shape {idx.shape}")
         idx = idx.astype(np.int64)
@@ -77,13 +72,13 @@ class Batch:
 
     @classmethod
     def full(cls, n: int) -> "Batch":
-        return cls(np.arange(_count(n, "sample count", 1, error=EmptyBatch), dtype=np.int64))
+        return cls(np.arange(_count(n, "sample count", 1, error=ProblemError), dtype=np.int64))
 
     @classmethod
     def sample(cls, rng: np.random.Generator, n: int, size: int) -> "Batch":
         """Uniform i.i.d. draw with replacement from range(n)."""
-        _count(n, "sample count", 1, error=EmptyBatch)
-        _count(size, "batch size", 1, error=EmptyBatch)
+        _count(n, "sample count", 1, error=ProblemError)
+        _count(size, "batch size", 1, error=ProblemError)
         return cls(_generator(rng, ProblemError).integers(0, n, size=size, dtype=np.int64))
 
 
@@ -94,11 +89,10 @@ class MinimaxProblem:
     ``_value(x, y)``, and ``_grad_x`` and ``_grad_y`` at (x, y, idx=None,
     rng=None), the gradients as tangent arrays: exact when idx is None, else
     estimated from the samples in idx, with any noise drawn from rng. Kernels
-    trust their arguments; the public oracles here check the points and the
-    batch, and return validated Tangents.
-
-    ``_value`` runs under its caller's errstate, as the gradient kernels do:
-    the public ``value`` or a solver run.
+    trust their arguments and run under their caller's errstate: a solver
+    run's, or the one that the public oracles here open after they check the
+    points, the batch and its rng. The gradient oracles return validated
+    Tangents.
 
     Kernels are row-wise: x and y are points (n,) or stacks of them (R, n),
     results stack the same way, idx is one batch or one per row (R, b), and
@@ -112,23 +106,15 @@ class MinimaxProblem:
     sample_count: int = 1
 
     def value(self, x: Point, y: Point) -> float:
-        x, y = self._arrays(x, y)
-        with np.errstate(over="ignore", invalid="ignore"):
-            return float(self._value(x, y))
+        return float(self._call(self._value, x, y, None, None))
 
-    def grad_x(self, x: Point, y: Point) -> Tangent:
-        """Exact Riemannian gradient in the minimization variable."""
-        return Tangent(x, self._grad_x(*self._arrays(x, y)))
+    def grad_x(self, x: Point, y: Point, batch: Batch | None = None, rng=None) -> Tangent:
+        """Riemannian gradient in the minimization variable: exact, or the batch's estimate with noise from rng."""
+        return Tangent(x, self._call(self._grad_x, x, y, batch, rng))
 
-    def grad_y(self, x: Point, y: Point) -> Tangent:
-        """Exact Riemannian gradient in the maximization variable."""
-        return Tangent(y, self._grad_y(*self._arrays(x, y)))
-
-    def stoch_grad_x(self, x: Point, y: Point, batch: Batch, rng: np.random.Generator) -> Tangent:
-        return Tangent(x, self._grad_x(*self._arrays(x, y), self._indices(batch), _generator(rng, ProblemError)))
-
-    def stoch_grad_y(self, x: Point, y: Point, batch: Batch, rng: np.random.Generator) -> Tangent:
-        return Tangent(y, self._grad_y(*self._arrays(x, y), self._indices(batch), _generator(rng, ProblemError)))
+    def grad_y(self, x: Point, y: Point, batch: Batch | None = None, rng=None) -> Tangent:
+        """Riemannian gradient in the maximization variable: exact, or the batch's estimate with noise from rng."""
+        return Tangent(y, self._call(self._grad_y, x, y, batch, rng))
 
     def inner_max_oracle(self, x: Point) -> tuple[Point, float]:
         """Closed-form argmax over y and the resulting envelope value."""
@@ -138,17 +124,22 @@ class MinimaxProblem:
         """Deterministic-in-rng initial iterates; subclasses pick natural ones."""
         return self.mx.random_point(rng), self.my.random_point(rng)
 
-    def _arrays(self, x: Point, y: Point) -> tuple[np.ndarray, np.ndarray]:
+    def _call(self, kernel, x: Point, y: Point, batch: Batch | None, rng) -> np.ndarray:
+        """``kernel`` on the arrays of x and y, and on the batch's indices and rng when a batch is given,
+        under the run's errstate, once the points, the batch and the rng pass."""
         self.mx._require_point(x)
         self.my._require_point(y)
-        return x.data, y.data
-
-    def _indices(self, batch: Batch) -> np.ndarray:
-        # A Batch is never empty; its indices must name samples.
-        lo, hi = int(batch.indices.min()), int(batch.indices.max())
-        if lo < 0 or hi >= self.sample_count:
-            raise ProblemError(f"batch index out of range [0, {self.sample_count}): saw {lo}..{hi}")
-        return batch.indices
+        args = (x.data, y.data)
+        if batch is not None:
+            # A Batch is never empty; its indices must name samples.
+            lo, hi = int(batch.indices.min()), int(batch.indices.max())
+            if lo < 0 or hi >= self.sample_count:
+                raise ProblemError(f"batch index out of range [0, {self.sample_count}): saw {lo}..{hi}")
+            args += (batch.indices, _generator(rng, ProblemError))
+        elif rng is not None:
+            raise ProblemError("rng without a batch: an exact gradient draws nothing")
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return kernel(*args)
 
 
 class RobustMleProblem(MinimaxProblem):

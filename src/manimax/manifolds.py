@@ -358,13 +358,15 @@ class Manifold:
         eigenvalue products of an SPD metric underflow to 0, raises
         InvalidGeometry instead of a warning."""
         self._require_rooted(u.base, v)
-        return self._metric(u.base.data, u.data, v.data)
+        return self._scoped(self._inner_data, u.base.data, u.data, v.data, scalar="metric")
 
-    def _metric(self, base: np.ndarray, u: np.ndarray, v: np.ndarray) -> float:
+    def _scoped(self, kernel, *arrays: np.ndarray, scalar: str | None = None):
+        """``kernel(*arrays)`` under the errstate of a solver run; with ``scalar``, the name
+        of the float it returns, which raises InvalidGeometry unless it is finite."""
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            value = float(self._inner_data(base, u, v))
-        if not math.isfinite(value):
-            raise InvalidGeometry(f"metric on {self!r} is not finite")
+            value = kernel(*arrays) if scalar is None else float(kernel(*arrays))
+        if scalar is not None and not math.isfinite(value):
+            raise InvalidGeometry(f"{scalar} on {self!r} is not finite")
         return value
 
     def norm(self, u: Tangent) -> float:
@@ -404,17 +406,17 @@ class Manifold:
     def log(self, x: Point, y: Point) -> Tangent:
         self._require_exp()
         self._require_point(x, y)
-        return Tangent(x, self._log(x.data, y.data))
+        return Tangent(x, self._scoped(self._log, x.data, y.data))
 
     def transport(self, src: Point, dst: Point, u: Tangent) -> Tangent:
         self._require_exp()
         self._require_rooted(src, u)
         self._require_point(dst)
-        return Tangent(dst, self._transport(src.data, dst.data, u.data))
+        return Tangent(dst, self._scoped(self._transport, src.data, dst.data, u.data))
 
     def dist(self, x: Point, y: Point) -> float:
         self._require_point(x, y)
-        return self._dist(x.data, y.data)
+        return self._scoped(self._dist, x.data, y.data, scalar="distance")
 
     def zero_tangent(self, x: Point) -> Tangent:
         self._require_point(x)
@@ -442,7 +444,7 @@ class Manifold:
             return self.zero_tangent(x)
         for _ in range(64):
             raw = self._random_tangent_data(x.data, rng)
-            scale = math.sqrt(self._metric(x.data, raw, raw))
+            scale = math.sqrt(self._scoped(self._inner_data, x.data, raw, raw, scalar="metric"))
             if scale > 1e-12:
                 return Tangent(x, (norm / scale) * raw)
         raise InvalidGeometry("failed to draw a nonzero tangent")

@@ -1,5 +1,6 @@
 """Geometry tests: frozen hand values, independent oracles, property checks."""
 import json
+import re
 
 import numpy as np
 import pytest
@@ -830,6 +831,43 @@ def test_spd_metric_that_underflows_raises_instead_of_warning():
         man.norm(u)
     with pytest.raises(InvalidGeometry):
         man.random_tangent(x, np.random.default_rng(0), 1.0)
+
+
+def extreme_pair(kind):
+    """Two valid points so far apart in scale that the maps between them overflow."""
+    if kind == "spd":
+        man = SPD(2)
+        return man, Point(man, 1e-150 * np.eye(2).ravel()), Point(man, 1e300 * np.eye(2).ravel())
+    man = Euclidean(2)
+    return man, Point(man, [1e308, -1e308]), Point(man, [-1e308, 1e308])
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("kind", ["spd", "euclidean"])
+def test_log_that_overflows_raises_instead_of_warning(kind):
+    man, x, y = extreme_pair(kind)
+    for a, b in ((x, y), (y, x)):
+        with pytest.raises(InvalidGeometry):
+            man.log(a, b)
+
+
+@pytest.mark.filterwarnings("error")
+def test_transport_that_overflows_raises_instead_of_warning():
+    man, x, y = extreme_pair("spd")
+    for u in (man.zero_tangent(x), Tangent(x, 1e-150 * np.eye(2).ravel())):
+        with pytest.raises(InvalidGeometry):
+            man.transport(x, y, u)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("kind", ["spd", "euclidean"])
+def test_dist_that_overflows_raises_instead_of_warning(kind):
+    # A distance that comes out infinite is an error, as a metric that does is.
+    man, x, y = extreme_pair(kind)
+    with pytest.raises(InvalidGeometry):
+        man.dist(x, y)
+    with pytest.raises(InvalidGeometry, match=rf"^distance on {re.escape(repr(man))} is not finite$"):
+        man.dist(y, x)
 
 
 def test_spd_exp_rejects_underflow_to_singular():

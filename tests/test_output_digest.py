@@ -49,11 +49,11 @@ def test_summaries_differing_only_in_repeat_wall_s_hash_alike():
 
 def test_a_run_hashes_alike_twice(monkeypatch):
     flags = ["--preset", "synthetic-rsagda", "--repeats", "2", "--max-iters", "20"]
-    first = digest.run_digest(ROOT, "synthetic-rsagda", flags)
+    first = digest.digest(ROOT, {"synthetic-rsagda": flags}, verify=False)
     # The summaries write these variables, so the digest's commands run without them.
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     monkeypatch.setenv("OMP_NUM_THREADS", "1")
-    assert first == digest.run_digest(ROOT, "synthetic-rsagda", flags)
+    assert first == digest.digest(ROOT, {"synthetic-rsagda": flags}, verify=False)
     # A CSV trace and two .point files per repeat, and one summary.
     assert [line.split("  ")[1] for line in first] == [
         f"synthetic-rsagda/synthetic-quadratic-rsagda_{name}" for name in (

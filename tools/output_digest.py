@@ -6,7 +6,8 @@ Run from the root of a checkout, with no arguments:
     python tools/output_digest.py
 
 With seed 0 and data seed 0, and the checkout's own `src/` on the path, it
-runs the `manimax run` commands of `RUNS` and `verify --suite all`, and prints
+runs the `manimax run` commands of `RUNS` and `verify --suite all`, one after
+another through `manimax.cli.main` in one fresh interpreter, and prints
 one line `<sha256>  <name>` per output, after three `#` lines naming the
 Python, numpy and BLAS builds that the bits depend on. `RUNS` holds the four
 packaged presets (`synthetic-rsagda` with 4 repeats of 5000 steps), then five
@@ -31,6 +32,7 @@ and says which outputs changed and why.
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 import platform
 import re
@@ -73,22 +75,32 @@ def digest_line(name: str, data: bytes) -> str:
     return f"{hashlib.sha256(data).hexdigest()}  {name}"
 
 
-def manimax(root: Path, argv: list[str]) -> str:
-    """Stdout of `manimax <argv>` run on `root/src`; any exit code but 0 stops the digest."""
+# The interpreter of `manimax`: it runs the commands of the JSON list in argv[1] in order, and
+# prints their stdouts as one JSON list once every command has exited 0.
+_COMMANDS = """\
+import contextlib, io, json, sys
+from manimax.cli import main
+stdouts = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = main(argv)
+    if code:
+        sys.exit(f"manimax {' '.join(argv)} exited {code}")
+    stdouts.append(out.getvalue())
+print(json.dumps(stdouts))
+"""
+
+
+def manimax(root: Path, commands: list[list[str]]) -> list[str]:
+    """Stdout of each `manimax <argv>` of `commands`, run in order in one interpreter on `root/src`;
+    any exit code but 0 stops the digest."""
     env = {key: value for key, value in os.environ.items() if key not in _UNSET}
     env["PYTHONPATH"] = str(root / "src")
-    done = subprocess.run([sys.executable, "-m", "manimax.cli", *argv], cwd=root, env=env,
+    done = subprocess.run([sys.executable, "-c", _COMMANDS, json.dumps(commands)], cwd=root, env=env,
                           capture_output=True, text=True)
     if done.returncode != 0:
-        raise SystemExit(f"manimax {' '.join(argv)} exited {done.returncode}:\n{done.stderr}")
-    return done.stdout
-
-
-def run_digest(root: Path, name: str, flags: list[str]) -> list[str]:
-    """One digest line per file that `manimax run <flags>` writes, named `<name>/<file>`."""
-    with tempfile.TemporaryDirectory() as out:
-        manimax(root, ["run", *flags, *SEEDS, "--out", out])
-        return [digest_line(f"{name}/{path.name}", path.read_bytes()) for path in sorted(Path(out).iterdir())]
+        raise SystemExit(f"manimax exited {done.returncode}:\n{done.stderr}")
+    return json.loads(done.stdout)
 
 
 def environment() -> list[str]:
@@ -98,10 +110,19 @@ def environment() -> list[str]:
             f"# blas {blas.get('name')} {blas.get('version')}"]
 
 
-def digest(root: Path) -> list[str]:
-    """The digest lines of every output of the runs of `RUNS` and of `verify`, run on `root/src`."""
-    lines = [line for name, flags in RUNS.items() for line in run_digest(root, name, flags)]
-    return lines + [digest_line("verify/stdout", manimax(root, ["verify", "--suite", "all", *SEEDS]).encode("utf-8"))]
+def digest(root: Path, runs: dict[str, list[str]] = RUNS, verify: bool = True) -> list[str]:
+    """The digest lines of every output of the runs of `runs`, named `<name>/<file>`, and of `verify`
+    unless `verify` is false, all run on `root/src`."""
+    with tempfile.TemporaryDirectory() as tmp:
+        commands = [["run", *flags, *SEEDS, "--out", str(Path(tmp, name))] for name, flags in runs.items()]
+        if verify:
+            commands.append(["verify", "--suite", "all", *SEEDS])
+        stdouts = manimax(root, commands)
+        lines = [digest_line(f"{name}/{path.name}", path.read_bytes())
+                 for name in runs for path in sorted(Path(tmp, name).iterdir())]
+    if verify:
+        lines.append(digest_line("verify/stdout", stdouts[-1].encode("utf-8")))
+    return lines
 
 
 def main() -> None:

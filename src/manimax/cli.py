@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import re
 import sys
 from dataclasses import Field, dataclass, field, fields, replace
 from importlib import resources
@@ -468,9 +469,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_NEGATIVE_NUMBER = re.compile(r"-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?|-(inf(inity)?|nan)", re.IGNORECASE)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    tokens: list[str] = []  # argparse reads a number such as -5e-1 as a flag; after a flag, it is that flag's value
+    for token in sys.argv[1:] if argv is None else argv:
+        if tokens and _NEGATIVE_NUMBER.fullmatch(token) and re.fullmatch(r"--[^=]+", tokens[-1]):
+            tokens[-1] += "=" + token
+        else:
+            tokens.append(token)
+    args = _build_parser().parse_args(tokens)
     try:
         return args.func(args)
     except ConfigError as err:

@@ -361,8 +361,7 @@ class Manifold:
         return self._scoped(self._inner_data, u.base.data, u.data, v.data, scalar="metric")
 
     def _scoped(self, kernel, *arrays: np.ndarray, scalar: str | None = None):
-        """``kernel(*arrays)`` under the errstate of a solver run; with ``scalar``, the name
-        of the float it returns, which raises InvalidGeometry unless it is finite."""
+        """``kernel(*arrays)`` under a run's errstate; ``scalar`` names a float result that must be finite."""
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             value = kernel(*arrays) if scalar is None else float(kernel(*arrays))
         if scalar is not None and not math.isfinite(value):

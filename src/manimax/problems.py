@@ -125,8 +125,7 @@ class MinimaxProblem:
         return self.mx.random_point(rng), self.my.random_point(rng)
 
     def _call(self, kernel, x: Point, y: Point, batch: Batch | None, rng) -> np.ndarray:
-        """``kernel`` on the arrays of x and y, and on the batch's indices and rng when a batch is given,
-        under the run's errstate, once the points, the batch and the rng pass."""
+        """``kernel`` on x and y, and on the batch's indices and rng, under a run's errstate once all of them pass."""
         self.mx._require_point(x)
         self.my._require_point(y)
         args = (x.data, y.data)

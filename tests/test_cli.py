@@ -492,6 +492,26 @@ def test_negative_noise_is_a_config_error(tmp_path, capsys):
     assert_config_error(["run", "--problem", "synthetic-quadratic", "--sigma", "-1", "--out", str(tmp_path)], capsys)
 
 
+def test_a_flag_takes_a_negative_number_in_exponent_form_as_its_value(tmp_path, monkeypatch):
+    # argparse alone reads -5e-1 as a flag, and stops with "expected one argument".
+    seen, build_problem = [], cli.build_problem
+
+    def build(cfg):
+        seen.append(cfg.c)
+        return build_problem(cfg)
+
+    monkeypatch.setattr(cli, "build_problem", build)
+    argv = ["run", "--preset", "robust-mle-ragda", "--c", "-5e-1", "--max-iters", "2", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    assert seen == [-0.5]
+
+
+def test_a_negative_mu_in_exponent_form_is_a_config_error(tmp_path, capsys):
+    err = assert_config_error(["run", "--preset", "synthetic-ragda", "--mu", "-1e0", "--out", str(tmp_path)], capsys)
+    assert "mu must be positive and finite" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("argv", [
     ["run", "--preset", "synthetic-ragda", "--seed", "-1"],
     ["run", "--preset", "synthetic-ragda", "--data-seed", "-1"],

@@ -473,9 +473,9 @@ _NEGATIVE_NUMBER = re.compile(r"-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?|-(inf(inity)?|nan
 
 
 def main(argv: list[str] | None = None) -> int:
-    tokens: list[str] = []  # argparse reads a number such as -5e-1 as a flag; after a flag, it is that flag's value
+    tokens: list[str] = []  # argparse reads a number such as -5e-1 as a flag; after a setting's flag, it is the value
     for token in sys.argv[1:] if argv is None else argv:
-        if tokens and _NEGATIVE_NUMBER.fullmatch(token) and re.fullmatch(r"--[^=]+", tokens[-1]):
+        if tokens and tokens[-1][:2] == "--" and tokens[-1][2:] in _FIELDS and _NEGATIVE_NUMBER.fullmatch(token):
             tokens[-1] += "=" + token
         else:
             tokens.append(token)

@@ -13,8 +13,9 @@ Python, numpy and BLAS builds that the bits depend on. `RUNS` holds the four
 packaged presets (`synthetic-rsagda` with 4 repeats of 5000 steps), then five
 short runs of paths that no preset reaches: robust-mle RSAGDA on batches of
 10 of its 100 samples, a stacked robust-mle RAGDA run of 3 repeats, TSGDA
-and GDA on the quadratic, and TSGDA on robust-mle. Clocks are left out of the hash: the `wall_s`
-column of each CSV trace and the `repeat<i>.wall_s` lines of each summary.
+and GDA on the quadratic, and TSGDA on robust-mle. Clocks are left out of
+the hash: the `wall_s` column of each CSV trace and the `repeat<i>.wall_s`
+lines of each summary.
 `.point` files and the verify stdout are hashed as written. The commands run
 without `RM_SEED`, which overrides `--seed`, and without the BLAS thread
 variables, which the summaries write, so the listing does not depend on
